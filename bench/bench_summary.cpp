@@ -8,7 +8,7 @@
  *
  * Secondary mode, --bench-speed[=<path>]: measure the simulator's own
  * raw throughput (no result cache, direct GpuSimulator runs) in two
- * legs — the scalar reference raster path and the SoA/SIMD fast path —
+ * legs — serial tiles (the "scalar" leg) and the production path —
  * and emit BENCH_speed.json with sims/s, frames/s and per-stage wall
  * time from the tracer's span totals. With
  * --bench-speed-baseline=<path> the optimized leg's sims/s is gated
@@ -24,7 +24,6 @@
 #include "common/atomic_file.hpp"
 #include "driver/gpu_simulator.hpp"
 #include "driver/json.hpp"
-#include "gpu/raster_kernels.hpp"
 
 using namespace evrsim;
 using namespace evrsim::bench;
@@ -50,32 +49,16 @@ struct SpeedLeg {
     }
 };
 
-const char *
-simdLevelName(SimdLevel level)
-{
-    switch (level) {
-      case SimdLevel::Scalar:
-        return "scalar";
-      case SimdLevel::Avx2:
-        return "avx2";
-      case SimdLevel::Neon:
-        return "neon";
-    }
-    return "?";
-}
-
 /**
  * Render every Table III workload under the baseline and EVR configs
  * (the Figure 7 sim set), timed end to end — workload construction and
  * mesh/texture upload included, exactly like a cacheless fig07 sweep.
- * @p scalar selects the scalar leg: reference rasterizer + scalar
- * kernels + serial tiles; otherwise the production path (best SIMD
- * level, EVRSIM_TILE_JOBS honoured).
+ * @p scalar selects the "scalar" leg, serial tiles; otherwise the
+ * production path (EVRSIM_TILE_JOBS honoured).
  */
 SpeedLeg
 runSpeedLeg(const BenchParams &params, bool scalar)
 {
-    forceSimdLevel(scalar ? SimdLevel::Scalar : bestSimdLevel());
     traceTotalsEnable((1u << static_cast<unsigned>(TraceCat::Stage)) |
                       (1u << static_cast<unsigned>(TraceCat::Frame)));
 
@@ -93,7 +76,6 @@ runSpeedLeg(const BenchParams &params, bool scalar)
                 fatal("--bench-speed: unknown workload '%s'",
                       alias.c_str());
             GpuSimulator sim(config);
-            sim.setReferenceRaster(scalar);
             if (!scalar && params.tile_jobs > 1)
                 sim.setTileExecution(nullptr, params.tile_jobs);
             workload->setup(sim);
@@ -171,8 +153,6 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
 
     SpeedLeg scalar = runSpeedLeg(params, true);
     SpeedLeg fast = runSpeedLeg(params, false);
-    SimdLevel fast_level = bestSimdLevel();
-    forceSimdLevel(fast_level); // leave the process on the default path
 
     double speedup = scalar.framesPerS() > 0.0
                          ? fast.framesPerS() / scalar.framesPerS()
@@ -180,9 +160,8 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
 
     // The checked-in baseline carries the pre-optimization binary's
     // numbers on the same sim set, so the emitted file records the perf
-    // trajectory — not just the in-binary scalar/fast ratio (the header
-    // inlining that rode along with this work speeds the scalar
-    // reference leg up too, so the in-binary ratio understates it).
+    // trajectory — not just the in-binary ratio between the legs, which
+    // share every per-fragment optimization.
     Json baseline_json;
     bool have_baseline = false;
     if (!baseline_path.empty()) {
@@ -212,7 +191,6 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
     doc.set("warmup", params.warmup);
     doc.set("frames_per_sim", params.frames);
     doc.set("tile_jobs", params.tile_jobs);
-    doc.set("simd", simdLevelName(fast_level));
     Json legs = Json::object();
     legs.set("scalar", legJson(scalar));
     legs.set("optimized", legJson(fast));
@@ -251,12 +229,9 @@ runBenchSpeed(const std::string &out_path, const std::string &baseline_path)
 
     std::printf("scalar:    %7.2f frames/s  %6.3f sims/s  (%.0f ms)\n",
                 scalar.framesPerS(), scalar.simsPerS(), scalar.wall_ms);
-    std::printf("optimized: %7.2f frames/s  %6.3f sims/s  (%.0f ms, "
-                "simd=%s)\n",
-                fast.framesPerS(), fast.simsPerS(), fast.wall_ms,
-                simdLevelName(fast_level));
-    std::printf("speedup:   %.2fx frames/s vs the scalar reference path\n",
-                speedup);
+    std::printf("optimized: %7.2f frames/s  %6.3f sims/s  (%.0f ms)\n",
+                fast.framesPerS(), fast.simsPerS(), fast.wall_ms);
+    std::printf("speedup:   %.2fx frames/s vs serial tiles\n", speedup);
     if (const Json *t = doc.find("trajectory"))
         std::printf("trajectory: %.2fx frames/s vs the seed binary "
                     "(%.2f frames/s, %s)\n",

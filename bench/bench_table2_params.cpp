@@ -103,10 +103,9 @@ BM_LayerBufferTileSweep(benchmark::State &state)
 {
     LayerBuffer lb(256);
     lb.tileStart(16, 16);
-    for (int y = 0; y < 16; ++y)
-        for (int x = 0; x < 16; ++x)
-            lb.opaqueWrite(x, y, static_cast<std::uint16_t>(1 + (x & 3)),
-                           false);
+    for (std::uint32_t i = 0; i < 256; ++i)
+        lb.opaqueWrites(&i, 1, static_cast<std::uint16_t>(1 + (i & 3)),
+                        false);
     for (auto _ : state)
         benchmark::DoNotOptimize(lb.computeLFar());
 }

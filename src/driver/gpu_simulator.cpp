@@ -20,8 +20,7 @@ GpuSimulator::GpuSimulator(const SimConfig &config,
       energy_(energy_params),
       geometry_(config_.gpu, mem_),
       raster_(config_.gpu, mem_, shader_, timing_),
-      fb_(config.gpu.screen_width, config.gpu.screen_height),
-      prev_fb_(config.gpu.screen_width, config.gpu.screen_height)
+      fb_(config.gpu.screen_width, config.gpu.screen_height)
 {
     config_.validate();
     if (config_.re)
@@ -118,11 +117,6 @@ GpuSimulator::renderFrameImpl(const Scene &scene, FrameStats stats)
         auditor_->checkBinning(pb_, stats);
     }
 
-    // Snapshot the display before this frame touches it: the raster
-    // pipeline compares freshly-rendered tiles against it to produce the
-    // ground-truth "equal tiles" statistic (Figure 9's oracle).
-    prev_fb_ = fb_;
-
     {
         TraceSpan stage(TraceCat::Stage, "raster");
         RasterHooks rh;
@@ -131,9 +125,11 @@ GpuSimulator::renderFrameImpl(const Scene &scene, FrameStats stats)
         rh.auditor = auditor_.get();
         rh.oracle_z = config_.oracle_z;
         rh.z_prepass = config_.z_prepass;
-        raster_.run(scene, pb_, fb_,
-                    frames_rendered_ > 0 ? &prev_fb_ : nullptr, rh,
-                    stats);
+        // From the second frame on, the raster pipeline compares each
+        // rendered tile with the previous frame's pixels still in fb_
+        // for the ground-truth "equal tiles" statistic (Figure 9's
+        // oracle).
+        raster_.run(scene, pb_, fb_, frames_rendered_ > 0, rh, stats);
     }
 
     if (re_) {

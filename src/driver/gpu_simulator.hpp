@@ -80,14 +80,6 @@ class GpuSimulator
      */
     void setTileExecution(JobPool *pool, int tile_jobs);
 
-    /**
-     * Rasterize with the scalar reference path instead of the SoA/SIMD
-     * fast path (bit-identical results; see
-     * RasterPipeline::setReferenceRaster). Used by tests and by the
-     * --bench-speed scalar leg.
-     */
-    void setReferenceRaster(bool on) { raster_.setReferenceRaster(on); }
-
     /** Energy of a frame's (or accumulated) stats under this config. */
     EnergyBreakdown energyOf(const FrameStats &stats) const;
 
@@ -137,7 +129,6 @@ class GpuSimulator
     std::unique_ptr<InvariantAuditor> auditor_;
     std::unique_ptr<JobPool> owned_tile_pool_;
     Framebuffer fb_;
-    Framebuffer prev_fb_;
     FrameStats totals_;
     int frames_rendered_ = 0;
 };

@@ -90,13 +90,14 @@ EarlyVisibilityResolution::tileStart(int tile, int width, int height,
 }
 
 void
-EarlyVisibilityResolution::onOpaqueWrite(int tile, int x, int y,
-                                         std::uint16_t layer, bool is_woz,
-                                         FrameStats &stats)
+EarlyVisibilityResolution::onOpaqueWrites(int tile,
+                                          const std::uint32_t *pixels,
+                                          int count, std::uint16_t layer,
+                                          bool is_woz, FrameStats &stats)
 {
-    active_[static_cast<std::size_t>(tile)]->opaqueWrite(x, y, layer,
-                                                         is_woz);
-    ++stats.layer_buffer_accesses;
+    active_[static_cast<std::size_t>(tile)]->opaqueWrites(pixels, count,
+                                                          layer, is_woz);
+    stats.layer_buffer_accesses += static_cast<std::uint64_t>(count);
 }
 
 void

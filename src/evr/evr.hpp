@@ -56,8 +56,9 @@ class EarlyVisibilityResolution : public PrimitiveScheduler,
     // --- TileVisibilityTracker ---
     void tileStart(int tile, int width, int height,
                    FrameStats &stats) override;
-    void onOpaqueWrite(int tile, int x, int y, std::uint16_t layer,
-                       bool is_woz, FrameStats &stats) override;
+    void onOpaqueWrites(int tile, const std::uint32_t *pixels, int count,
+                        std::uint16_t layer, bool is_woz,
+                        FrameStats &stats) override;
     void tileEnd(int tile, const float *tile_depth, int pixel_count,
                  FrameStats &stats) override;
     void tileSkipped(int tile) override;
@@ -86,7 +87,7 @@ class EarlyVisibilityResolution : public PrimitiveScheduler,
      *
      * pool_/free_ are guarded by slot_mu_; active_[tile] is written
      * only by the thread rendering that tile (elements are disjoint),
-     * so the hot opaqueWrite path takes no lock.
+     * so the hot opaqueWrites path takes no lock.
      */
     int layer_buffer_pixels_;
     std::vector<std::unique_ptr<LayerBuffer>> pool_;

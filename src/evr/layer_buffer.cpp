@@ -28,11 +28,15 @@ LayerBuffer::tileStart(int width, int height)
 }
 
 void
-LayerBuffer::opaqueWrite(int x, int y, std::uint16_t layer, bool is_woz)
+LayerBuffer::opaqueWrites(const std::uint32_t *pixels, int count,
+                          std::uint16_t layer, bool is_woz)
 {
-    EVRSIM_ASSERT(x >= 0 && x < width_ && y >= 0 && y < height_);
-    layers_[static_cast<std::size_t>(y) * width_ + x] = layer;
-    if (is_woz)
+    const auto limit = static_cast<std::uint32_t>(width_ * height_);
+    for (int i = 0; i < count; ++i) {
+        EVRSIM_ASSERT(pixels[i] < limit);
+        layers_[pixels[i]] = layer;
+    }
+    if (is_woz && count > 0)
         zr_ = layer;
 }
 

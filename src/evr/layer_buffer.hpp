@@ -31,10 +31,12 @@ class LayerBuffer
     void tileStart(int width, int height);
 
     /**
-     * An opaque fragment was written at tile-local (x, y).
-     * @param is_woz also latch ZR with this layer
+     * @p count opaque fragments of one layer were written at tile-local
+     * pixel indices (y * width + x).
+     * @param is_woz also latch ZR with this layer (when count > 0)
      */
-    void opaqueWrite(int x, int y, std::uint16_t layer, bool is_woz);
+    void opaqueWrites(const std::uint32_t *pixels, int count,
+                      std::uint16_t layer, bool is_woz);
 
     /** Minimum layer over the tile's pixels (the tile's L_far). */
     std::uint16_t computeLFar() const;

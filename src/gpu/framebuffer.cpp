@@ -6,17 +6,67 @@
 
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
 #include "common/crc32.hpp"
 #include "common/log.hpp"
 
 namespace evrsim {
 
+namespace {
+
+/** Pixel buffers of destroyed framebuffers, newest last. */
+struct SpareStores {
+    std::mutex mu;
+    std::vector<std::vector<Rgba8>> stores;
+};
+
+SpareStores &
+spareStores()
+{
+    // Never destroyed: framebuffers owned by other static objects may
+    // be destroyed after this function's statics would be.
+    static SpareStores *spares = new SpareStores;
+    return *spares;
+}
+
+/** The newest spare buffer able to hold @p count pixels, or an empty
+ *  one when there is none. */
+std::vector<Rgba8>
+takeSpare(std::size_t count)
+{
+    SpareStores &sp = spareStores();
+    std::lock_guard<std::mutex> lock(sp.mu);
+    for (std::size_t i = sp.stores.size(); i-- > 0;) {
+        if (sp.stores[i].capacity() >= count) {
+            std::vector<Rgba8> out = std::move(sp.stores[i]);
+            sp.stores.erase(sp.stores.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+            return out;
+        }
+    }
+    return {};
+}
+
+} // namespace
+
 Framebuffer::Framebuffer(int width, int height)
     : width_(width), height_(height)
 {
     EVRSIM_ASSERT(width > 0 && height > 0);
-    pixels_.assign(static_cast<std::size_t>(width) * height, Rgba8{});
+    const std::size_t count = static_cast<std::size_t>(width) * height;
+    pixels_ = takeSpare(count);
+    pixels_.assign(count, Rgba8{});
+}
+
+Framebuffer::~Framebuffer()
+{
+    if (pixels_.capacity() == 0)
+        return; // moved from
+    SpareStores &sp = spareStores();
+    std::lock_guard<std::mutex> lock(sp.mu);
+    if (sp.stores.size() < kMaxSpareStores)
+        sp.stores.push_back(std::move(pixels_));
 }
 
 void
@@ -35,6 +85,14 @@ Framebuffer::writeRow(int x, int y, const Rgba8 *src, int count)
                 static_cast<std::size_t>(count) * sizeof(Rgba8));
 }
 
+bool
+Framebuffer::rowEquals(int x, int y, const Rgba8 *src, int count) const
+{
+    return std::memcmp(&pixels_[index(x, y)], src,
+                       static_cast<std::size_t>(count) * sizeof(Rgba8)) ==
+           0;
+}
+
 void
 Framebuffer::copyRect(const Framebuffer &src, const RectI &rect)
 {
@@ -46,22 +104,6 @@ Framebuffer::copyRect(const Framebuffer &src, const RectI &rect)
     for (int y = rect.y0; y < rect.y1; ++y)
         std::memcpy(&pixels_[index(rect.x0, y)],
                     &src.pixels_[index(rect.x0, y)], row_bytes);
-}
-
-bool
-Framebuffer::rectEquals(const Framebuffer &other, const RectI &rect) const
-{
-    EVRSIM_ASSERT(other.width_ == width_ && other.height_ == height_);
-    if (rect.empty())
-        return true;
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(rect.width()) * sizeof(Rgba8);
-    for (int y = rect.y0; y < rect.y1; ++y)
-        if (std::memcmp(&pixels_[index(rect.x0, y)],
-                        &other.pixels_[index(rect.x0, y)],
-                        row_bytes) != 0)
-            return false;
-    return true;
 }
 
 bool

@@ -11,6 +11,7 @@
 #ifndef EVRSIM_GPU_FRAMEBUFFER_HPP
 #define EVRSIM_GPU_FRAMEBUFFER_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,11 +21,28 @@
 
 namespace evrsim {
 
-/** Screen-sized array of packed RGBA8 pixels. */
+/**
+ * Screen-sized array of packed RGBA8 pixels.
+ *
+ * Pixel storage is recycled: a destroyed framebuffer hands its buffer
+ * to a small process-wide spare list (at most kMaxSpareStores entries)
+ * and the next framebuffer constructed takes it back and clears it.
+ * Simulations are created and destroyed by the dozen in a sweep, and
+ * without reuse each one maps and page-faults a fresh ~1 MB buffer, at
+ * a cost that depends on the allocator's mmap and trim thresholds.
+ */
 class Framebuffer
 {
   public:
+    /** Upper bound on pixel buffers kept for reuse. */
+    static constexpr std::size_t kMaxSpareStores = 8;
+
     Framebuffer(int width, int height);
+    Framebuffer(const Framebuffer &) = default;
+    Framebuffer(Framebuffer &&) = default;
+    Framebuffer &operator=(const Framebuffer &) = default;
+    Framebuffer &operator=(Framebuffer &&) = default;
+    ~Framebuffer();
 
     int width() const { return width_; }
     int height() const { return height_; }
@@ -36,14 +54,15 @@ class Framebuffer
      *  the tile-flush fast path (one memcpy per tile row). */
     void writeRow(int x, int y, const Rgba8 *src, int count);
 
+    /** True if the row starting at (@p x, @p y) already holds the
+     *  @p count pixels at @p src. */
+    bool rowEquals(int x, int y, const Rgba8 *src, int count) const;
+
     /** Fill the whole surface with one color. */
     void clear(Rgba8 c);
 
     /** Copy the rectangle @p rect from @p src (same dimensions required). */
     void copyRect(const Framebuffer &src, const RectI &rect);
-
-    /** True if @p rect holds identical pixels in both framebuffers. */
-    bool rectEquals(const Framebuffer &other, const RectI &rect) const;
 
     /** True if every pixel matches. */
     bool equals(const Framebuffer &other) const;

@@ -8,7 +8,6 @@
 
 #include "common/fault_injector.hpp"
 #include "common/log.hpp"
-#include "gpu/raster_kernels.hpp"
 #include "gpu/rasterizer.hpp"
 
 namespace evrsim {
@@ -98,10 +97,10 @@ InvariantAuditor::checkFvpConservative(int tile, const float *tile_depth,
 {
     if (!tracker_)
         return;
-    // Vector max over the tile's depth buffer; the kernel reproduces
-    // the scalar max-from-zero reduction exactly (max is associative).
-    float max_depth = rasterKernels().max_float(
-        tile_depth, static_cast<std::size_t>(pixel_count));
+    float max_depth = 0.0f;
+    for (int i = 0; i < pixel_count; ++i)
+        if (tile_depth[i] > max_depth)
+            max_depth = tile_depth[i];
     if (tracker_->fvpConservative(tile, max_depth))
         return;
     record(Phase::Raster, tile,

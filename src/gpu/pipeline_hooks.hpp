@@ -116,17 +116,20 @@ class TileVisibilityTracker
                            FrameStats &stats) = 0;
 
     /**
-     * An opaque fragment (alpha == 1) was written to the Color Buffer at
-     * tile-local pixel (x, y) of @p tile.
+     * Opaque fragments (alpha == 1) of one primitive were written to the
+     * Color Buffer of @p tile: @p count of them, in write order, at the
+     * tile-local pixel indices y * width + x in @p pixels. The raster
+     * pipeline reports each span's opaque writes with one call.
      *
      * @param tile   tile being rendered (tile-parallel rasterization may
      *               have several tiles between tileStart and tileEnd at
      *               once, so per-tile state must be keyed by it)
-     * @param layer  layer identifier carried by the fragment
-     * @param is_woz fragment belongs to a WOZ primitive (updates ZR)
+     * @param layer  layer identifier carried by the fragments
+     * @param is_woz the primitive is WOZ (its writes update ZR)
      */
-    virtual void onOpaqueWrite(int tile, int x, int y, std::uint16_t layer,
-                               bool is_woz, FrameStats &stats) = 0;
+    virtual void onOpaqueWrites(int tile, const std::uint32_t *pixels,
+                                int count, std::uint16_t layer,
+                                bool is_woz, FrameStats &stats) = 0;
 
     /**
      * The tile finished rendering: derive L_far from the Layer Buffer,

@@ -19,7 +19,7 @@ namespace {
 
 /**
  * Per-thread tile-rendering scratch: the on-chip tile buffers plus the
- * rasterizer's SoA row buffers, reused across every tile a thread
+ * rasterizer's SoA span buffers, reused across every tile a thread
  * renders so the steady-state hot path performs no heap allocation.
  * Thread-local (rather than per-pipeline) because tile jobs from
  * several concurrent simulations can share one JobPool worker; every
@@ -33,10 +33,268 @@ struct TileScratch {
     std::vector<char> contributed;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> blend_journal;
     std::vector<DisplayListEntry> order;
+    /** One span's opaque writes, batched for the visibility tracker. */
+    std::vector<std::uint32_t> opaque_pixels;
     RasterScratch raster;
 };
 
 thread_local TileScratch t_scratch;
+
+/** Where a primitive's depth test sits (Early needs a shader that
+ *  cannot discard; Late runs after shading). */
+enum class ZMode { None, Early, Late };
+
+/**
+ * Compile-time shape of one primitive's fragment loop: the per-primitive
+ * constants the loop would otherwise re-test for every fragment.
+ */
+template <FragmentProgram Prog, ZMode Z, bool Write, bool Leq, bool Blend,
+          bool Track>
+struct SpanSpec {
+    static constexpr FragmentProgram kProgram = Prog;
+    static constexpr ZMode kZ = Z;
+    static constexpr bool kWrite = Write; ///< depth write on pass
+    static constexpr bool kLeq = Leq;     ///< pass on equal depth
+    static constexpr bool kBlend = Blend; ///< BlendMode::Alpha
+    static constexpr bool kTrack = Track; ///< visibility tracker present
+    static constexpr bool kTextured =
+        ShaderCore::fragmentTexFetches(Prog) > 0;
+
+    /** SpanAttr lanes the loop reads. */
+    static constexpr unsigned
+    attrs()
+    {
+        unsigned a = Z == ZMode::None ? 0u : unsigned{kSpanDepth};
+        switch (Prog) {
+          case FragmentProgram::Flat:
+            return a | kSpanRgb | kSpanAlpha;
+          case FragmentProgram::Textured:
+            // An opaque write forces alpha to 1, so only blending reads
+            // the vertex alpha.
+            return a | kSpanUv | (Blend ? unsigned{kSpanAlpha} : 0u);
+          default:
+            return a | kSpanRgb | kSpanAlpha | kSpanUv;
+        }
+    }
+};
+
+/** Everything a primitive's span loop reads or writes. */
+struct PrimContext {
+    // Tile buffers and geometry.
+    float *depth;
+    Rgba8 *color;
+    int *owner;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> *blend_journal;
+    std::uint32_t *opaque_pixels;
+    int x0, y0, w;
+    int tile;
+    // The primitive.
+    std::uint32_t pos;
+    std::uint16_t layer;
+    bool is_woz;
+    const Texture *tex;
+    // Memory and hooks.
+    ShaderCore *shader;
+    TileMemLog *log;
+    TileVisibilityTracker *tracker;
+    FrameStats *ts;
+};
+
+/** Per-primitive event counts, kept in locals and flushed once. */
+struct PrimCounts {
+    std::uint64_t z_tests = 0;
+    std::uint64_t z_kills = 0;
+    std::uint64_t z_writes = 0;
+    std::uint64_t shaded = 0;
+    std::uint64_t discarded = 0;
+    std::uint64_t blended = 0;
+    Cycles latency = 0;
+};
+
+/** Depth test (and write) of one fragment; false = killed. */
+template <class S>
+inline bool
+depthTest(float z, float &stored, PrimCounts &n)
+{
+    ++n.z_tests;
+    const bool pass = S::kLeq ? z <= stored : z < stored;
+    if (!pass) {
+        ++n.z_kills;
+        return false;
+    }
+    if constexpr (S::kWrite) {
+        stored = z;
+        ++n.z_writes;
+    }
+    return true;
+}
+
+/**
+ * One span through depth test, shading, blending and the Color Buffer
+ * write, specialized by @p S. Fragments are processed in span (quad
+ * walk) order, so texture fetches reach the simulated caches in the
+ * same sequence as one-fragment-at-a-time processing.
+ */
+template <class S>
+void
+shadeSpan(const FragmentSpan &sp, const PrimContext &c, PrimCounts &n)
+{
+    int opaque = 0;
+    for (int k = 0; k < sp.count; ++k) {
+        const std::size_t li =
+            static_cast<std::size_t>(sp.y[k] - c.y0) * c.w +
+            static_cast<std::size_t>(sp.x[k] - c.x0);
+        if constexpr (S::kZ == ZMode::Early) {
+            if (!depthTest<S>(sp.depth[k], c.depth[li], n))
+                continue;
+        }
+
+        ++n.shaded;
+        Vec4 t;
+        const Vec2 uv = (S::attrs() & kSpanUv) ? Vec2{sp.u[k], sp.v[k]}
+                                               : Vec2{};
+        if constexpr (S::kTextured) {
+            int tx, ty;
+            c.tex->toTexel(uv.x, uv.y, tx, ty);
+            n.latency += c.shader->textureFetch(
+                c.shader->unitFor(sp.x[k], sp.y[k]),
+                c.tex->texelAddrAt(tx, ty), c.log);
+            t = c.tex->texelAt(tx, ty);
+        }
+        const Vec4 color = {(S::attrs() & kSpanRgb) ? sp.r[k] : 0.0f,
+                            (S::attrs() & kSpanRgb) ? sp.g[k] : 0.0f,
+                            (S::attrs() & kSpanRgb) ? sp.b[k] : 0.0f,
+                            (S::attrs() & kSpanAlpha) ? sp.a[k] : 0.0f};
+        Vec4 res;
+        if (!ShaderCore::programColor<S::kProgram>(color, uv, t, res)) {
+            ++n.discarded;
+            continue;
+        }
+
+        if constexpr (S::kZ == ZMode::Late) {
+            // Late Depth Test (shader may have discarded fragments, so
+            // the Z Buffer could not be updated early).
+            if (!depthTest<S>(sp.depth[k], c.depth[li], n))
+                continue;
+        }
+
+        ++n.blended;
+        bool is_opaque = true;
+        if constexpr (!S::kBlend) {
+            res.w = 1.0f;
+            c.color[li] = toRgba8(res);
+        } else {
+            const Vec4 dst = toVec4(c.color[li]);
+            const float a = clampf(res.w, 0.0f, 1.0f);
+            Vec4 out = res * a + dst * (1.0f - a);
+            out.w = a + dst.w * (1.0f - a);
+            c.color[li] = toRgba8(out);
+            is_opaque = res.w >= 1.0f;
+        }
+        if (is_opaque) {
+            c.owner[li] = static_cast<int>(c.pos);
+            if constexpr (S::kTrack)
+                c.opaque_pixels[opaque++] = static_cast<std::uint32_t>(li);
+        } else {
+            c.blend_journal->emplace_back(static_cast<std::uint32_t>(li),
+                                          c.pos);
+        }
+    }
+    if constexpr (S::kTrack) {
+        if (opaque > 0)
+            c.tracker->onOpaqueWrites(c.tile, c.opaque_pixels, opaque,
+                                      c.layer, c.is_woz, *c.ts);
+    }
+}
+
+/** Rasterize and shade one primitive with loop shape @p S. */
+template <class S>
+void
+renderPrimitive(const ShadedPrimitive &prim, const RectI &rect,
+                const PrimContext &c, RasterScratch &scratch)
+{
+    FrameStats &ts = *c.ts;
+    PrimCounts n;
+    Rasterizer::rasterizeSpans(
+        prim, rect, S::attrs(), ts, scratch,
+        [&](const FragmentSpan &span) { shadeSpan<S>(span, c, n); });
+
+    if constexpr (S::kZ == ZMode::Early) {
+        ts.early_z_tests += n.z_tests;
+        ts.early_z_kills += n.z_kills;
+    } else if constexpr (S::kZ == ZMode::Late) {
+        ts.late_z_tests += n.z_tests;
+        ts.late_z_kills += n.z_kills;
+    }
+    ts.depth_buffer_accesses += n.z_tests + n.z_writes;
+    ts.fragments_shaded += n.shaded;
+    ts.fragment_shader_instrs +=
+        n.shaded * ShaderCore::fragmentInstrs(S::kProgram);
+    ts.texture_fetches +=
+        n.shaded * ShaderCore::fragmentTexFetches(S::kProgram);
+    ts.raster_mem_latency += n.latency;
+    ts.fragments_discarded_shader += n.discarded;
+    ts.blend_ops += n.blended;
+    // Opaque writes touch the Color Buffer once; blends read and write.
+    ts.color_buffer_accesses += (S::kBlend ? 2 : 1) * n.blended;
+}
+
+/** Call @p f with std::true_type{} or std::false_type{} for @p b. */
+template <typename F>
+decltype(auto)
+withBool(bool b, F &&f)
+{
+    if (b)
+        return f(std::true_type{});
+    return f(std::false_type{});
+}
+
+/**
+ * Pick the SpanSpec for @p state once per primitive and render it.
+ * Only reachable shapes are instantiated: a discarding program can
+ * only test depth late and every other program only early, and depth
+ * write/leq mean nothing without a depth test.
+ */
+void
+dispatchPrimitive(const ShadedPrimitive &prim, const RectI &rect,
+                  bool preloaded_z, const PrimContext &c,
+                  RasterScratch &scratch)
+{
+    const RenderState &state = prim.state;
+    const bool write = state.depth_write;
+    // Preloaded final depths (oracle or Z-Prepass): Z-writing
+    // primitives must pass on equality or the surviving fragment kills
+    // itself.
+    const bool leq = preloaded_z && write;
+    ShaderCore::withProgram(state.program, [&](auto prog) {
+        constexpr FragmentProgram P = decltype(prog)::value;
+        constexpr ZMode kTested = P == FragmentProgram::TexturedDiscard
+                                      ? ZMode::Late
+                                      : ZMode::Early;
+        auto shaped = [&](auto z, auto w, auto l) {
+            withBool(state.blend == BlendMode::Alpha, [&](auto blend) {
+                withBool(c.tracker != nullptr, [&](auto track) {
+                    renderPrimitive<SpanSpec<P, decltype(z)::value,
+                                             decltype(w)::value,
+                                             decltype(l)::value,
+                                             decltype(blend)::value,
+                                             decltype(track)::value>>(
+                        prim, rect, c, scratch);
+                });
+            });
+        };
+        using None = std::integral_constant<ZMode, ZMode::None>;
+        using Tested = std::integral_constant<ZMode, kTested>;
+        if (!state.depth_test)
+            shaped(None{}, std::false_type{}, std::false_type{});
+        else if (!write)
+            shaped(Tested{}, std::false_type{}, std::false_type{});
+        else if (!leq)
+            shaped(Tested{}, std::true_type{}, std::false_type{});
+        else
+            shaped(Tested{}, std::true_type{}, std::true_type{});
+    });
+}
 
 } // namespace
 
@@ -77,63 +335,69 @@ RasterPipeline::depthPrepass(const RectI &rect, const Scene &scene,
 
     for (const DisplayListEntry &e : order) {
         const ShadedPrimitive &prim = pb.prim(e.prim);
-        if (!prim.state.depth_write)
+        const RenderState &state = prim.state;
+        if (!state.depth_write)
             continue;
         if (charge)
             ++ts.prim_tile_rasterized;
 
-        auto sink = [&](const Fragment &frag) {
-                std::size_t li =
-                    static_cast<std::size_t>(frag.y - rect.y0) * w +
-                    (frag.x - rect.x0);
-                if (prim.state.shaderDiscards()) {
-                    // Discarding shaders must run even in a depth-only
-                    // pass (the discard decides Z coverage).
-                    float alpha = frag.color.w;
-                    if (prim.state.texture >= 0) {
-                        const Texture *tex =
-                            scene.textures[prim.state.texture];
+        // Discarding shaders must run even in a depth-only pass (the
+        // discard decides Z coverage).
+        const bool discards = state.shaderDiscards();
+        const Texture *tex =
+            discards && state.texture >= 0
+                ? scene.textures[static_cast<std::size_t>(state.texture)]
+                : nullptr;
+        const unsigned attrs =
+            kSpanDepth | (discards ? kSpanAlpha | kSpanUv : 0u);
+        auto span_depth = [&](const FragmentSpan &sp) {
+            for (int k = 0; k < sp.count; ++k) {
+                const std::size_t li =
+                    static_cast<std::size_t>(sp.y[k] - rect.y0) * w +
+                    static_cast<std::size_t>(sp.x[k] - rect.x0);
+                if (discards) {
+                    float alpha = sp.a[k];
+                    if (tex) {
                         if (charge) {
                             ++ts.fragments_shaded;
                             FragmentShadeResult res = shader_.shadeFragment(
-                                prim.state, frag.color, frag.uv, frag.x,
-                                frag.y, ts, log);
+                                state, {0.0f, 0.0f, 0.0f, sp.a[k]},
+                                {sp.u[k], sp.v[k]}, sp.x[k], sp.y[k], ts,
+                                log);
                             alpha = res.discarded ? 0.0f : 1.0f;
                         } else {
-                            alpha *= tex->sample(frag.uv.x, frag.uv.y).w;
+                            alpha *= tex->sample(sp.u[k], sp.v[k]).w;
                         }
                     }
                     if (alpha < 0.5f)
-                        return;
+                        continue;
                 }
-                if (prim.state.depth_test) {
+                if (state.depth_test) {
                     if (charge) {
                         ++ts.early_z_tests;
                         ++ts.depth_buffer_accesses;
                     }
-                    if (!(frag.depth < depth[li])) {
+                    if (!(sp.depth[k] < depth[li])) {
                         if (charge)
                             ++ts.early_z_kills;
-                        return;
+                        continue;
                     }
                 }
                 if (charge)
                     ++ts.depth_buffer_accesses;
-                depth[li] = frag.depth;
+                depth[li] = sp.depth[k];
+            }
         };
-        if (reference_)
-            Rasterizer::rasterize(prim, rect, ts, sink);
-        else
-            Rasterizer::rasterizeFast(prim, rect, ts, scratch, sink);
+        Rasterizer::rasterizeSpans(prim, rect, attrs, ts, scratch,
+                                   span_depth);
     }
 }
 
 void
 RasterPipeline::renderTile(int tile, const Scene &scene,
                            const ParameterBuffer &pb, Framebuffer &fb,
-                           const Framebuffer *prev_fb,
-                           const RasterHooks &hooks, FrameStats &ts,
-                           TileMemLog *log)
+                           bool has_prev_frame, const RasterHooks &hooks,
+                           FrameStats &ts, TileMemLog *log)
 {
     ++ts.tiles_total;
 
@@ -143,7 +407,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
         ++ts.tiles_skipped_re;
         if (hooks.tracker)
             hooks.tracker->tileSkipped(tile);
-        if (prev_fb) {
+        if (has_prev_frame) {
             // A skipped tile is unchanged by construction.
             ++ts.tiles_equal_oracle;
         }
@@ -229,6 +493,24 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     if (hooks.tracker)
         hooks.tracker->tileStart(tile, w, rect.height(), ts);
 
+    // A span holds at most two rows of whole quads.
+    t_scratch.opaque_pixels.resize(2 * static_cast<std::size_t>(w + 2));
+    PrimContext ctx{};
+    ctx.depth = depth.data();
+    ctx.color = color.data();
+    ctx.owner = owner.data();
+    ctx.blend_journal = &blend_journal;
+    ctx.opaque_pixels = t_scratch.opaque_pixels.data();
+    ctx.x0 = rect.x0;
+    ctx.y0 = rect.y0;
+    ctx.w = w;
+    ctx.tile = tile;
+    ctx.shader = &shader_;
+    ctx.log = log;
+    ctx.tracker = hooks.tracker;
+    ctx.ts = &ts;
+    const bool preloaded_z = hooks.oracle_z || hooks.z_prepass;
+
     for (std::size_t pos = 0; pos < order.size(); ++pos) {
         const DisplayListEntry &e = order[pos];
         const ShadedPrimitive &prim = pb.prim(e.prim);
@@ -243,93 +525,13 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
         ++ts.prim_tile_rasterized;
 
         const RenderState &state = prim.state;
-        const bool is_woz = state.depth_write;
-        const bool early_capable = state.depth_test &&
-                                   !state.shaderDiscards();
-        // Preloaded final depths (oracle or Z-Prepass): Z-writing
-        // primitives must pass on equality or the surviving fragment
-        // kills itself.
-        const bool leq = (hooks.oracle_z || hooks.z_prepass) &&
-                         state.depth_write;
-
-        auto sink = [&](const Fragment &frag) {
-            std::size_t li = static_cast<std::size_t>(frag.y - rect.y0) * w +
-                             (frag.x - rect.x0);
-
-            if (early_capable) {
-                ++ts.early_z_tests;
-                ++ts.depth_buffer_accesses;
-                bool pass = leq ? frag.depth <= depth[li]
-                                : frag.depth < depth[li];
-                if (!pass) {
-                    ++ts.early_z_kills;
-                    return;
-                }
-                if (state.depth_write) {
-                    depth[li] = frag.depth;
-                    ++ts.depth_buffer_accesses;
-                }
-            }
-
-            ++ts.fragments_shaded;
-            FragmentShadeResult res = shader_.shadeFragment(
-                state, frag.color, frag.uv, frag.x, frag.y, ts, log);
-            if (res.discarded)
-                return;
-
-            if (!early_capable && state.depth_test) {
-                // Late Depth Test (shader may have discarded fragments,
-                // so the Z Buffer could not be updated early).
-                ++ts.late_z_tests;
-                ++ts.depth_buffer_accesses;
-                bool pass = leq ? frag.depth <= depth[li]
-                                : frag.depth < depth[li];
-                if (!pass) {
-                    ++ts.late_z_kills;
-                    return;
-                }
-                if (state.depth_write) {
-                    depth[li] = frag.depth;
-                    ++ts.depth_buffer_accesses;
-                }
-            }
-
-            // Blending.
-            ++ts.blend_ops;
-            Vec4 out;
-            bool opaque;
-            if (state.blend == BlendMode::Opaque) {
-                out = res.color;
-                out.w = 1.0f;
-                opaque = true;
-                ++ts.color_buffer_accesses; // write
-            } else {
-                Vec4 dst = toVec4(color[li]);
-                float a = clampf(res.color.w, 0.0f, 1.0f);
-                out = res.color * a + dst * (1.0f - a);
-                out.w = a + dst.w * (1.0f - a);
-                opaque = res.color.w >= 1.0f;
-                ts.color_buffer_accesses += 2; // read + write
-            }
-            color[li] = toRgba8(out);
-
-            if (opaque) {
-                owner[li] = static_cast<int>(pos);
-                if (hooks.tracker) {
-                    hooks.tracker->onOpaqueWrite(tile, frag.x - rect.x0,
-                                                 frag.y - rect.y0, e.layer,
-                                                 is_woz, ts);
-                }
-            } else {
-                blend_journal.emplace_back(static_cast<std::uint32_t>(li),
-                                           static_cast<std::uint32_t>(pos));
-            }
-        };
-        if (reference_)
-            Rasterizer::rasterize(prim, rect, ts, sink);
-        else
-            Rasterizer::rasterizeFast(prim, rect, ts, t_scratch.raster,
-                                      sink);
+        ctx.pos = static_cast<std::uint32_t>(pos);
+        ctx.layer = e.layer;
+        ctx.is_woz = state.depth_write;
+        ctx.tex = ShaderCore::fragmentTexFetches(state.program) > 0
+                      ? shader_.boundTexture(state.texture)
+                      : nullptr;
+        dispatchPrimitive(prim, rect, preloaded_z, ctx, t_scratch.raster);
     }
 
     // Ground truth: a primitive contributed iff it owns a pixel's base
@@ -414,11 +616,18 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     }
     ts.tile_flush_bytes += npix * 4;
 
-    for (int y = rect.y0; y < rect.y1; ++y)
-        fb.writeRow(rect.x0, y,
-                    &color[static_cast<std::size_t>(y - rect.y0) * w], w);
-
-    if (prev_fb && fb.rectEquals(*prev_fb, rect))
+    // Until this tile's rows land, fb's rect still holds the previous
+    // frame's pixels (tile rects are disjoint, so no other tile job
+    // writes them): compare before writing for the "equal tiles"
+    // oracle.
+    bool equal = has_prev_frame;
+    for (int y = rect.y0; y < rect.y1; ++y) {
+        const Rgba8 *row = &color[static_cast<std::size_t>(y - rect.y0) * w];
+        if (equal && !fb.rowEquals(rect.x0, y, row, w))
+            equal = false;
+        fb.writeRow(rect.x0, y, row, w);
+    }
+    if (equal)
         ++ts.tiles_equal_oracle;
 }
 
@@ -444,7 +653,7 @@ RasterPipeline::replayMemLog(const TileMemLog &log, FrameStats &ts)
 
 void
 RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
-                    Framebuffer &fb, const Framebuffer *prev_fb,
+                    Framebuffer &fb, bool has_prev_frame,
                     const RasterHooks &hooks, FrameStats &stats)
 {
     shader_.bindTextures(&scene.textures);
@@ -463,7 +672,8 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
             TraceSpan tile_span(TraceCat::Tile, "tile");
             tile_span.setValue(tile);
             FrameStats ts;
-            renderTile(tile, scene, pb, fb, prev_fb, hooks, ts, nullptr);
+            renderTile(tile, scene, pb, fb, has_prev_frame, hooks, ts,
+                       nullptr);
             ts.raster_cycles = timing_.tileCycles(ts);
             stats.accumulate(ts);
         }
@@ -485,13 +695,13 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
     jobs.reserve(static_cast<std::size_t>(chunks));
     for (int begin = 0; begin < tiles; begin += chunk_size) {
         int end = std::min(begin + chunk_size, tiles);
-        jobs.emplace_back([this, begin, end, &scene, &pb, &fb, prev_fb,
+        jobs.emplace_back([this, begin, end, &scene, &pb, &fb, has_prev_frame,
                            &hooks, &tile_stats, &logs] {
             for (int tile = begin; tile < end; ++tile) {
                 crashContextSetTile(tile);
                 TraceSpan tile_span(TraceCat::Tile, "tile");
                 tile_span.setValue(tile);
-                renderTile(tile, scene, pb, fb, prev_fb, hooks,
+                renderTile(tile, scene, pb, fb, has_prev_frame, hooks,
                            tile_stats[static_cast<std::size_t>(tile)],
                            &logs[static_cast<std::size_t>(tile)]);
             }

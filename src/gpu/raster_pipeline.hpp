@@ -61,12 +61,12 @@ class RasterPipeline
     /**
      * Render the frame described by @p pb into @p fb.
      *
-     * @param prev_fb previous frame's framebuffer, used only to compute
-     *                the ground-truth "equal tiles" oracle statistic
-     *                (may be null)
+     * @param has_prev_frame @p fb holds the previous frame: each tile's
+     *                       new pixels are compared with it for the
+     *                       ground-truth "equal tiles" oracle statistic
      */
     void run(const Scene &scene, const ParameterBuffer &pb, Framebuffer &fb,
-             const Framebuffer *prev_fb, const RasterHooks &hooks,
+             bool has_prev_frame, const RasterHooks &hooks,
              FrameStats &stats);
 
     /**
@@ -88,14 +88,6 @@ class RasterPipeline
         tile_jobs_ = tile_jobs;
     }
 
-    /**
-     * Rasterize with the scalar reference path (Rasterizer::rasterize)
-     * instead of the SoA/SIMD fast path. The two are bit-identical by
-     * construction; the reference path exists so tests and the
-     * --bench-speed scalar leg can measure/compare against it.
-     */
-    void setReferenceRaster(bool on) { reference_ = on; }
-
   private:
     /**
      * Render (or skip) one tile, accumulating into @p tile_stats.
@@ -105,7 +97,7 @@ class RasterPipeline
      *            latency stats are then charged at replay
      */
     void renderTile(int tile, const Scene &scene, const ParameterBuffer &pb,
-                    Framebuffer &fb, const Framebuffer *prev_fb,
+                    Framebuffer &fb, bool has_prev_frame,
                     const RasterHooks &hooks, FrameStats &tile_stats,
                     TileMemLog *log);
 
@@ -138,7 +130,6 @@ class RasterPipeline
     const TimingModel &timing_;
     JobPool *tile_pool_ = nullptr;
     int tile_jobs_ = 1;
-    bool reference_ = false;
 };
 
 } // namespace evrsim

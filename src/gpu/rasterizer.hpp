@@ -4,21 +4,23 @@
  * perspective-correct attribute interpolation.
  *
  * Rasterization is restricted to a caller-supplied rectangle (the tile
- * being rendered), walks pixels in 2x2 quads — the granularity fragment
- * processors and the Early-Z unit operate at — and emits one Fragment per
- * covered pixel center. The same code path runs for every configuration,
- * so Baseline/RE/EVR produce bit-identical coverage and interpolants,
- * which the correctness property tests rely on.
+ * being rendered) and walks pixels in 2x2 quads — the granularity
+ * fragment processors and the Early-Z unit operate at. The reference
+ * path emits one Fragment per covered pixel center; the production path
+ * emits the same fragments a quad row at a time as SoA spans. The same
+ * code path runs for every configuration, so Baseline/RE/EVR produce
+ * bit-identical coverage and interpolants, which the correctness
+ * property tests rely on.
  */
 #ifndef EVRSIM_GPU_RASTERIZER_HPP
 #define EVRSIM_GPU_RASTERIZER_HPP
 
+#include <type_traits>
 #include <vector>
 
 #include "common/rect.hpp"
 #include "gpu/gpu_stats.hpp"
 #include "gpu/primitive.hpp"
-#include "gpu/raster_kernels.hpp"
 
 namespace evrsim {
 
@@ -32,30 +34,56 @@ struct Fragment {
 };
 
 /**
- * Reusable SoA row-pair buffers for Rasterizer::rasterizeFast: coverage
- * masks and barycentric lanes for the two rows of the quad pair being
- * walked. One instance per tile render, reused across all of the tile's
- * primitives, keeps the hot loop allocation-free.
+ * Interpolated attributes a span consumer asks for (a bit set); lanes
+ * of attributes not asked for are left unspecified.
+ */
+enum SpanAttr : unsigned {
+    kSpanDepth = 1u << 0, ///< FragmentSpan::depth
+    kSpanRgb = 1u << 1,   ///< FragmentSpan::r, g, b
+    kSpanAlpha = 1u << 2, ///< FragmentSpan::a
+    kSpanUv = 1u << 3,    ///< FragmentSpan::u, v
+};
+
+/**
+ * The covered fragments of one quad row of a primitive — pixel rows
+ * qy and qy+1 of the 2x2-quad walk — as SoA lanes, in the canonical
+ * quad-walk order (qx, then dy, then dx). That order, not plain row
+ * order, is what keeps the consumer's texture fetches in the sequence
+ * the simulated texture caches have always seen.
+ */
+struct FragmentSpan {
+    int count = 0;
+    const int *x = nullptr; ///< screen pixel x per lane
+    const int *y = nullptr; ///< screen pixel y per lane
+    const float *depth = nullptr;
+    const float *r = nullptr;
+    const float *g = nullptr;
+    const float *b = nullptr;
+    const float *a = nullptr;
+    const float *u = nullptr;
+    const float *v = nullptr;
+};
+
+/**
+ * Reusable SoA buffers for Rasterizer::rasterizeSpans: barycentric
+ * lanes for the two rows of the quad row being walked, plus the
+ * compacted span lanes handed to the consumer. One instance per
+ * thread, reused across all tiles and primitives, keeps the hot loop
+ * allocation-free.
  */
 struct RasterScratch {
-    std::vector<std::uint8_t> mask[2];
     std::vector<float> w0[2];
     std::vector<float> w1[2];
     std::vector<float> w2[2];
 
-    /** Grow the row buffers to hold at least @p width lanes. */
-    void
-    ensure(std::size_t width)
-    {
-        if (mask[0].size() >= width)
-            return;
-        for (int r = 0; r < 2; ++r) {
-            mask[r].resize(width);
-            w0[r].resize(width);
-            w1[r].resize(width);
-            w2[r].resize(width);
-        }
-    }
+    /** Span lanes (two rows' worth): coordinates, the covered lanes'
+     *  barycentrics, and the interpolated attributes. */
+    std::vector<int> x, y;
+    std::vector<float> b0, b1, b2;
+    std::vector<float> depth, r, g, b, a, u, v;
+
+    /** Grow the buffers to hold rows of at least @p width lanes. */
+    void ensure(std::size_t width);
 };
 
 /** Stateless rasterization routines. */
@@ -64,7 +92,9 @@ class Rasterizer
   public:
     /**
      * Rasterize @p prim inside @p bounds, invoking @p sink for each
-     * covered pixel. @p stats receives quad/fragment counts.
+     * covered pixel. @p stats receives quad/fragment counts. This is
+     * the scalar reference: tests and the invariant auditor's reference
+     * render use it, the raster pipeline uses rasterizeSpans().
      *
      * @tparam Sink callable as void(const Fragment &)
      */
@@ -119,88 +149,35 @@ class Rasterizer
     }
 
     /**
-     * SIMD-accelerated rasterize: identical fragments, in the identical
-     * canonical quad-walk order (qy+=2, qx+=2, dy, dx), with identical
-     * quad/fragment counts — only faster. Coverage and barycentrics for
-     * a row pair are computed into @p scratch by the active SIMD kernel
-     * (see raster_kernels.hpp for the bit-identity argument), then
-     * fragments are emitted scalar from the SoA buffers; entirely
-     * uncovered row pairs are skipped wholesale.
+     * Production rasterizer: the same fragments as rasterize(), with the
+     * same quad and fragment counts, delivered one quad row at a time
+     * as a FragmentSpan instead of one callback per fragment.
      *
-     * rasterize() above is the scalar reference this path is tested
-     * against; production callers (the raster pipeline) use this one.
+     * Each row's covered pixels form one interval (the edge tests are
+     * monotone along a row), found by evaluating coverage()'s exact
+     * test near each edge's crossing instead of at every pixel; the
+     * covered pixels' barycentrics and the attributes in @p attrs
+     * (SpanAttr bits) are then computed lane by lane with the
+     * expression trees of coverage() and interpolate(), so every lane
+     * holds the exact float the reference path computes. Row pairs with
+     * no coverage are skipped.
+     *
+     * @param sink callable as void(const FragmentSpan &), once per
+     *             quad row with at least one covered fragment
      */
-    template <typename Sink>
+    template <typename SpanSink>
     static void
-    rasterizeFast(const ShadedPrimitive &prim, const RectI &bounds,
-                  FrameStats &stats, RasterScratch &scratch, Sink &&sink)
+    rasterizeSpans(const ShadedPrimitive &prim, const RectI &bounds,
+                   unsigned attrs, FrameStats &stats,
+                   RasterScratch &scratch, SpanSink &&sink)
     {
-        Setup s;
-        if (!setup(prim, s))
-            return;
-
-        BBox2 bb = BBox2::ofTriangle(s.p0, s.p1, s.p2);
-        RectI range = bounds.intersect(
-            {static_cast<int>(std::floor(bb.min_x)),
-             static_cast<int>(std::floor(bb.min_y)),
-             static_cast<int>(std::floor(bb.max_x)) + 1,
-             static_cast<int>(std::floor(bb.max_y)) + 1});
-        if (range.empty())
-            return;
-
-        const RasterKernels &kernels = rasterKernels();
-        const EdgeSetup es = {s.p0.x, s.p0.y, s.p1.x,     s.p1.y,
-                              s.p2.x, s.p2.y, s.inv_area, s.tl0,
-                              s.tl1,  s.tl2};
-        const int width = range.x1 - range.x0;
-        scratch.ensure(static_cast<std::size_t>(width));
-
-        int qx0 = range.x0 & ~1;
-        int qy0 = range.y0 & ~1;
-
-        Fragment frag;
-        for (int qy = qy0; qy < range.y1; qy += 2) {
-            bool row_valid[2];
-            bool any = false;
-            for (int dy = 0; dy < 2; ++dy) {
-                int y = qy + dy;
-                row_valid[dy] = y >= range.y0 && y < range.y1;
-                if (row_valid[dy])
-                    any |= kernels.row_coverage(
-                        es, range.x0, width, y, scratch.mask[dy].data(),
-                        scratch.w0[dy].data(), scratch.w1[dy].data(),
-                        scratch.w2[dy].data());
-            }
-            // Nothing in either row: skipping the quad walk is
-            // stats-neutral (empty quads never count).
-            if (!any)
-                continue;
-            for (int qx = qx0; qx < range.x1; qx += 2) {
-                bool quad_covered = false;
-                for (int dy = 0; dy < 2; ++dy) {
-                    if (!row_valid[dy])
-                        continue;
-                    int y = qy + dy;
-                    for (int dx = 0; dx < 2; ++dx) {
-                        int x = qx + dx;
-                        if (x < range.x0 || x >= range.x1)
-                            continue;
-                        std::size_t i =
-                            static_cast<std::size_t>(x - range.x0);
-                        if (!scratch.mask[dy][i])
-                            continue;
-                        quad_covered = true;
-                        interpolate(prim, s, x, y, scratch.w0[dy][i],
-                                    scratch.w1[dy][i], scratch.w2[dy][i],
-                                    frag);
-                        ++stats.fragments_generated;
-                        sink(static_cast<const Fragment &>(frag));
-                    }
-                }
-                if (quad_covered)
-                    ++stats.raster_quads;
-            }
-        }
+        rasterizeSpansImpl(
+            prim, bounds, attrs, stats, scratch,
+            [](void *ctx, const FragmentSpan &span) {
+                (*static_cast<std::remove_reference_t<SpanSink> *>(ctx))(
+                    span);
+            },
+            &sink);
     }
 
     /**
@@ -219,6 +196,14 @@ class Rasterizer
     }
 
   private:
+    using SpanCallback = void (*)(void *ctx, const FragmentSpan &span);
+
+    /** Type-erased body of rasterizeSpans (one copy for all sinks). */
+    static void rasterizeSpansImpl(const ShadedPrimitive &prim,
+                                   const RectI &bounds, unsigned attrs,
+                                   FrameStats &stats, RasterScratch &scratch,
+                                   SpanCallback callback, void *ctx);
+
     /** Precomputed per-triangle rasterization state. */
     struct Setup {
         Vec2 p0, p1, p2;     ///< winding-normalized screen positions
@@ -255,10 +240,9 @@ class Rasterizer
     }
 
     /**
-     * Perspective-correct interpolation into @p frag. Lives in the
-     * header because it runs once per fragment — tens of millions of
-     * times per sweep — and the build has no LTO to inline it across
-     * translation units.
+     * Perspective-correct interpolation into @p frag (the reference
+     * path; interpolateSpan in rasterizer.cpp evaluates the same
+     * expressions lane by lane).
      */
     static void
     interpolate(const ShadedPrimitive &prim, const Setup &s, int x, int y,

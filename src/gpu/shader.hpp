@@ -13,6 +13,7 @@
 #define EVRSIM_GPU_SHADER_HPP
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
@@ -50,7 +51,7 @@ class ShaderCore
     // build has no LTO to inline them across translation units.
 
     /** ALU instruction cost of a fragment program. */
-    static unsigned
+    static constexpr unsigned
     fragmentInstrs(FragmentProgram program)
     {
         switch (program) {
@@ -69,7 +70,7 @@ class ShaderCore
     }
 
     /** Texture fetches a fragment program performs. */
-    static unsigned
+    static constexpr unsigned
     fragmentTexFetches(FragmentProgram program)
     {
         switch (program) {
@@ -80,6 +81,72 @@ class ShaderCore
           case FragmentProgram::TexturedTint:
           case FragmentProgram::TexturedDiscard:
             return 1;
+        }
+        panic("invalid fragment program %d", static_cast<int>(program));
+    }
+
+    /**
+     * Color math of fragment program @p P — the one definition every
+     * shading path (shadeFragment, shadeFunctional and the raster
+     * pipeline's span loops) evaluates.
+     *
+     * @param color interpolated vertex color
+     * @param uv    interpolated texture coordinates
+     * @param t     the fetched texel (ignored by untextured programs)
+     * @return false when the program discards the fragment
+     */
+    template <FragmentProgram P>
+    static bool
+    programColor(const Vec4 &color, const Vec2 &uv, const Vec4 &t,
+                 Vec4 &out)
+    {
+        if constexpr (P == FragmentProgram::Flat) {
+            out = color;
+        } else if constexpr (P == FragmentProgram::Textured) {
+            out = t;
+            // Carry the vertex alpha so translucent textured sprites
+            // work.
+            out.w *= color.w;
+        } else if constexpr (P == FragmentProgram::TexturedTint) {
+            out = {t.x * color.x, t.y * color.y, t.z * color.z,
+                   t.w * color.w};
+        } else if constexpr (P == FragmentProgram::Procedural) {
+            // ALU-heavy deterministic pattern: two octaves of sine bands
+            // modulating the interpolated color.
+            float a = std::sin(uv.x * 37.0f) * std::sin(uv.y * 29.0f);
+            float b = std::sin(uv.x * 11.0f + uv.y * 7.0f);
+            float k = 0.5f + 0.25f * a + 0.25f * b;
+            out = {color.x * k, color.y * k, color.z * k, color.w};
+        } else {
+            static_assert(P == FragmentProgram::TexturedDiscard);
+            if (t.w * color.w < 0.5f)
+                return false;
+            out = {t.x * color.x, t.y * color.y, t.z * color.z, 1.0f};
+        }
+        return true;
+    }
+
+    /**
+     * Call @p f with std::integral_constant<FragmentProgram, P>{} for
+     * the runtime program @p program (templated shading paths pick
+     * their specialization once per primitive through this).
+     */
+    template <typename F>
+    static decltype(auto)
+    withProgram(FragmentProgram program, F &&f)
+    {
+        using FP = FragmentProgram;
+        switch (program) {
+          case FP::Flat:
+            return f(std::integral_constant<FP, FP::Flat>{});
+          case FP::Textured:
+            return f(std::integral_constant<FP, FP::Textured>{});
+          case FP::TexturedTint:
+            return f(std::integral_constant<FP, FP::TexturedTint>{});
+          case FP::Procedural:
+            return f(std::integral_constant<FP, FP::Procedural>{});
+          case FP::TexturedDiscard:
+            return f(std::integral_constant<FP, FP::TexturedDiscard>{});
         }
         panic("invalid fragment program %d", static_cast<int>(program));
     }
@@ -104,65 +171,23 @@ class ShaderCore
                   TileMemLog *log = nullptr)
     {
         stats.fragment_shader_instrs += fragmentInstrs(state.program);
-
+        Vec4 t;
         if (fragmentTexFetches(state.program) > 0) {
-            EVRSIM_ASSERT(textures_ != nullptr);
-            EVRSIM_ASSERT(state.texture >= 0 &&
-                          state.texture <
-                              static_cast<int>(textures_->size()));
-            const Texture *tex =
-                (*textures_)[static_cast<std::size_t>(state.texture)];
-            // Fused texel path: wrap the UV once and reuse the texel
-            // coordinates for both the simulated fetch address and the
-            // color lookup. The color math must mirror shadeFunctional
-            // exactly — the invariant auditor's reference rasterizer
-            // shades through shadeFunctional and compares pixels.
+            const Texture *tex = boundTexture(state.texture);
+            // Wrap the UV once and reuse the texel coordinates for both
+            // the simulated fetch address and the color lookup.
             int tx, ty;
             tex->toTexel(uv.x, uv.y, tx, ty);
-            if (log) {
-                // Record mode: the fetch's latency is charged at replay.
-                log->textureFetch(unitFor(px, py),
-                                  tex->texelAddrAt(tx, ty), 4);
-            } else {
-                AccessResult r = mem_.textureFetch(
-                    unitFor(px, py), tex->texelAddrAt(tx, ty), 4);
-                stats.raster_mem_latency += r.latency;
-            }
+            stats.raster_mem_latency += textureFetch(
+                unitFor(px, py), tex->texelAddrAt(tx, ty), log);
             ++stats.texture_fetches;
-
-            Vec4 t = tex->texelAt(tx, ty);
-            FragmentShadeResult out;
-            switch (state.program) {
-              case FragmentProgram::Textured:
-                out.color = t;
-                // Carry the vertex alpha so translucent textured
-                // sprites work.
-                out.color.w *= color.w;
-                break;
-              case FragmentProgram::TexturedTint:
-                out.color = {t.x * color.x, t.y * color.y, t.z * color.z,
-                             t.w * color.w};
-                break;
-              case FragmentProgram::TexturedDiscard:
-                if (t.w * color.w < 0.5f) {
-                    out.discarded = true;
-                    ++stats.fragments_discarded_shader;
-                    return out;
-                }
-                out.color = {t.x * color.x, t.y * color.y, t.z * color.z,
-                             1.0f};
-                break;
-              default:
-                panic("fragment program %d charges texture fetches but "
-                      "has no fused shading path",
-                      static_cast<int>(state.program));
-            }
-            return out;
+            t = tex->texelAt(tx, ty);
         }
-
-        static const std::vector<const Texture *> kNoTextures;
-        FragmentShadeResult out = shadeFunctional(
-            state, color, uv, textures_ ? *textures_ : kNoTextures);
+        FragmentShadeResult out;
+        out.discarded = !withProgram(state.program, [&](auto p) {
+            return programColor<decltype(p)::value>(color, uv, t,
+                                                    out.color);
+        });
         if (out.discarded)
             ++stats.fragments_discarded_shader;
         return out;
@@ -179,57 +204,32 @@ class ShaderCore
                     const Vec2 &uv,
                     const std::vector<const Texture *> &textures)
     {
-        auto sample = [&](int slot) {
-            EVRSIM_ASSERT(slot >= 0 &&
-                          slot < static_cast<int>(textures.size()));
-            return textures[static_cast<std::size_t>(slot)]->sample(uv.x,
-                                                                    uv.y);
-        };
-
-        FragmentShadeResult out;
-        switch (state.program) {
-          case FragmentProgram::Flat:
-            out.color = color;
-            break;
-
-          case FragmentProgram::Textured:
-            out.color = sample(state.texture);
-            // Carry the vertex alpha so translucent textured sprites work.
-            out.color.w *= color.w;
-            break;
-
-          case FragmentProgram::TexturedTint: {
-            Vec4 t = sample(state.texture);
-            out.color = {t.x * color.x, t.y * color.y, t.z * color.z,
-                         t.w * color.w};
-            break;
-          }
-
-          case FragmentProgram::Procedural: {
-            // ALU-heavy deterministic pattern: two octaves of sine bands
-            // modulating the interpolated color.
-            float a = std::sin(uv.x * 37.0f) * std::sin(uv.y * 29.0f);
-            float b = std::sin(uv.x * 11.0f + uv.y * 7.0f);
-            float t = 0.5f + 0.25f * a + 0.25f * b;
-            out.color = {color.x * t, color.y * t, color.z * t, color.w};
-            break;
-          }
-
-          case FragmentProgram::TexturedDiscard: {
-            Vec4 t = sample(state.texture);
-            if (t.w * color.w < 0.5f) {
-                out.discarded = true;
-                return out;
-            }
-            out.color = {t.x * color.x, t.y * color.y, t.z * color.z,
-                         1.0f};
-            break;
-          }
+        Vec4 t;
+        if (fragmentTexFetches(state.program) > 0) {
+            EVRSIM_ASSERT(state.texture >= 0 &&
+                          state.texture <
+                              static_cast<int>(textures.size()));
+            t = textures[static_cast<std::size_t>(state.texture)]->sample(
+                uv.x, uv.y);
         }
+        FragmentShadeResult out;
+        out.discarded = !withProgram(state.program, [&](auto p) {
+            return programColor<decltype(p)::value>(color, uv, t,
+                                                    out.color);
+        });
         return out;
     }
 
-  private:
+    /** The bound texture in slot @p slot (asserted valid). */
+    const Texture *
+    boundTexture(int slot) const
+    {
+        EVRSIM_ASSERT(textures_ != nullptr);
+        EVRSIM_ASSERT(slot >= 0 &&
+                      slot < static_cast<int>(textures_->size()));
+        return (*textures_)[static_cast<std::size_t>(slot)];
+    }
+
     /** Fragment processor (and texture cache) a pixel's quad maps to. */
     unsigned
     unitFor(int px, int py) const
@@ -239,6 +239,22 @@ class ShaderCore
                (num_units_ - 1);
     }
 
+    /**
+     * One 4-byte texel fetch through fragment unit @p unit's texture
+     * cache. Returns its latency; with a @p log the fetch is recorded
+     * instead and its latency charged at replay (0 is returned).
+     */
+    Cycles
+    textureFetch(unsigned unit, Addr addr, TileMemLog *log)
+    {
+        if (log) {
+            log->textureFetch(unit, addr, 4);
+            return 0;
+        }
+        return mem_.textureFetch(unit, addr, 4).latency;
+    }
+
+  private:
     MemorySystem &mem_;
     const std::vector<const Texture *> *textures_ = nullptr;
     unsigned num_units_;

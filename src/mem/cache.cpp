@@ -107,12 +107,14 @@ SetAssocCache::missLine(Addr line_addr, Line *set_lines, unsigned set,
     line.dirty = write;
     line.tag = tag;
     line.lru = lru_clock_;
+    victim_way_ = victim;
     return latency;
 }
 
 void
 SetAssocCache::flush(TrafficClass cls)
 {
+    mru_line_no_ = kNoLine;
     for (unsigned set = 0; set < num_sets_; ++set) {
         for (unsigned w = 0; w < config_.ways; ++w) {
             Line &line = lines_[static_cast<std::size_t>(set) * config_.ways +

@@ -142,11 +142,29 @@ class SetAssocCache
      * bump in a 2..8-way set — is the bulk of all calls, so the index
      * math uses precomputed shifts/masks (every configured geometry is
      * a power of two; the division fallback covers any that is not).
+     *
+     * A re-access of the line the previous call touched (consecutive
+     * texels of one fragment row, a display list read entry by entry)
+     * skips the set scan: that line is valid, resident at mru_index_
+     * and already the most recent of its set, so bumping its LRU stamp
+     * and dirty bit is exactly what the scan would do. Every path that
+     * changes a line's identity (miss fill, flush) re-points or resets
+     * the filter.
      */
     Cycles
     accessLine(Addr line_addr, bool write, TrafficClass cls, bool &hit)
     {
         std::uint64_t line_no = line_addr >> line_shift_;
+        ++lru_clock_;
+        if (line_no == mru_line_no_) {
+            Line &line = lines_[mru_index_];
+            line.lru = lru_clock_;
+            if (write)
+                line.dirty = true;
+            hit = true;
+            return config_.hit_latency;
+        }
+
         unsigned set;
         std::uint64_t tag;
         if (sets_pow2_) {
@@ -156,10 +174,9 @@ class SetAssocCache
             set = static_cast<unsigned>(line_no % num_sets_);
             tag = line_no / num_sets_;
         }
-        Line *set_lines =
-            &lines_[static_cast<std::size_t>(set) * config_.ways];
-
-        ++lru_clock_;
+        const std::size_t set_base =
+            static_cast<std::size_t>(set) * config_.ways;
+        Line *set_lines = &lines_[set_base];
 
         // Lookup.
         for (unsigned w = 0; w < config_.ways; ++w) {
@@ -169,10 +186,16 @@ class SetAssocCache
                 if (write)
                     line.dirty = true;
                 hit = true;
+                mru_line_no_ = line_no;
+                mru_index_ = set_base + w;
                 return config_.hit_latency;
             }
         }
-        return missLine(line_addr, set_lines, set, tag, write, cls, hit);
+        Cycles latency =
+            missLine(line_addr, set_lines, set, tag, write, cls, hit);
+        mru_line_no_ = line_no;
+        mru_index_ = set_base + victim_way_;
+        return latency;
     }
 
     /** Miss path of accessLine: victim selection, writeback, fill. */
@@ -192,6 +215,13 @@ class SetAssocCache
     bool sets_pow2_ = false;
     std::uint64_t lru_clock_ = 0;
     std::vector<Line> lines_; ///< num_sets_ * ways, set-major
+    /** Line number of the last line accessed (kNoLine: none), and its
+     *  slot in lines_. A line number is addr >> line_shift_, so it can
+     *  never equal kNoLine. */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
+    std::uint64_t mru_line_no_ = kNoLine;
+    std::size_t mru_index_ = 0;
+    unsigned victim_way_ = 0; ///< way the last missLine filled
     CacheStats stats_;
 };
 

@@ -19,11 +19,20 @@ isPowerOfTwo(int v)
 
 Texture::Texture(TextureKind kind, int size, const Vec4 &a, const Vec4 &b,
                  std::uint64_t seed, int cells)
-    : kind_(kind), size_(size), cells_(cells), color_a_(a), color_b_(b),
-      seed_(seed)
+    : kind_(kind), size_(size), size_shift_(0), cells_(cells),
+      color_a_(a), color_b_(b), seed_(seed)
 {
     EVRSIM_ASSERT(isPowerOfTwo(size_));
     EVRSIM_ASSERT(cells_ > 0);
+    while ((1 << size_shift_) < size_)
+        ++size_shift_;
+    if (kind_ == TextureKind::Noise && cells_ <= kMaxNoiseTableCells) {
+        noise_table_.resize(static_cast<std::size_t>(cells_) * cells_);
+        for (int cy = 0; cy < cells_; ++cy)
+            for (int cx = 0; cx < cells_; ++cx)
+                noise_table_[static_cast<std::size_t>(cy) * cells_ + cx] =
+                    noiseCell(cx, cy);
+    }
 }
 
 std::uint64_t

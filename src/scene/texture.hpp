@@ -41,6 +41,23 @@ hashNoise(std::uint64_t seed, int x, int y)
     return static_cast<float>(h >> 40) * (1.0f / 16777216.0f);
 }
 
+/**
+ * Exact std::floor for the texture wrap. The baseline ISA has no
+ * rounding instruction, so std::floor is a libm call; truncating
+ * through int and stepping down for negative non-integers gives the
+ * same value for |u| < 2^23 (-0 comes back as +0, which compares equal
+ * and wraps to the same texel), and every float at or beyond 2^23 (and
+ * every NaN or infinity) is returned unchanged, as floor would.
+ */
+inline float
+floorExact(float u)
+{
+    if (!(std::fabs(u) < 8388608.0f))
+        return u;
+    float t = static_cast<float>(static_cast<int>(u));
+    return t > u ? t - 1.0f : t;
+}
+
 } // namespace texture_detail
 
 /** Procedural texture families. */
@@ -101,8 +118,8 @@ class Texture
     toTexel(float u, float v, int &x, int &y) const
     {
         // GL_REPEAT wrapping, nearest filtering.
-        float fu = u - std::floor(u);
-        float fv = v - std::floor(v);
+        float fu = u - texture_detail::floorExact(u);
+        float fv = v - texture_detail::floorExact(v);
         x = static_cast<int>(fu * size_) & (size_ - 1);
         y = static_cast<int>(fv * size_) & (size_ - 1);
     }
@@ -130,7 +147,9 @@ class Texture
     std::uint64_t contentKey() const;
 
   private:
-    /** Integer texel lookup (x, y already wrapped). */
+    /** Integer texel lookup (x, y already wrapped). Feature cells
+     *  are x * cells_ / size_, a shift because size_ is a power of
+     *  two and x * cells_ is non-negative. */
     Vec4
     texel(int x, int y) const
     {
@@ -138,8 +157,8 @@ class Texture
           case TextureKind::Solid:
             return color_a_;
           case TextureKind::Checker: {
-            int cx = x * cells_ / size_;
-            int cy = y * cells_ / size_;
+            int cx = (x * cells_) >> size_shift_;
+            int cy = (y * cells_) >> size_shift_;
             return ((cx + cy) & 1) ? color_b_ : color_a_;
           }
           case TextureKind::Gradient: {
@@ -147,26 +166,45 @@ class Texture
             return lerp(color_a_, color_b_, t);
           }
           case TextureKind::Noise: {
-            int cx = x * cells_ / size_;
-            int cy = y * cells_ / size_;
-            float n = texture_detail::hashNoise(seed_, cx, cy);
-            return lerp(color_a_, color_b_, n);
+            int cx = (x * cells_) >> size_shift_;
+            int cy = (y * cells_) >> size_shift_;
+            if (!noise_table_.empty())
+                return noise_table_[static_cast<std::size_t>(cy) *
+                                        cells_ +
+                                    cx];
+            return noiseCell(cx, cy);
           }
           case TextureKind::Stripes: {
-            int cy = y * cells_ / size_;
+            int cy = (y * cells_) >> size_shift_;
             return (cy & 1) ? color_b_ : color_a_;
           }
         }
         panic("invalid texture kind %d", static_cast<int>(kind_));
     }
 
+    /** Color of Noise cell (cx, cy), computed from the hash. */
+    Vec4
+    noiseCell(int cx, int cy) const
+    {
+        return lerp(color_a_, color_b_,
+                    texture_detail::hashNoise(seed_, cx, cy));
+    }
+
+    /** Noise textures with at most this many cells per axis keep a
+     *  per-cell color table instead of hashing per texel. */
+    static constexpr int kMaxNoiseTableCells = 64;
+
     TextureKind kind_;
     int size_;
+    int size_shift_; ///< log2(size_)
     int cells_;
     Vec4 color_a_;
     Vec4 color_b_;
     std::uint64_t seed_;
     Addr base_ = 0;
+    /** noiseCell(cx, cy) at [cy * cells_ + cx] (Noise only; empty when
+     *  cells_ exceeds kMaxNoiseTableCells). */
+    std::vector<Vec4> noise_table_;
 };
 
 } // namespace evrsim

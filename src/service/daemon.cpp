@@ -609,14 +609,19 @@ SweepService::executeRequest(Conn &conn, const std::string &id,
     send(conn, std::move(accepted));
 
     auto t0 = std::chrono::steady_clock::now();
-    std::atomic<std::size_t> completed{0};
+    // Numbering a run's progress record and sending it happen under one
+    // lock: with several pool threads finishing runs of this request
+    // together, an atomic count alone lets record k+1 overtake record k
+    // on the socket, and the client rejects non-monotone progress.
+    std::mutex progress_mu;
+    std::size_t completed = 0;
     std::size_t total = slots.size();
 
     std::vector<std::function<void()>> jobs;
     jobs.reserve(total);
     for (std::size_t i = 0; i < total; ++i) {
-        jobs.push_back([this, &conn, &slots, &completed, &id, &client,
-                        total, t0, i] {
+        jobs.push_back([this, &conn, &slots, &progress_mu, &completed, &id,
+                        &client, total, t0, i] {
             RunSlot &s = slots[i];
             Result<RunResult> r = [&]() -> Result<RunResult> {
                 try {
@@ -634,20 +639,20 @@ SweepService::executeRequest(Conn &conn, const std::string &id,
             } else {
                 s.status = r.status();
             }
-            std::size_t done =
-                completed.fetch_add(1, std::memory_order_relaxed) + 1;
-
-            Json prog = Json::object();
-            prog.set("type", "progress");
-            prog.set("id", id);
-            prog.set("completed", static_cast<std::uint64_t>(done));
-            prog.set("total", static_cast<std::uint64_t>(total));
-            prog.set("workload", s.workload);
-            prog.set("config", s.config_name);
-            prog.set("ok", s.ok);
-            prog.set("elapsed_s", elapsedSeconds(t0));
-            prog.set("final", false);
-            send(conn, std::move(prog));
+            {
+                std::lock_guard<std::mutex> lock(progress_mu);
+                Json prog = Json::object();
+                prog.set("type", "progress");
+                prog.set("id", id);
+                prog.set("completed", static_cast<std::uint64_t>(++completed));
+                prog.set("total", static_cast<std::uint64_t>(total));
+                prog.set("workload", s.workload);
+                prog.set("config", s.config_name);
+                prog.set("ok", s.ok);
+                prog.set("elapsed_s", elapsedSeconds(t0));
+                prog.set("final", false);
+                send(conn, std::move(prog));
+            }
 
             {
                 std::lock_guard<std::mutex> lock(admit_mu_);

@@ -164,15 +164,27 @@ TEST(LayerBuffer, StartsAtZeroWithNoZr)
     EXPECT_EQ(lb.zr(), LayerBuffer::kNoZr);
 }
 
+namespace {
+
+/** One opaque write at tile-local (x, y). */
+void
+writeOpaque(LayerBuffer &lb, int x, int y, std::uint16_t layer, bool is_woz)
+{
+    const auto pixel = static_cast<std::uint32_t>(y * lb.width() + x);
+    lb.opaqueWrites(&pixel, 1, layer, is_woz);
+}
+
+} // namespace
+
 TEST(LayerBuffer, OpaqueWritesTrackVisibleLayer)
 {
     LayerBuffer lb(16);
     lb.tileStart(2, 2);
-    lb.opaqueWrite(0, 0, 1, false);
-    lb.opaqueWrite(1, 0, 1, false);
-    lb.opaqueWrite(0, 1, 1, false);
-    lb.opaqueWrite(1, 1, 1, false);
-    lb.opaqueWrite(0, 0, 3, false); // overwritten by a later layer
+    writeOpaque(lb, 0, 0, 1, false);
+    writeOpaque(lb, 1, 0, 1, false);
+    writeOpaque(lb, 0, 1, 1, false);
+    writeOpaque(lb, 1, 1, 1, false);
+    writeOpaque(lb, 0, 0, 3, false); // overwritten by a later layer
     EXPECT_EQ(lb.layerAt(0, 0), 3u);
     EXPECT_EQ(lb.computeLFar(), 1u);
 }
@@ -181,9 +193,9 @@ TEST(LayerBuffer, UncoveredPixelPinsLFarToZero)
 {
     LayerBuffer lb(16);
     lb.tileStart(2, 2);
-    lb.opaqueWrite(0, 0, 5, false);
-    lb.opaqueWrite(1, 0, 5, false);
-    lb.opaqueWrite(0, 1, 5, false);
+    writeOpaque(lb, 0, 0, 5, false);
+    writeOpaque(lb, 1, 0, 5, false);
+    writeOpaque(lb, 0, 1, 5, false);
     // (1,1) never written: conservative L_far = 0.
     EXPECT_EQ(lb.computeLFar(), 0u);
 }
@@ -192,12 +204,27 @@ TEST(LayerBuffer, ZrLatchesOnlyWozWrites)
 {
     LayerBuffer lb(16);
     lb.tileStart(2, 1);
-    lb.opaqueWrite(0, 0, 2, false);
+    writeOpaque(lb, 0, 0, 2, false);
     EXPECT_EQ(lb.zr(), LayerBuffer::kNoZr);
-    lb.opaqueWrite(1, 0, 3, true);
+    writeOpaque(lb, 1, 0, 3, true);
     EXPECT_EQ(lb.zr(), 3u);
-    lb.opaqueWrite(0, 0, 4, false);
+    writeOpaque(lb, 0, 0, 4, false);
     EXPECT_EQ(lb.zr(), 3u); // NWOZ writes do not touch ZR
+}
+
+TEST(LayerBuffer, BatchedWritesLatchZrOnlyWhenNonEmpty)
+{
+    LayerBuffer lb(16);
+    lb.tileStart(4, 2);
+    const std::uint32_t pixels[3] = {0, 5, 7};
+    lb.opaqueWrites(pixels, 0, 6, true);
+    EXPECT_EQ(lb.zr(), LayerBuffer::kNoZr);
+    lb.opaqueWrites(pixels, 3, 6, true);
+    EXPECT_EQ(lb.zr(), 6u);
+    EXPECT_EQ(lb.layerAt(0, 0), 6u);
+    EXPECT_EQ(lb.layerAt(1, 1), 6u);
+    EXPECT_EQ(lb.layerAt(3, 1), 6u);
+    EXPECT_EQ(lb.layerAt(1, 0), 0u);
 }
 
 // ------------------------------------- Figure 3: FVP-type resolution --
@@ -209,6 +236,14 @@ class FvpResolution : public ::testing::Test
 {
   protected:
     FvpResolution() : evr(1, 4) {}
+
+    /** One opaque write at pixel @p x of the one-row tile 0. */
+    void
+    writeOpaque(int x, std::uint16_t layer, bool is_woz)
+    {
+        const auto pixel = static_cast<std::uint32_t>(x);
+        evr.onOpaqueWrites(0, &pixel, 1, layer, is_woz, stats);
+    }
 
     EarlyVisibilityResolution evr;
     FrameStats stats;
@@ -223,12 +258,12 @@ TEST_F(FvpResolution, Figure3aNwozFvp)
     // visible layer is 3 and it is NWOZ, so FVP = L_far = 3.
     evr.tileStart(0, 4, 1, stats);
     for (int x = 0; x < 4; ++x)
-        evr.onOpaqueWrite(0, x, 0, 1, false, stats);
+        writeOpaque(x, 1, false);
     for (int x = 0; x < 4; ++x)
-        evr.onOpaqueWrite(0, x, 0, 2, false, stats);
+        writeOpaque(x, 2, false);
     for (int x = 0; x < 3; ++x)
-        evr.onOpaqueWrite(0, x, 0, 3, false, stats);
-    evr.onOpaqueWrite(0, 3, 0, 4, false, stats);
+        writeOpaque(x, 3, false);
+    writeOpaque(3, 4, false);
 
     const float depth[4] = {1, 1, 1, 1}; // Z Buffer untouched by NWOZ
     evr.tileEnd(0, depth, 4, stats);
@@ -244,10 +279,10 @@ TEST_F(FvpResolution, Figure3bWozFvp)
     // later NWOZ layer 2 covers pixel 0 only. L_far = 1 belongs to the
     // WOZ batch (ZR == L_far), so the FVP is Z_far = 0.5.
     evr.tileStart(0, 2, 1, stats);
-    evr.onOpaqueWrite(0, 0, 0, 1, true, stats); // z = 1.0 first...
-    evr.onOpaqueWrite(0, 0, 0, 1, true, stats); // ...then z = 0 wins
-    evr.onOpaqueWrite(0, 1, 0, 1, true, stats); // z = 0.5
-    evr.onOpaqueWrite(0, 0, 0, 2, false, stats); // NWOZ cover on pixel 0
+    writeOpaque(0, 1, true); // z = 1.0 first...
+    writeOpaque(0, 1, true); // ...then z = 0 wins
+    writeOpaque(1, 1, true); // z = 0.5
+    writeOpaque(0, 2, false); // NWOZ cover on pixel 0
 
     const float depth[2] = {0.0f, 0.5f};
     evr.tileEnd(0, depth, 2, stats);
@@ -261,10 +296,10 @@ TEST_F(FvpResolution, NwozOnTopMakesFvpNwozEvenWithWozBelow)
     // WOZ batch covered everywhere by a later NWOZ layer: L_far is the
     // NWOZ layer, ZR != L_far, so the FVP must be the layer.
     evr.tileStart(0, 2, 1, stats);
-    evr.onOpaqueWrite(0, 0, 0, 1, true, stats);
-    evr.onOpaqueWrite(0, 1, 0, 1, true, stats);
-    evr.onOpaqueWrite(0, 0, 0, 2, false, stats);
-    evr.onOpaqueWrite(0, 1, 0, 2, false, stats);
+    writeOpaque(0, 1, true);
+    writeOpaque(1, 1, true);
+    writeOpaque(0, 2, false);
+    writeOpaque(1, 2, false);
 
     const float depth[2] = {0.3f, 0.4f};
     evr.tileEnd(0, depth, 2, stats);

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "mem/address_space.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
@@ -211,6 +214,193 @@ TEST(Cache, MissRatioComputation)
     EXPECT_DOUBLE_EQ(s.missRatio(), 0.5);
     CacheStats empty;
     EXPECT_DOUBLE_EQ(empty.missRatio(), 0.0);
+}
+
+// ------------------------------------------------ Cache MRU filter --
+
+namespace {
+
+/**
+ * The set-associative LRU cache without the MRU-line filter: every
+ * access scans its set. The differential test below drives it and
+ * SetAssocCache with the same stream and expects identical results.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(const CacheConfig &config, ReferenceCache *next,
+                   DramModel *dram)
+        : config_(config), next_(next), dram_(dram),
+          sets_(config.size_bytes / (config.line_bytes * config.ways)),
+          lines_(static_cast<std::size_t>(sets_) * config.ways)
+    {
+    }
+
+    AccessResult
+    access(Addr addr, unsigned size, bool write, TrafficClass cls)
+    {
+        const Addr mask = ~static_cast<Addr>(config_.line_bytes - 1);
+        AccessResult result;
+        result.hit = true;
+        for (Addr line = addr & mask; line <= ((addr + size - 1) & mask);
+             line += config_.line_bytes) {
+            ++(write ? stats_.writes : stats_.reads);
+            bool hit = false;
+            result.latency += accessLine(line, write, cls, hit);
+            if (!hit) {
+                result.hit = false;
+                ++(write ? stats_.write_misses : stats_.read_misses);
+            }
+        }
+        return result;
+    }
+
+    void
+    flush(TrafficClass cls)
+    {
+        for (unsigned set = 0; set < sets_; ++set)
+            for (unsigned w = 0; w < config_.ways; ++w) {
+                Line &line = lines_[set * config_.ways + w];
+                if (line.valid && line.dirty) {
+                    forward((line.tag * sets_ + set) * config_.line_bytes,
+                            true, cls);
+                    ++stats_.writebacks;
+                }
+                line = Line{};
+            }
+    }
+
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Line {
+        std::uint64_t tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lru = 0;
+    };
+
+    Cycles
+    accessLine(Addr line_addr, bool write, TrafficClass cls, bool &hit)
+    {
+        const std::uint64_t line_no = line_addr / config_.line_bytes;
+        const unsigned set = static_cast<unsigned>(line_no % sets_);
+        const std::uint64_t tag = line_no / sets_;
+        Line *ways = &lines_[set * config_.ways];
+        ++clock_;
+        for (unsigned w = 0; w < config_.ways; ++w)
+            if (ways[w].valid && ways[w].tag == tag) {
+                ways[w].lru = clock_;
+                ways[w].dirty |= write;
+                hit = true;
+                return config_.hit_latency;
+            }
+        hit = false;
+        unsigned victim = 0;
+        for (unsigned w = 1; w < config_.ways; ++w) {
+            if (!ways[w].valid) {
+                victim = w;
+                break;
+            }
+            if (ways[w].lru < ways[victim].lru)
+                victim = w;
+        }
+        Line &line = ways[victim];
+        if (line.valid && line.dirty) {
+            forward((line.tag * sets_ + set) * config_.line_bytes, true,
+                    cls);
+            ++stats_.writebacks;
+        }
+        Cycles latency =
+            config_.hit_latency + forward(line_addr, false, cls).latency;
+        line = {tag, true, write, clock_};
+        return latency;
+    }
+
+    AccessResult
+    forward(Addr line_addr, bool write, TrafficClass cls)
+    {
+        if (next_)
+            return next_->access(line_addr, config_.line_bytes, write, cls);
+        return dram_->access(line_addr, config_.line_bytes, write, cls);
+    }
+
+    CacheConfig config_;
+    ReferenceCache *next_;
+    DramModel *dram_;
+    unsigned sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+    CacheStats stats_;
+};
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.read_misses, b.read_misses);
+    EXPECT_EQ(a.write_misses, b.write_misses);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+}
+
+} // namespace
+
+// Randomized differential: over a million mixed reads, writes and
+// flushes — biased towards re-touching the last line, its set
+// neighbours and a small hot window so MRU hits, set hits, misses and
+// dirty evictions all occur — the MRU-filtered two-level hierarchy
+// returns the same per-access latency and hit flag, and ends with the
+// same CacheStats and DRAM stats, as a filter-less reference.
+TEST(Cache, MruFilterMatchesFilterlessReference)
+{
+    const CacheConfig l1{"l1", 2048, 64, 2, 1};
+    const CacheConfig l2{"l2", 8192, 64, 4, 3};
+    DramModel dram, ref_dram;
+    SetAssocCache cache_l2(l2, &dram);
+    SetAssocCache cache(l1, &cache_l2);
+    ReferenceCache ref_l2(l2, nullptr, &ref_dram);
+    ReferenceCache ref(l1, &ref_l2, nullptr);
+
+    Rng rng(20261017);
+    Addr last = 0;
+    int mru_repeats = 0;
+    for (int i = 0; i < 1200000; ++i) {
+        const std::uint64_t pick = rng.nextBelow(100);
+        if (pick == 0) {
+            cache.flush(TrafficClass::Other);
+            ref.flush(TrafficClass::Other);
+            continue;
+        }
+        Addr addr;
+        if (pick < 45)
+            addr = last + rng.nextBelow(64); // same or next line
+        else if (pick < 70)
+            addr = last + rng.nextBelow(4) * 1024; // same set in l1
+        else if (pick < 95)
+            addr = rng.nextBelow(16 * 1024); // hot window
+        else
+            addr = rng.nextBelow(1u << 24); // cold
+        const unsigned size = 1 + static_cast<unsigned>(rng.nextBelow(96));
+        const bool write = rng.nextBool(0.3f);
+        if ((addr >> 6) == (last >> 6))
+            ++mru_repeats;
+        last = addr;
+
+        AccessResult got = cache.access(addr, size, write,
+                                        TrafficClass::Texture);
+        AccessResult want = ref.access(addr, size, write,
+                                       TrafficClass::Texture);
+        ASSERT_EQ(got.latency, want.latency) << "access " << i;
+        ASSERT_EQ(got.hit, want.hit) << "access " << i;
+    }
+    EXPECT_GT(mru_repeats, 100000);
+    expectSameStats(cache.stats(), ref.stats());
+    expectSameStats(cache_l2.stats(), ref_l2.stats());
+    EXPECT_EQ(dram.stats().accesses, ref_dram.stats().accesses);
+    EXPECT_EQ(dram.stats().row_hits, ref_dram.stats().row_hits);
+    EXPECT_EQ(dram.stats().totalBytes(), ref_dram.stats().totalBytes());
+    EXPECT_GT(cache.stats().writebacks, 0u);
 }
 
 // ------------------------------------------------------- MemorySystem --

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "driver/run_result.hpp"
-#include "gpu/raster_kernels.hpp"
 #include "support.hpp"
 #include "workloads/registry.hpp"
 
@@ -346,17 +345,15 @@ TEST_F(RasterTest, TimingProducesNonZeroCycles)
 }
 
 // ---------------------------------------------------------------------------
-// Tile-parallel + SIMD bit-identity property (DESIGN.md section 12).
+// Tile-parallel bit-identity property (DESIGN.md section 12).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /**
  * Simulate one (workload, config) run and return its RunResult JSON
- * without host-timing fields. @p reference selects the scalar-serial
- * leg: reference rasterizer, scalar kernels, serial tiles; otherwise
- * the production leg renders tiles on a 4-worker pool with the
- * SoA/SIMD fast path.
+ * without host-timing fields. @p reference selects the serial leg;
+ * otherwise tiles render on a 4-worker pool.
  */
 std::string
 runIdentityLeg(const std::string &alias, const SimConfig &config,
@@ -369,7 +366,6 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
         return {};
     }
     GpuSimulator sim(config);
-    sim.setReferenceRaster(reference);
     if (!reference)
         sim.setTileExecution(nullptr, 4);
     workload->setup(sim);
@@ -393,12 +389,12 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
 } // namespace
 
 // Every Table III workload, under both the baseline and the EVR
-// configuration, rendered with EVRSIM_TILE_JOBS=4 and the SIMD fast
-// path must produce a RunResult JSON — pixels, every stat counter,
-// energy, image CRC — byte-identical to the scalar serial reference
-// path. This is the determinism contract of the tile-parallel design:
-// tile compute is pure, memory accesses replay serially in tile order,
-// and the SoA/SIMD kernels are bit-exact against the scalar rasterizer.
+// configuration, rendered with EVRSIM_TILE_JOBS=4 must produce a
+// RunResult JSON — pixels, every stat counter, energy, image CRC —
+// byte-identical to serial tiles. This is the determinism contract of
+// the tile-parallel design: tile compute is pure and memory accesses
+// replay serially in tile order. (tests/golden_stats_test.cpp pins the
+// serial leg to checked-in results.)
 TEST(TileParallelIdentity, AllWorkloadsMatchScalarSerialByteForByte)
 {
     GpuConfig gpu;
@@ -407,12 +403,9 @@ TEST(TileParallelIdentity, AllWorkloadsMatchScalarSerialByteForByte)
     for (const std::string &alias : workloads::allAliases()) {
         for (const SimConfig &config :
              {SimConfig::baseline(gpu), SimConfig::evr(gpu)}) {
-            forceSimdLevel(SimdLevel::Scalar);
             std::string ref = runIdentityLeg(alias, config, true);
-            forceSimdLevel(bestSimdLevel());
             std::string fast = runIdentityLeg(alias, config, false);
             EXPECT_EQ(ref, fast) << alias << "/" << config.name;
         }
     }
-    forceSimdLevel(bestSimdLevel());
 }

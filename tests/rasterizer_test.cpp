@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/rng.hpp"
@@ -291,3 +292,139 @@ TEST_P(OverlapConservativeProperty, EveryCoveredTileReportsOverlap)
 
 INSTANTIATE_TEST_SUITE_P(RandomTriangles, OverlapConservativeProperty,
                          ::testing::Range(0, 48));
+
+// ----- Property: spans carry exactly the reference fragments ------------
+
+namespace {
+
+bool
+sameBits(float a, float b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
+
+// rasterizeSpans (the production path) against rasterize (the scalar
+// reference) on random perspective triangles and odd-aligned bounds:
+// the same fragments in the same order, every requested attribute
+// bit-identical, and the same fragment and quad counts. Vertex
+// positions are drawn from shapes that stress the per-row interval
+// search: free floats, pixel-center and pixel-corner grids (edges
+// through sample points, where the top-left rule decides), shared
+// coordinates (horizontal and vertical edges), slivers, and vertices
+// far off screen.
+TEST(RasterSpans, MatchReferenceFragmentsBitForBit)
+{
+    Rng rng(4242);
+    RasterScratch scratch;
+    const unsigned all = kSpanDepth | kSpanRgb | kSpanAlpha | kSpanUv;
+    auto position = [&](int shape) -> Vec2 {
+        switch (shape) {
+          case 1: // pixel corners and centers
+            return {static_cast<float>(rng.nextBelow(160)) * 0.5f - 4.0f,
+                    static_cast<float>(rng.nextBelow(160)) * 0.5f - 4.0f};
+          case 2: // far outside the bounds (two of the three vertices)
+            return {rng.nextFloat(-3.0e4f, 3.0e4f),
+                    rng.nextFloat(-3.0e4f, 3.0e4f)};
+          default:
+            return {rng.nextFloat(-8, 72), rng.nextFloat(-8, 72)};
+        }
+    };
+    int nonempty = 0;
+    for (int iter = 0; iter < 6000; ++iter) {
+        ShadedPrimitive prim;
+        const int shape = static_cast<int>(rng.nextBelow(3));
+        for (ShadedVertex &v : prim.v) {
+            v.screen = position(shape);
+            v.depth = rng.nextFloat(0, 1);
+            v.inv_w = rng.nextFloat(0.05f, 2.0f);
+            v.color = {rng.nextFloat(0, 1), rng.nextFloat(0, 1),
+                       rng.nextFloat(0, 1), rng.nextFloat(0, 1)};
+            v.uv = {rng.nextFloat(-3, 3), rng.nextFloat(-3, 3)};
+        }
+        if (shape == 2)
+            prim.v[0].screen = position(0);
+        switch (rng.nextBelow(4)) {
+          case 0: // horizontal edge
+            prim.v[1].screen.y = prim.v[0].screen.y;
+            break;
+          case 1: // vertical edge
+            prim.v[2].screen.x = prim.v[1].screen.x;
+            break;
+          case 2: // sliver: third vertex near the first edge's midpoint
+            prim.v[2].screen = (prim.v[0].screen + prim.v[1].screen) * 0.5f +
+                               Vec2{rng.nextFloat(-0.3f, 0.3f),
+                                    rng.nextFloat(-0.3f, 0.3f)};
+            break;
+          default:
+            break;
+        }
+        const int x0 = static_cast<int>(rng.nextBelow(20));
+        const int y0 = static_cast<int>(rng.nextBelow(20));
+        const RectI bounds{x0, y0,
+                           x0 + 1 + static_cast<int>(rng.nextBelow(40)),
+                           y0 + 1 + static_cast<int>(rng.nextBelow(40))};
+
+        FrameStats ref_stats, span_stats;
+        std::vector<Fragment> ref;
+        Rasterizer::rasterize(prim, bounds, ref_stats,
+                              [&](const Fragment &f) { ref.push_back(f); });
+        std::vector<Fragment> got;
+        Rasterizer::rasterizeSpans(
+            prim, bounds, all, span_stats, scratch,
+            [&](const FragmentSpan &s) {
+                ASSERT_GT(s.count, 0);
+                for (int k = 0; k < s.count; ++k)
+                    got.push_back({s.x[k], s.y[k], s.depth[k],
+                                   {s.r[k], s.g[k], s.b[k], s.a[k]},
+                                   {s.u[k], s.v[k]}});
+            });
+
+        ASSERT_EQ(got.size(), ref.size()) << "iteration " << iter;
+        nonempty += ref.empty() ? 0 : 1;
+        EXPECT_EQ(span_stats.fragments_generated,
+                  ref_stats.fragments_generated);
+        EXPECT_EQ(span_stats.raster_quads, ref_stats.raster_quads);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            const Fragment &a = ref[i];
+            const Fragment &b = got[i];
+            ASSERT_EQ(a.x, b.x) << "iteration " << iter << " lane " << i;
+            ASSERT_EQ(a.y, b.y) << "iteration " << iter << " lane " << i;
+            EXPECT_TRUE(sameBits(a.depth, b.depth));
+            EXPECT_TRUE(sameBits(a.color.x, b.color.x));
+            EXPECT_TRUE(sameBits(a.color.y, b.color.y));
+            EXPECT_TRUE(sameBits(a.color.z, b.color.z));
+            EXPECT_TRUE(sameBits(a.color.w, b.color.w));
+            EXPECT_TRUE(sameBits(a.uv.x, b.uv.x));
+            EXPECT_TRUE(sameBits(a.uv.y, b.uv.y));
+        }
+    }
+    EXPECT_GT(nonempty, 1500);
+}
+
+// A span consumer that asks for fewer attributes still gets the same
+// lanes, with the requested attributes unchanged.
+TEST(RasterSpans, AttributeSubsetsLeaveRequestedLanesUnchanged)
+{
+    ShadedPrimitive prim = screenTriangle({1.5f, 0.5f}, {30.25f, 3.0f},
+                                          {4.0f, 27.75f}, 0.25f,
+                                          {0.2f, 0.4f, 0.6f, 0.8f});
+    prim.v[1].inv_w = 0.5f;
+    RasterScratch scratch;
+    auto collect = [&](unsigned attrs) {
+        FrameStats stats;
+        std::vector<float> depth, u;
+        Rasterizer::rasterizeSpans(prim, kScreen, attrs, stats, scratch,
+                                   [&](const FragmentSpan &s) {
+                                       for (int k = 0; k < s.count; ++k) {
+                                           depth.push_back(s.depth[k]);
+                                           u.push_back(s.u[k]);
+                                       }
+                                   });
+        return std::make_pair(depth, u);
+    };
+    auto full = collect(kSpanDepth | kSpanRgb | kSpanAlpha | kSpanUv);
+    EXPECT_EQ(collect(kSpanDepth).first, full.first);
+    EXPECT_EQ(collect(kSpanUv).second, full.second);
+}

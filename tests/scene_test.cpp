@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "scene/animation.hpp"
@@ -147,6 +148,36 @@ TEST(Texture, NoiseIsDeterministicPerSeed)
     for (int i = 0; i < 8 && !differs; ++i)
         differs = !(a.sample(i / 8.0f, 0.0f) == c.sample(i / 8.0f, 0.0f));
     EXPECT_TRUE(differs);
+}
+
+// floorExact stands in for std::floor in the texture wrap: it must give
+// the same value (or NaN for NaN) for every float, here random bit
+// patterns of every exponent plus the boundary cases.
+TEST(Texture, FloorExactMatchesStdFloor)
+{
+    auto check = [](float u) {
+        const float want = std::floor(u);
+        const float got = texture_detail::floorExact(u);
+        if (std::isnan(want))
+            EXPECT_TRUE(std::isnan(got)) << u;
+        else
+            EXPECT_EQ(got, want) << u;
+    };
+    for (float u : {0.0f, -0.0f, 0.5f, -0.5f, 1.0f, -1.0f, -1.5f,
+                    8388607.5f, -8388607.5f, 8388608.0f, -8388608.0f,
+                    16777217.0f, 1e30f, -1e30f, INFINITY, -INFINITY, NAN,
+                    1e-45f, -1e-45f})
+        check(u);
+    std::uint32_t h = 12345;
+    for (int i = 0; i < 1000000; ++i) {
+        h = h * 1664525u + 1013904223u;
+        float u;
+        std::memcpy(&u, &h, sizeof u);
+        check(u);
+    }
+    // Dense coverage of the range texture coordinates actually take.
+    for (int i = -40000; i <= 40000; ++i)
+        check(static_cast<float>(i) * 0.000977f);
 }
 
 TEST(Texture, TexelAddressesFollowRowMajorLayout)

@@ -393,6 +393,38 @@ TEST(ServiceSingleFlight, ConcurrentClientsSimulateEachConfigOnce)
     service.drain();
 }
 
+// Regression: with a multi-thread daemon pool, runs of one request
+// finish concurrently, and their progress records must still reach the
+// client numbered 1, 2, ..., N in order (the client fails a request
+// whose progress goes backwards with DATA_LOSS).
+TEST(ServiceProgress, MultiThreadPoolStreamsMonotoneProgress)
+{
+    TempDir dir;
+    std::string sock = dir.path + "/s.sock";
+    BenchParams params = tinyParams("");
+    params.jobs = 4;
+    SweepService service(workloads::factory(), params,
+                         serviceConfig(sock));
+    ASSERT_TRUE(service.start().ok());
+
+    const std::vector<ClientRunSpec> runs = {
+        {"ccs", "baseline"}, {"ccs", "evr"}, {"hop", "baseline"},
+        {"hop", "evr"},      {"red", "baseline"}, {"red", "evr"},
+        {"wmw", "baseline"}, {"wmw", "evr"}};
+    std::vector<std::uint64_t> seen;
+    ServiceClient c(clientOptions(sock, "progress"));
+    Result<SweepReply> reply =
+        c.runSweep("progress-1", runs, [&](const Json &p) {
+            seen.push_back(p.at("completed").asU64());
+        });
+    ASSERT_TRUE(reply.ok()) << reply.status().message();
+    ASSERT_EQ(reply.value().runs.size(), runs.size());
+    ASSERT_EQ(seen.size(), runs.size());
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], i + 1);
+    service.drain();
+}
+
 TEST(ServiceClientRetry, BacksOffUntilSlowStartingDaemonArrives)
 {
     TempDir dir;

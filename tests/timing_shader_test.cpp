@@ -230,7 +230,7 @@ TEST(ShaderCore, DiscardThresholdAtHalfAlpha)
 
 // -------------------------------------------------------- Framebuffer --
 
-TEST(Framebuffer, RectComparisonsAreExact)
+TEST(Framebuffer, ComparisonsAreExact)
 {
     Framebuffer a(32, 32), b(32, 32);
     a.clear({1, 2, 3, 255});
@@ -239,8 +239,32 @@ TEST(Framebuffer, RectComparisonsAreExact)
     b.setPixel(17, 5, {9, 9, 9, 255});
     EXPECT_FALSE(a.equals(b));
     EXPECT_EQ(a.diffCount(b), 1u);
-    EXPECT_TRUE(a.rectEquals(b, {0, 0, 16, 16}));
-    EXPECT_FALSE(a.rectEquals(b, {16, 0, 32, 16}));
+    EXPECT_TRUE(a.rowEquals(0, 5, &b.pixels()[5 * 32], 16));
+    EXPECT_FALSE(a.rowEquals(16, 5, &b.pixels()[5 * 32 + 16], 16));
+}
+
+TEST(Framebuffer, DestroyedStorageIsReusedAndFullyCleared)
+{
+    const Rgba8 *storage = nullptr;
+    {
+        Framebuffer old(48, 40);
+        old.clear({7, 8, 9, 10});
+        storage = old.pixels().data();
+    }
+    Framebuffer fresh(48, 40);
+    EXPECT_EQ(fresh.pixels().data(), storage);
+    for (const Rgba8 &p : fresh.pixels())
+        ASSERT_EQ(p, Rgba8{});
+
+    // A moved-from framebuffer gives nothing back; the moved-to one
+    // recycles the buffer when it goes.
+    const Rgba8 *moved_storage = fresh.pixels().data();
+    {
+        Framebuffer moved(std::move(fresh));
+        EXPECT_EQ(moved.pixels().data(), moved_storage);
+    }
+    Framebuffer again(48, 40);
+    EXPECT_EQ(again.pixels().data(), moved_storage);
 }
 
 TEST(Framebuffer, CopyRectIsTileGranular)
