@@ -23,7 +23,8 @@ errnoStatus(const std::string &step, const std::string &path)
                                std::strerror(errno));
 }
 
-/** write(2) until @p size bytes are on their way or an error lands. */
+} // namespace
+
 bool
 writeAll(int fd, const char *data, std::size_t size)
 {
@@ -39,8 +40,6 @@ writeAll(int fd, const char *data, std::size_t size)
     }
     return true;
 }
-
-} // namespace
 
 Status
 fsyncDirOf(const std::string &path)

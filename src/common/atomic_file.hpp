@@ -14,11 +14,18 @@
 #ifndef EVRSIM_COMMON_ATOMIC_FILE_HPP
 #define EVRSIM_COMMON_ATOMIC_FILE_HPP
 
+#include <cstddef>
 #include <string>
 
 #include "common/status.hpp"
 
 namespace evrsim {
+
+/**
+ * write(2) until @p size bytes are on their way, retrying on EINTR.
+ * False (errno set) on the first other error.
+ */
+bool writeAll(int fd, const char *data, std::size_t size);
 
 /**
  * Atomically and durably replace @p path with @p contents.

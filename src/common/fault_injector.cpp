@@ -11,47 +11,28 @@
 
 namespace evrsim {
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 namespace {
+
+/** EVRSIM_FAULT site names, indexed by FaultSite. */
+constexpr const char *kSiteNames[kNumFaultSites] = {
+    "cache-read",   "cache-write",   "job-execute",  "scene-mutate",
+    "worker-crash", "worker-hang",   "worker-kill9", "worker-stall",
+    "wire-corrupt", "wire-drop",     "wire-dup",     "net-partition",
+    "net-delay",    "net-reset",     "net-reconnect-storm",
+};
 
 Result<FaultSite>
 siteFromName(const std::string &name)
 {
+    std::string expected;
     for (int i = 0; i < kNumFaultSites; ++i) {
-        FaultSite site = static_cast<FaultSite>(i);
-        if (name == faultSiteName(site))
-            return site;
+        if (name == kSiteNames[i])
+            return static_cast<FaultSite>(i);
+        expected += i == 0 ? "" : i + 1 == kNumFaultSites ? " or " : ", ";
+        expected += kSiteNames[i];
     }
-    return Status::invalidArgument(
-        "unknown fault site '" + name +
-        "' (expected cache-read, cache-write, job-execute, "
-        "scene-mutate, worker-crash or worker-hang)");
-}
-
-/** 53-bit mantissa draw in [0, 1) from one mixed word. */
-double
-unitDraw(std::uint64_t mixed)
-{
-    return static_cast<double>(mixed >> 11) * 0x1.0p-53;
+    return Status::invalidArgument("unknown fault site '" + name +
+                                   "' (expected " + expected + ")");
 }
 
 } // namespace
@@ -59,21 +40,8 @@ unitDraw(std::uint64_t mixed)
 const char *
 faultSiteName(FaultSite site)
 {
-    switch (site) {
-      case FaultSite::CacheRead:
-        return "cache-read";
-      case FaultSite::CacheWrite:
-        return "cache-write";
-      case FaultSite::JobExecute:
-        return "job-execute";
-      case FaultSite::SceneMutate:
-        return "scene-mutate";
-      case FaultSite::WorkerCrash:
-        return "worker-crash";
-      case FaultSite::WorkerHang:
-        return "worker-hang";
-    }
-    return "unknown";
+    const int i = static_cast<int>(site);
+    return i >= 0 && i < kNumFaultSites ? kSiteNames[i] : "unknown";
 }
 
 Result<FaultPlan>
@@ -127,6 +95,11 @@ FaultInjector::parsePlan(const std::string &text)
 FaultPlan
 FaultInjector::planFromEnv()
 {
+    // A stale script that still arms the retired knob would otherwise
+    // run a soak that is quietly fault-free and still "passes".
+    if (std::getenv("EVRSIM_CHAOS"))
+        fatal("EVRSIM_CHAOS is retired: arm its sites through "
+              "EVRSIM_FAULT (same <site>:<rate>:<seed> grammar)");
     const char *raw = std::getenv("EVRSIM_FAULT");
     if (!raw)
         return {};
@@ -137,35 +110,34 @@ FaultInjector::planFromEnv()
 }
 
 bool
-FaultInjector::shouldFail(FaultSite site)
+FaultInjector::decide(int i, std::uint64_t n)
 {
-    const int i = static_cast<int>(site);
     const FaultSpec &spec = plan_[i];
-    if (!spec.enabled)
-        return false;
-    std::uint64_t n = draws_[i].fetch_add(1, std::memory_order_relaxed);
     // [0, 1) draw compared with < rate, so rate 0 never fires and
     // rate 1 always does.
-    double u = unitDraw(mix64(spec.seed ^ mix64(n)));
-    if (u >= spec.rate)
+    if (unitDraw(mix64(spec.seed ^ mix64(n))) >= spec.rate)
         return false;
     injected_[i].fetch_add(1, std::memory_order_relaxed);
     return true;
 }
 
 bool
+FaultInjector::shouldFail(FaultSite site)
+{
+    const int i = static_cast<int>(site);
+    if (!plan_[i].enabled)
+        return false;
+    return decide(i, draws_[i].fetch_add(1, std::memory_order_relaxed));
+}
+
+bool
 FaultInjector::shouldFailAt(FaultSite site, std::uint64_t key)
 {
     const int i = static_cast<int>(site);
-    const FaultSpec &spec = plan_[i];
-    if (!spec.enabled)
+    if (!plan_[i].enabled)
         return false;
     draws_[i].fetch_add(1, std::memory_order_relaxed);
-    double u = unitDraw(mix64(spec.seed ^ mix64(key)));
-    if (u >= spec.rate)
-        return false;
-    injected_[i].fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return decide(i, key);
 }
 
 std::uint64_t
@@ -179,6 +151,27 @@ std::uint64_t
 FaultInjector::draws(FaultSite site) const
 {
     return draws_[static_cast<int>(site)].load(std::memory_order_relaxed);
+}
+
+std::string
+applyWireChaos(FaultInjector &faults, std::string line)
+{
+    if (faults.shouldFail(FaultSite::WireCorrupt) && line.size() > 1) {
+        // Flip one byte that is not the terminating newline. The
+        // position rides the corrupt stream's injected counter so
+        // repeated corruption walks the line deterministically.
+        const FaultSpec &spec = faults.spec(FaultSite::WireCorrupt);
+        std::uint64_t n = faults.injected(FaultSite::WireCorrupt);
+        std::size_t idx = static_cast<std::size_t>(
+            mix64(spec.seed ^ (n * 0x632be59bd9b4e019ull)) %
+            (line.size() - 1));
+        line[idx] = static_cast<char>(line[idx] ^ 0x20);
+    }
+    if (faults.shouldFail(FaultSite::WireDrop))
+        return {};
+    if (faults.shouldFail(FaultSite::WireDup))
+        return line + line;
+    return line;
 }
 
 } // namespace evrsim

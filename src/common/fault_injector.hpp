@@ -1,8 +1,9 @@
 /**
  * @file
- * Deterministic fault injection for exercising the sweep's recovery
- * paths (corrupt-cache quarantine, transient-job retry, failure
- * reporting) from ctest, without hand-corrupting files or racing kill
+ * Deterministic fault injection: one plane for every failure the
+ * recovery paths must absorb, from a corrupt cache entry up to a shard
+ * SIGKILLed mid-run or a connection torn mid-frame, reproducible enough
+ * to assert on from ctest without hand-corrupting files or racing kill
  * signals.
  *
  * Faults are enabled through EVRSIM_FAULT, a comma-separated list of
@@ -10,36 +11,68 @@
  *
  *   EVRSIM_FAULT=cache-read:1:42            every cache load fails
  *   EVRSIM_FAULT=job-execute:0.25:7         a quarter of job attempts
- *   EVRSIM_FAULT=cache-read:1:1,cache-write:1:2
+ *   EVRSIM_FAULT=worker-kill9:0.05:11,wire-corrupt:1:3,wire-dup:0.2:4
  *
- * Sites:
+ * Logical sites (evaluated by the runner):
  *   cache-read    loading an on-disk result entry reports DataLoss
  *                 (the entry is quarantined and re-simulated)
  *   cache-write   publishing a result entry fails (warn, no cache file)
  *   job-execute   a simulation attempt reports Unavailable (transient,
  *                 so the scheduler's bounded retry engages)
- *   scene-mutate  the frame's scene is corrupted by the deterministic
- *                 fuzz mutator before ingestion (exercises the
- *                 EVRSIM_VALIDATE sanitize/degrade paths from benches)
- *   worker-crash  an EVRSIM_ISOLATE=process worker raises SIGSEGV
- *                 before simulating (exercises the supervisor's
- *                 crash-retry-quarantine path); evaluated only inside
- *                 a worker process, keyed by job so every attempt of
- *                 an injected job dies and no other job ever does
- *   worker-hang   an isolated worker spins forever instead of
+ *   scene-mutate  (keyed) the frame's scene is corrupted by the
+ *                 deterministic fuzz mutator before ingestion
+ *                 (exercises the EVRSIM_VALIDATE sanitize/degrade paths)
+ *
+ * Isolated-worker sites (evaluated inside an EVRSIM_ISOLATE=process
+ * worker, keyed by job so every attempt of an injected job dies and no
+ * other job ever does):
+ *   worker-crash  (keyed) the worker raises SIGSEGV before simulating
+ *                 (the supervisor's crash-retry-quarantine path)
+ *   worker-hang   (keyed) the worker spins forever instead of
  *                 simulating, so the parent's hard SIGKILL deadline
  *                 (EVRSIM_JOB_TIMEOUT_MS) must reap it
  *
+ * Shard sites (evaluated inside a fleet shard process, which inherits
+ * the daemon's environment):
+ *   worker-kill9  the shard raises SIGKILL at the start of a run — the
+ *                 daemon sees EOF with the run in flight (breaker
+ *                 failure, failover, restart)
+ *   worker-stall  the shard sleeps kWorkerStallMs before handling a
+ *                 message, so the parent's ping deadline fires
+ *   wire-corrupt  one byte of an outgoing framed line is flipped (the
+ *                 envelope CRC or parse catches it: DataLoss)
+ *   wire-drop     an outgoing framed line is silently discarded (the
+ *                 daemon's run deadline catches it)
+ *   wire-dup      an outgoing framed line is written twice (the daemon
+ *                 must tolerate stray responses; the client must
+ *                 reject non-monotone progress)
+ *
+ * Network sites (evaluated at the TCP transport's framed writes — the
+ * control plane's sends apply net sites only; a remote shard's sends
+ * apply wire sites then net sites):
+ *   net-partition the connection is blackholed for kNetPartitionMs:
+ *                 outgoing frames silently vanish, so the peer's
+ *                 lease/run deadline fires and the shard is fenced
+ *   net-delay     an outgoing frame is held kNetDelayMs before the write
+ *   net-reset     half the frame is written, then the socket is shut
+ *                 down, modelling an RST: the reader sees a torn tail
+ *   net-reconnect-storm
+ *                 a remote shard drops its control-plane connection and
+ *                 immediately re-dials (register/reject/re-register)
+ *
  * Decisions are a pure function of (site seed, per-site draw counter)
- * via SplitMix64, so a single-threaded sweep injects the *same* faults
- * on every run — the recovery tests are reproducible, not flaky. Sites
- * whose decisions must agree across configurations regardless of
- * scheduling order (scene-mutate: the baseline and EVR runs of a
- * workload must see identical corruption for image comparisons to be
- * meaningful) use shouldFailAt() with a caller-derived key instead of
- * the draw counter. When EVRSIM_FAULT is unset the injector is a single
- * predictable branch per site (enabled flag false), i.e. zero overhead
- * on the production path.
+ * via mix64 (common/rng.hpp), so a single-threaded sweep injects the
+ * *same* faults on every run. Sites whose decisions must not depend on
+ * scheduling order or restarts — the (keyed) ones above — use
+ * shouldFailAt() with a caller-derived key instead of the counter. The
+ * shard sites stay on the counter on purpose: a restarted shard starts
+ * a fresh stream, so a kill does not chase one job forever and the
+ * injected failure stays transient. When EVRSIM_FAULT is unset every
+ * site is a single predictable branch (enabled flag false).
+ *
+ * EVRSIM_CHAOS, which once armed the shard and network sites, is
+ * retired: setting it is a fatal error naming EVRSIM_FAULT, so a stale
+ * script cannot run a silently fault-free soak.
  */
 #ifndef EVRSIM_COMMON_FAULT_INJECTOR_HPP
 #define EVRSIM_COMMON_FAULT_INJECTOR_HPP
@@ -49,6 +82,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/rng.hpp" // mix64, fnv1a64
 #include "common/status.hpp"
 
 namespace evrsim {
@@ -61,24 +95,35 @@ enum class FaultSite {
     SceneMutate = 3,
     WorkerCrash = 4,
     WorkerHang = 5,
+    WorkerKill9 = 6,
+    WorkerStall = 7,
+    WireCorrupt = 8,
+    WireDrop = 9,
+    WireDup = 10,
+    NetPartition = 11,
+    NetDelay = 12,
+    NetReset = 13,
+    NetReconnectStorm = 14,
 };
-constexpr int kNumFaultSites = 6;
+constexpr int kNumFaultSites = 15;
 
 /**
- * SplitMix64 finalizer: an uncorrelated u64 from any input. Shared by
- * the fault injector, the validation tile sampler and the scene fuzzer
- * so every "random but reproducible" decision uses one primitive.
+ * How long a worker-stall sleeps: comfortably past any test ping
+ * deadline, short enough that a soak with a few stalls stays fast
+ * (the parent SIGKILLs the stalled shard at breaker-open anyway).
  */
-std::uint64_t mix64(std::uint64_t x);
+constexpr int kWorkerStallMs = 2500;
 
 /**
- * FNV-1a over a string, for keying per-job fault decisions.
- * std::hash<std::string> is implementation-defined, which would make
- * keyed injection differ across standard libraries (and across the
- * parent/worker boundary if they were ever built differently); FNV-1a
- * keeps every string -> decision mapping stable everywhere.
+ * How long a net-partition blackholes a connection: past any test
+ * lease deadline (so the fence fires) but bounded, so a soaked
+ * connection heals and the shard can re-register within the soak's
+ * wall-clock budget.
  */
-std::uint64_t fnv1a64(const std::string &s);
+constexpr int kNetPartitionMs = 2500;
+
+/** How long a net-delay holds a frame: deadline pressure, not a fence. */
+constexpr int kNetDelayMs = 150;
 
 /** Human name used in EVRSIM_FAULT specs ("cache-read"). */
 const char *faultSiteName(FaultSite site);
@@ -106,7 +151,8 @@ class FaultInjector
 
     /**
      * Plan from the EVRSIM_FAULT environment variable; all-disabled
-     * when unset, fatal (user error) when malformed.
+     * when unset, fatal (user error) when malformed or when the
+     * retired EVRSIM_CHAOS is set.
      */
     static FaultPlan planFromEnv();
 
@@ -148,10 +194,26 @@ class FaultInjector
     std::uint64_t draws(FaultSite site) const;
 
   private:
+    /** Decision for draw @p n (a counter value or a key) at site @p i. */
+    bool decide(int i, std::uint64_t n);
+
     FaultPlan plan_;
     std::array<std::atomic<std::uint64_t>, kNumFaultSites> draws_{};
     std::array<std::atomic<std::uint64_t>, kNumFaultSites> injected_{};
 };
+
+/**
+ * Apply the wire sites to one outgoing newline-terminated framed line,
+ * drawing (in order) wire-corrupt, wire-drop, wire-dup from @p faults.
+ * Returns the bytes to actually write:
+ *  - unchanged when nothing fires,
+ *  - with one non-newline byte XOR-flipped (wire-corrupt; the flip
+ *    position is a deterministic function of the corrupt stream),
+ *  - empty (wire-drop),
+ *  - the line twice (wire-dup).
+ * Corrupt composes with dup (both copies damaged); drop wins over dup.
+ */
+std::string applyWireChaos(FaultInjector &faults, std::string line);
 
 } // namespace evrsim
 

@@ -14,11 +14,9 @@ namespace {
 std::uint64_t
 splitMix64(std::uint64_t &state)
 {
+    std::uint64_t z = mix64(state);
     state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
+    return z;
 }
 
 std::uint64_t
@@ -28,6 +26,17 @@ rotl(std::uint64_t x, int k)
 }
 
 } // namespace
+
+std::uint64_t
+fnv1a64(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
 
 Rng::Rng(std::uint64_t seed)
 {

@@ -1,6 +1,9 @@
 /**
  * @file
- * Deterministic pseudo-random number generation for workload synthesis.
+ * Deterministic pseudo-random number generation for workload synthesis,
+ * plus the stateless hash and draw primitives behind every other
+ * "random but reproducible" decision (fault injection, tile sampling,
+ * scene fuzzing, shard routing, backoff jitter).
  *
  * All workloads must be bit-reproducible across runs and platforms, so we
  * use a self-contained xoshiro256** generator seeded through SplitMix64
@@ -11,8 +14,35 @@
 #define EVRSIM_COMMON_RNG_HPP
 
 #include <cstdint>
+#include <string>
 
 namespace evrsim {
+
+/** SplitMix64 finalizer: an uncorrelated u64 from any input. */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** 53-bit mantissa draw in [0, 1) from one mixed word. */
+inline double
+unitDraw(std::uint64_t mixed)
+{
+    return static_cast<double>(mixed >> 11) * 0x1.0p-53;
+}
+
+/**
+ * FNV-1a over a string, for keying per-job decisions.
+ * std::hash<std::string> is implementation-defined, which would make
+ * keyed injection differ across standard libraries (and across the
+ * parent/worker boundary if they were ever built differently); FNV-1a
+ * keeps every string -> decision mapping stable everywhere.
+ */
+std::uint64_t fnv1a64(const std::string &s);
 
 /** xoshiro256** deterministic PRNG. */
 class Rng

@@ -4,7 +4,16 @@
  */
 #include "driver/envelope.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
+#include <fstream>
+
+#include "common/atomic_file.hpp"
 #include "common/crc32.hpp"
+#include "common/log.hpp"
 
 namespace evrsim {
 
@@ -97,6 +106,72 @@ statusFromJson(const Json &j, Status &out)
         }
     }
     return Status::dataLoss("unknown status code '" + name.value() + "'");
+}
+
+EnvelopeLog::~EnvelopeLog()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
+Status
+EnvelopeLog::open(const std::string &path)
+{
+    if (fd_ >= 0)
+        return {};
+    bool existed = ::access(path.c_str(), F_OK) == 0;
+    int fd = ::open(path.c_str(),
+                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0)
+        return Status::unavailable("open " + path + ": " +
+                                   std::strerror(errno));
+    if (!existed) {
+        // The log's own directory entry must survive power loss, or
+        // the first crash would replay a log that the filesystem
+        // forgot ever existed.
+        if (Status s = fsyncDirOf(path); !s.ok())
+            warn("journal %s: %s", path.c_str(), s.message().c_str());
+    }
+    fd_ = fd;
+    path_ = path;
+    return {};
+}
+
+void
+EnvelopeLog::append(Json payload)
+{
+    if (fd_ < 0)
+        return;
+    std::string line = wrapEnvelope(std::move(payload), schema_).dump(0);
+    line += '\n';
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!writeAll(fd_, line.data(), line.size())) {
+        warn("journal append to %s failed: %s", path_.c_str(),
+             std::strerror(errno));
+        return;
+    }
+    if (::fsync(fd_) != 0)
+        warn("journal fsync of %s failed: %s", path_.c_str(),
+             std::strerror(errno));
+}
+
+std::size_t
+EnvelopeLog::replay(const std::string &path, int schema,
+                    const std::function<bool(const Json &)> &on_record)
+{
+    std::size_t damaged = 0;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        Result<Json> payload = parseEnvelope(line, schema);
+        // Typically the one record torn by the crash being replayed
+        // from; dropping it is the conservative answer.
+        if (!payload.ok() || !on_record(payload.value()))
+            ++damaged;
+    }
+    return damaged;
 }
 
 } // namespace evrsim

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstring>
 
+#include "common/atomic_file.hpp" // writeAll
 #include "common/trace.hpp"
 #include "driver/envelope.hpp"
 
@@ -130,17 +131,7 @@ writeWorkerResponse(int fd, const Result<RunResult> &attempt)
 
     std::string text =
         wrapEnvelope(std::move(payload), kWorkerProtocolVersion).dump(0);
-    std::size_t off = 0;
-    while (off < text.size()) {
-        ssize_t n = ::write(fd, text.data() + off, text.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
+    return writeAll(fd, text.data(), text.size());
 }
 
 WorkerOutcome

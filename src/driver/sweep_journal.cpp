@@ -4,78 +4,9 @@
  */
 #include "driver/sweep_journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <set>
 
-#include "common/atomic_file.hpp"
-#include "common/log.hpp"
-#include "driver/envelope.hpp"
-
 namespace evrsim {
-
-SweepJournal::~SweepJournal()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-Status
-SweepJournal::open(const std::string &path)
-{
-    if (fd_ >= 0)
-        return {};
-    bool existed = ::access(path.c_str(), F_OK) == 0;
-    int fd = ::open(path.c_str(),
-                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0)
-        return Status::unavailable("open " + path + ": " +
-                                   std::strerror(errno));
-    if (!existed) {
-        // The journal's own directory entry must survive power loss,
-        // or the first crash would resume from a journal that the
-        // filesystem forgot ever existed.
-        if (Status s = fsyncDirOf(path); !s.ok())
-            warn("sweep journal: %s", s.message().c_str());
-    }
-    fd_ = fd;
-    path_ = path;
-    return {};
-}
-
-void
-SweepJournal::append(Json payload)
-{
-    if (fd_ < 0)
-        return;
-    std::string line = wrapEnvelope(std::move(payload),
-                                    kSweepJournalVersion)
-                           .dump(0);
-    line += '\n';
-    std::lock_guard<std::mutex> lock(mu_);
-    // One write(2) per record: concurrent bench binaries appending to
-    // the shared journal interleave whole lines, never fragments.
-    std::size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("sweep journal append to %s failed: %s", path_.c_str(),
-                 std::strerror(errno));
-            return;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd_) != 0)
-        warn("sweep journal fsync of %s failed: %s", path_.c_str(),
-             std::strerror(errno));
-}
 
 void
 SweepJournal::recordStart(const std::string &key)
@@ -83,7 +14,7 @@ SweepJournal::recordStart(const std::string &key)
     Json j = Json::object();
     j.set("type", "start");
     j.set("key", key);
-    append(std::move(j));
+    log_.append(std::move(j));
 }
 
 void
@@ -95,7 +26,7 @@ SweepJournal::recordFinish(const std::string &key, const RunResult &result,
     j.set("key", key);
     j.set("attempts", attempts);
     j.set("result", result.toJson());
-    append(std::move(j));
+    log_.append(std::move(j));
 }
 
 void
@@ -108,88 +39,68 @@ SweepJournal::recordFail(const std::string &key, const Status &why,
     j.set("attempts", attempts);
     j.set("quarantined", quarantined);
     j.set("status", statusToJson(why));
-    append(std::move(j));
+    log_.append(std::move(j));
 }
 
 Result<SweepJournal::Replay>
 SweepJournal::replay(const std::string &path)
 {
     Replay out;
-    std::ifstream in(path);
-    if (!in)
-        return out; // no journal yet: nothing to resume
-
     std::set<std::string> started;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        Result<Json> payload = parseEnvelope(line, kSweepJournalVersion);
-        if (!payload.ok()) {
-            // Typically the one record torn by the crash being resumed
-            // from; dropping it re-runs that job, which is exactly the
-            // conservative answer.
-            ++out.damaged;
-            continue;
-        }
-        const Json *type = payload.value().find("type");
-        const Json *key = payload.value().find("key");
-        if (!type || !key || type->type() != Json::Type::String ||
-            key->type() != Json::Type::String) {
-            ++out.damaged;
-            continue;
-        }
-        const std::string &k = key->asString();
-        if (type->asString() == "start") {
+    // A dropped record (typically the one torn by the crash being
+    // resumed from) re-runs its job, which is the conservative answer.
+    out.damaged = EnvelopeLog::replay(
+        path, kSweepJournalVersion, [&](const Json &payload) {
+            const Json *type = payload.find("type");
+            const Json *key = payload.find("key");
+            if (!type || !key || type->type() != Json::Type::String ||
+                key->type() != Json::Type::String)
+                return false;
+            const std::string &k = key->asString();
+            if (type->asString() == "start") {
+                ++out.records;
+                started.insert(k);
+                return true;
+            }
+
+            ReplayedOutcome outcome;
+            if (const Json *attempts = payload.find("attempts");
+                attempts && attempts->type() == Json::Type::Number)
+                outcome.attempts = static_cast<int>(attempts->asI64());
+
+            if (type->asString() == "finish") {
+                const Json *result = payload.find("result");
+                if (!result)
+                    return false;
+                Result<RunResult> r = RunResult::tryFromJson(*result);
+                if (!r.ok())
+                    return false;
+                outcome.kind = ReplayedOutcome::Kind::Finished;
+                outcome.result = r.value();
+            } else if (type->asString() == "fail") {
+                const Json *status = payload.find("status");
+                Status reported;
+                if (!status || !statusFromJson(*status, reported).ok() ||
+                    reported.ok())
+                    return false;
+                bool quarantined = false;
+                if (const Json *q = payload.find("quarantined");
+                    q && q->type() == Json::Type::Bool)
+                    quarantined = q->asBool();
+                outcome.kind = quarantined
+                                   ? ReplayedOutcome::Kind::Quarantined
+                                   : ReplayedOutcome::Kind::Failed;
+                outcome.status = reported;
+            } else {
+                return false;
+            }
             ++out.records;
-            started.insert(k);
-            continue;
-        }
-
-        ReplayedOutcome outcome;
-        if (const Json *attempts = payload.value().find("attempts");
-            attempts && attempts->type() == Json::Type::Number)
-            outcome.attempts = static_cast<int>(attempts->asI64());
-
-        if (type->asString() == "finish") {
-            const Json *result = payload.value().find("result");
-            if (!result) {
-                ++out.damaged;
-                continue;
-            }
-            Result<RunResult> r = RunResult::tryFromJson(*result);
-            if (!r.ok()) {
-                ++out.damaged;
-                continue;
-            }
-            outcome.kind = ReplayedOutcome::Kind::Finished;
-            outcome.result = r.value();
-        } else if (type->asString() == "fail") {
-            const Json *status = payload.value().find("status");
-            Status reported;
-            if (!status || !statusFromJson(*status, reported).ok() ||
-                reported.ok()) {
-                ++out.damaged;
-                continue;
-            }
-            bool quarantined = false;
-            if (const Json *q = payload.value().find("quarantined");
-                q && q->type() == Json::Type::Bool)
-                quarantined = q->asBool();
-            outcome.kind = quarantined
-                               ? ReplayedOutcome::Kind::Quarantined
-                               : ReplayedOutcome::Kind::Failed;
-            outcome.status = reported;
-        } else {
-            ++out.damaged;
-            continue;
-        }
-        ++out.records;
-        started.erase(k);
-        if (out.outcomes.count(k))
-            ++out.duplicates;
-        out.outcomes[k] = std::move(outcome); // last terminal record wins
-    }
+            started.erase(k);
+            if (out.outcomes.count(k))
+                ++out.duplicates;
+            out.outcomes[k] = std::move(outcome); // last terminal wins
+            return true;
+        });
     for (const std::string &k : started)
         if (!out.outcomes.count(k))
             ++out.in_flight;

@@ -14,22 +14,22 @@
  * and, because finish records embed the result document, resume works
  * even when the per-entry cache files are gone.
  *
- * Records are single-line CRC32 envelopes (driver/envelope.hpp) in an
- * append-only file, so a record torn by the crash itself is detected
- * and dropped instead of poisoning the replay. The journal is shared
- * by concurrent bench binaries the same way the cache is: appends are
- * single write(2) calls on an O_APPEND descriptor, and keys are the
- * cache-entry filenames, which already encode (workload, config,
- * dimensions, frames, validation, schema version).
+ * Records live in an EnvelopeLog (driver/envelope.hpp), so a record
+ * torn by the crash itself is detected and dropped instead of
+ * poisoning the replay. The journal is shared by concurrent bench
+ * binaries the same way the cache is: the log's appends interleave
+ * whole lines, and keys are the cache-entry filenames, which already
+ * encode (workload, config, dimensions, frames, validation, schema
+ * version).
  */
 #ifndef EVRSIM_DRIVER_SWEEP_JOURNAL_HPP
 #define EVRSIM_DRIVER_SWEEP_JOURNAL_HPP
 
 #include <map>
-#include <mutex>
 #include <string>
 
 #include "common/status.hpp"
+#include "driver/envelope.hpp"
 #include "driver/run_result.hpp"
 
 namespace evrsim {
@@ -69,19 +69,11 @@ class SweepJournal
         std::size_t duplicates = 0;
     };
 
-    SweepJournal() = default;
-    ~SweepJournal();
-
-    SweepJournal(const SweepJournal &) = delete;
-    SweepJournal &operator=(const SweepJournal &) = delete;
-
     /**
      * Open @p path for appending (creating it, and fsyncing the
      * directory entry when created). Idempotent per instance.
      */
-    Status open(const std::string &path);
-
-    bool isOpen() const { return fd_ >= 0; }
+    Status open(const std::string &path) { return log_.open(path); }
 
     /**
      * Read a journal and fold it into per-key terminal outcomes
@@ -100,11 +92,7 @@ class SweepJournal
                     int attempts, bool quarantined);
 
   private:
-    void append(Json payload);
-
-    int fd_ = -1;
-    std::string path_;
-    std::mutex mu_;
+    EnvelopeLog log_{kSweepJournalVersion};
 };
 
 } // namespace evrsim

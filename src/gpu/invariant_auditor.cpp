@@ -6,8 +6,8 @@
 
 #include <algorithm>
 
-#include "common/fault_injector.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "gpu/rasterizer.hpp"
 
 namespace evrsim {

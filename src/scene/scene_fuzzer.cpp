@@ -6,7 +6,7 @@
 
 #include <limits>
 
-#include "common/fault_injector.hpp"
+#include "common/rng.hpp"
 
 namespace evrsim {
 

@@ -14,8 +14,8 @@
 #include <cstring>
 #include <thread>
 
-#include "common/fault_injector.hpp" // mix64, fnv1a64
 #include "common/net.hpp"
+#include "common/rng.hpp"
 #include "driver/envelope.hpp"
 #include "service/service_protocol.hpp"
 

@@ -21,8 +21,8 @@
 #include <cstdlib>
 #include <deque>
 
-#include "common/chaos.hpp"
-#include "common/fault_injector.hpp" // mix64, fnv1a64
+#include "common/atomic_file.hpp" // writeAll
+#include "common/fault_injector.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/net.hpp"
@@ -47,38 +47,21 @@ using Clock = std::chrono::steady_clock;
  *  real pid so merged traces never collide with the daemon's own. */
 constexpr int kShardTraceLaneBase = 1000000;
 
-/** 53-bit mantissa draw in [0, 1) from one mixed word. */
-double
-unitDraw(std::uint64_t mixed)
-{
-    return static_cast<double>(mixed >> 11) * 0x1.0p-53;
-}
-
 /**
  * Frame @p payload as one enveloped line and write it whole to @p fd.
- * When @p chaos is given (shard side) the line passes through the wire
- * chaos sites first; a dropped line still reports success — that is
+ * When @p faults is given (shard side) the line passes through the wire
+ * fault sites first; a dropped line still reports success — that is
  * the point of the drop site.
  */
 bool
-writeFramedLine(int fd, Json payload, ChaosInjector *chaos)
+writeFramedLine(int fd, Json payload, FaultInjector *faults)
 {
     std::string line =
         wrapEnvelope(std::move(payload), kShardProtocolVersion).dump(0);
     line += '\n';
-    if (chaos && chaos->enabled())
-        line = applyWireChaos(*chaos, line);
-    std::size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
+    if (faults && faults->enabled())
+        line = applyWireChaos(*faults, line);
+    return writeAll(fd, line.data(), line.size());
 }
 
 } // namespace
@@ -1485,7 +1468,7 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
     setLogLevel(params.log_level);
     ignoreSigpipe();
 
-    ChaosInjector chaos(ChaosInjector::planFromEnv());
+    FaultInjector faults(FaultInjector::planFromEnv());
     ExperimentRunner runner(factory, params);
 
     // The reader thread stays glued to stdin so pings are answered
@@ -1497,7 +1480,7 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
 
     auto respond = [&](Json payload) {
         std::lock_guard<std::mutex> lock(write_mu);
-        writeFramedLine(kWorkerResponseFd, std::move(payload), &chaos);
+        writeFramedLine(kWorkerResponseFd, std::move(payload), &faults);
     };
 
     std::thread worker([&] {
@@ -1511,11 +1494,11 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
                 run = std::move(queue.front());
                 queue.pop_front();
             }
-            // worker-kill9 chaos: die exactly where a real crash
+            // worker-kill9: die exactly where a real crash
             // would hurt most — after accepting the run, before
             // responding. Counter-based, so the respawned shard does
             // not re-kill the same job forever.
-            if (chaos.shouldFire(ChaosSite::WorkerKill9))
+            if (faults.shouldFail(FaultSite::WorkerKill9))
                 ::raise(SIGKILL);
 
             respond(shardExecuteRun(runner, params, run.seq,
@@ -1534,9 +1517,9 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
                 continue; // damaged inbound line: skip, keep serving
             break;        // EOF: the daemon is gone — exit cleanly
         }
-        if (chaos.shouldFire(ChaosSite::WorkerStall))
+        if (faults.shouldFail(FaultSite::WorkerStall))
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(kChaosStallMs));
+                std::chrono::milliseconds(kWorkerStallMs));
         const Json *type = msg.value().find("type");
         if (!type || type->type() != Json::Type::String)
             continue;

@@ -244,7 +244,7 @@ class ShardTransport
     /**
      * Frame @p payload to slot @p slot's endpoint. False when the
      * endpoint is gone or the write failed (the caller fails over);
-     * a chaos-dropped or blackholed frame still reports true — the
+     * an injected drop or blackholed frame still reports true — the
      * run deadline is the detector for silence.
      */
     virtual bool writeFrame(int slot, Json payload) = 0;
@@ -511,7 +511,7 @@ Json shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
  * params overlay, force the bare-attempt worker philosophy (no cache,
  * no journal, no isolation, quiet), answer pings, execute runs on a
  * dedicated thread (the reader stays responsive to pings mid-run),
- * and frame every response through the chaos injector's wire sites.
+ * and frame every response through the fault injector's wire sites.
  */
 [[noreturn]] void runShardAndExit(int shard_index,
                                   WorkloadFactory factory,

@@ -4,71 +4,7 @@
  */
 #include "service/request_journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-
-#include "common/atomic_file.hpp"
-#include "common/log.hpp"
-#include "driver/envelope.hpp"
-
 namespace evrsim {
-
-RequestJournal::~RequestJournal()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-Status
-RequestJournal::open(const std::string &path)
-{
-    if (fd_ >= 0)
-        return {};
-    bool existed = ::access(path.c_str(), F_OK) == 0;
-    int fd = ::open(path.c_str(),
-                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0)
-        return Status::unavailable("open " + path + ": " +
-                                   std::strerror(errno));
-    if (!existed) {
-        if (Status s = fsyncDirOf(path); !s.ok())
-            warn("request journal: %s", s.message().c_str());
-    }
-    fd_ = fd;
-    path_ = path;
-    return {};
-}
-
-void
-RequestJournal::append(Json payload)
-{
-    if (fd_ < 0)
-        return;
-    std::string line = wrapEnvelope(std::move(payload),
-                                    kRequestJournalVersion)
-                           .dump(0);
-    line += '\n';
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t off = 0;
-    while (off < line.size()) {
-        ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("request journal append to %s failed: %s", path_.c_str(),
-                 std::strerror(errno));
-            return;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    if (::fsync(fd_) != 0)
-        warn("request journal fsync of %s failed: %s", path_.c_str(),
-             std::strerror(errno));
-}
 
 void
 RequestJournal::recordRequest(const std::string &id, const Json &spec)
@@ -77,7 +13,7 @@ RequestJournal::recordRequest(const std::string &id, const Json &spec)
     j.set("type", "request");
     j.set("id", id);
     j.set("spec", spec);
-    append(std::move(j));
+    log_.append(std::move(j));
 }
 
 void
@@ -86,54 +22,41 @@ RequestJournal::recordDone(const std::string &id)
     Json j = Json::object();
     j.set("type", "done");
     j.set("id", id);
-    append(std::move(j));
+    log_.append(std::move(j));
 }
 
 Result<RequestJournal::Replay>
 RequestJournal::replay(const std::string &path)
 {
     Replay out;
-    std::ifstream in(path);
-    if (!in)
-        return out; // no journal yet: nothing to resume
-
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        Result<Json> payload = parseEnvelope(line, kRequestJournalVersion);
-        if (!payload.ok()) {
-            ++out.damaged;
-            continue;
-        }
-        const Json *type = payload.value().find("type");
-        const Json *id = payload.value().find("id");
-        if (!type || !id || type->type() != Json::Type::String ||
-            id->type() != Json::Type::String) {
-            ++out.damaged;
-            continue;
-        }
-        const std::string &rid = id->asString();
-        if (type->asString() == "request") {
-            const Json *spec = payload.value().find("spec");
-            if (!spec || spec->type() != Json::Type::Object) {
-                ++out.damaged;
-                continue;
+    out.damaged = EnvelopeLog::replay(
+        path, kRequestJournalVersion, [&](const Json &payload) {
+            const Json *type = payload.find("type");
+            const Json *id = payload.find("id");
+            if (!type || !id || type->type() != Json::Type::String ||
+                id->type() != Json::Type::String)
+                return false;
+            const std::string &rid = id->asString();
+            if (type->asString() == "request") {
+                const Json *spec = payload.find("spec");
+                if (!spec || spec->type() != Json::Type::Object)
+                    return false;
+                ++out.records;
+                if (out.specs.count(rid))
+                    ++out.duplicates;
+                out.specs[rid] = *spec; // last admission wins
+                // A re-admission restarts the request: it is live
+                // again until its new done record lands.
+                out.done.erase(rid);
+                return true;
             }
-            ++out.records;
-            if (out.specs.count(rid))
-                ++out.duplicates;
-            out.specs[rid] = *spec; // last admission wins
-            // A re-admission restarts the request: it is live again
-            // until its new done record lands.
-            out.done.erase(rid);
-        } else if (type->asString() == "done") {
-            ++out.records;
-            out.done.insert(rid);
-        } else {
-            ++out.damaged;
-        }
-    }
+            if (type->asString() == "done") {
+                ++out.records;
+                out.done.insert(rid);
+                return true;
+            }
+            return false;
+        });
     return out;
 }
 

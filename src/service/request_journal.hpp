@@ -12,19 +12,19 @@
  * and every run the crashed daemon completed comes from the sweep
  * journal or the result cache instead of re-simulating.
  *
- * Records use the same one-line CRC32-envelope framing and
- * single-write(2)+fsync append discipline as the sweep journal, so a
- * record torn by the crash itself is detected and dropped on replay.
+ * Records live in an EnvelopeLog (driver/envelope.hpp), like the sweep
+ * journal's, so a record torn by the crash itself is detected and
+ * dropped on replay.
  */
 #ifndef EVRSIM_SERVICE_REQUEST_JOURNAL_HPP
 #define EVRSIM_SERVICE_REQUEST_JOURNAL_HPP
 
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 
 #include "common/status.hpp"
+#include "driver/envelope.hpp"
 #include "driver/json.hpp"
 
 namespace evrsim {
@@ -47,16 +47,8 @@ class RequestJournal
         std::size_t duplicates = 0; ///< re-admissions of a known id
     };
 
-    RequestJournal() = default;
-    ~RequestJournal();
-
-    RequestJournal(const RequestJournal &) = delete;
-    RequestJournal &operator=(const RequestJournal &) = delete;
-
     /** Open @p path for appending (created + directory-fsynced). */
-    Status open(const std::string &path);
-
-    bool isOpen() const { return fd_ >= 0; }
+    Status open(const std::string &path) { return log_.open(path); }
 
     /** Fold a journal into per-id specs and the done set; a missing
      *  file is an empty Replay. */
@@ -69,11 +61,7 @@ class RequestJournal
     void recordDone(const std::string &id);
 
   private:
-    void append(Json payload);
-
-    int fd_ = -1;
-    std::string path_;
-    std::mutex mu_;
+    EnvelopeLog log_{kRequestJournalVersion};
 };
 
 } // namespace evrsim

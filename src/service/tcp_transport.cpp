@@ -19,7 +19,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/chaos.hpp"
+#include "common/fault_injector.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/net.hpp"
@@ -55,29 +55,29 @@ enum class NetSend {
 };
 
 /**
- * One framed write through the network chaos sites. Draw order:
+ * One framed write through the network fault sites. Draw order:
  * partition (blackhole window), delay (held frame), reset (half the
  * frame then a shutdown, modelling an RST mid-frame). A real write
  * failure also tears the connection so the owning reader observes the
  * loss promptly.
  */
 NetSend
-netChaosSend(int fd, const std::string &line, ChaosInjector &chaos,
+netChaosSend(int fd, const std::string &line, FaultInjector &faults,
              Clock::time_point &partition_until)
 {
-    if (chaos.enabled()) {
+    if (faults.enabled()) {
         Clock::time_point now = Clock::now();
         if (now < partition_until)
             return NetSend::Swallowed;
-        if (chaos.shouldFire(ChaosSite::NetPartition)) {
+        if (faults.shouldFail(FaultSite::NetPartition)) {
             partition_until =
-                now + std::chrono::milliseconds(kChaosPartitionMs);
+                now + std::chrono::milliseconds(kNetPartitionMs);
             return NetSend::PartitionStarted;
         }
-        if (chaos.shouldFire(ChaosSite::NetDelay))
+        if (faults.shouldFail(FaultSite::NetDelay))
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(kChaosNetDelayMs));
-        if (chaos.shouldFire(ChaosSite::NetReset) && line.size() > 1) {
+                std::chrono::milliseconds(kNetDelayMs));
+        if (faults.shouldFail(FaultSite::NetReset) && line.size() > 1) {
             sendAllDeadline(fd, line.data(), line.size() / 2,
                             kIoDeadlineMs);
             ::shutdown(fd, SHUT_RDWR);
@@ -174,12 +174,12 @@ class TcpShardTransport final : public ShardTransport
             return false;
         payload.set("epoch", e.epoch);
         NetSend sent = netChaosSend(e.fd, frameLine(std::move(payload)),
-                                    chaos_, e.partition_until);
+                                    faults_, e.partition_until);
         if (sent == NetSend::PartitionStarted) {
             bump(&TransportStats::partitions,
                  "evrsim_fleet_partitions_total");
-            warn("fleet: chaos partitioned shard %d for %d ms",
-                 e.index, kChaosPartitionMs);
+            warn("fleet: injected partition of shard %d for %d ms",
+                 e.index, kNetPartitionMs);
         }
         // A swallowed frame still reports success: silence is the
         // run-deadline/lease machinery's job to detect, exactly like
@@ -374,7 +374,7 @@ class TcpShardTransport final : public ShardTransport
         welcome.set("lease_ms", config_.lease_ms);
         welcome.set("params", config_.shard_params_json);
         std::string line = frameLine(std::move(welcome));
-        // The handshake itself is chaos-free: registration must
+        // The handshake itself is fault-free: registration must
         // converge even mid-storm, or a fenced fleet could never
         // refill.
         if (!sendAllDeadline(fd, line.data(), line.size(),
@@ -462,7 +462,7 @@ class TcpShardTransport final : public ShardTransport
 
     FleetConfig config_;
     TransportHooks hooks_;
-    ChaosInjector chaos_{ChaosInjector::planFromEnv()};
+    FaultInjector faults_{FaultInjector::planFromEnv()};
     int listen_fd_ = -1;
     std::string listen_addr_;
     std::thread acceptor_;
@@ -525,7 +525,7 @@ runRemoteShardAndExit(const std::string &host_port,
 {
     ignoreSigpipe();
     installShutdownHandler();
-    ChaosInjector chaos(ChaosInjector::planFromEnv());
+    FaultInjector faults(FaultInjector::planFromEnv());
 
     RemoteConn conn;
     std::mutex q_mu;
@@ -538,15 +538,15 @@ runRemoteShardAndExit(const std::string &host_port,
     // shuts the socket down — the serve loop notices and re-dials.
     auto respond = [&](Json payload) {
         std::string line = frameLine(std::move(payload));
-        if (chaos.enabled()) {
-            line = applyWireChaos(chaos, line);
+        if (faults.enabled()) {
+            line = applyWireChaos(faults, line);
             if (line.empty())
                 return; // wire-drop
         }
         std::lock_guard<std::mutex> lock(conn.mu);
         if (conn.fd < 0)
             return;
-        netChaosSend(conn.fd, line, chaos, conn.partition_until);
+        netChaosSend(conn.fd, line, faults, conn.partition_until);
     };
 
     std::unique_ptr<ExperimentRunner> runner;
@@ -571,7 +571,7 @@ runRemoteShardAndExit(const std::string &host_port,
         hello.set("capacity", 1);
         hello.set("prev_epoch", prev_epoch);
         std::string hello_line = frameLine(std::move(hello));
-        // Registration frames skip chaos: a fenced shard must always
+        // Registration frames skip fault sites: a fenced shard must always
         // be able to re-register, or the fleet could never heal.
         if (!sendAllDeadline(fd, hello_line.data(), hello_line.size(),
                              kIoDeadlineMs)
@@ -660,7 +660,7 @@ runRemoteShardAndExit(const std::string &host_port,
                         run = std::move(queue.front());
                         queue.pop_front();
                     }
-                    if (chaos.shouldFire(ChaosSite::WorkerKill9))
+                    if (faults.shouldFail(FaultSite::WorkerKill9))
                         ::raise(SIGKILL);
                     Json payload = shardExecuteRun(
                         *runner, params, run.seq, run.workload,
@@ -691,10 +691,10 @@ runRemoteShardAndExit(const std::string &host_port,
                     continue; // damaged inbound frame: skip
                 break;        // EOF / reset: re-register
             }
-            if (chaos.shouldFire(ChaosSite::WorkerStall))
+            if (faults.shouldFail(FaultSite::WorkerStall))
                 std::this_thread::sleep_for(
-                    std::chrono::milliseconds(kChaosStallMs));
-            if (chaos.shouldFire(ChaosSite::NetReconnectStorm))
+                    std::chrono::milliseconds(kWorkerStallMs));
+            if (faults.shouldFail(FaultSite::NetReconnectStorm))
                 break; // voluntary drop + immediate re-dial
             if (msg.value().get("epoch", Json(0)).asU64() != epoch)
                 continue; // a frame from a lease this shard lost

@@ -29,8 +29,8 @@
  * old work, own a content-key range twice, or duplicate a seq stream.
  * It must re-register and be handed a fresh epoch.
  *
- * The network chaos sites (net-partition, net-delay, net-reset,
- * net-reconnect-storm — chaos.hpp) are drawn at this transport's
+ * The network fault sites (net-partition, net-delay, net-reset,
+ * net-reconnect-storm — fault_injector.hpp) are drawn at this transport's
  * framed writes on both sides, keeping every injected network failure
  * counter-based and replayable.
  */

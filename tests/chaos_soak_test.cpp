@@ -8,7 +8,7 @@
  *  A. Quiet fleet — two shards, no chaos. Produces the golden
  *     RunResult bytes and must touch none of the failure machinery
  *     (every evrsim_fleet_* failure counter stays zero).
- *  B. Chaos fleet — EVRSIM_CHAOS arms worker-kill9, worker-stall and
+ *  B. Chaos fleet — EVRSIM_FAULT arms worker-kill9, worker-stall and
  *     all three wire sites at low rates. The sweep must still
  *     complete, every surviving RunResult must be byte-identical to
  *     the golden run (simulations are deterministic; the fleet may
@@ -51,7 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/chaos.hpp"
 #include "common/metrics.hpp"
 #include "driver/experiment.hpp"
 #include "driver/supervisor.hpp"
@@ -160,7 +159,7 @@ TEST(ChaosSoak, SweepSurvivesChaosByteIdentically)
     GTEST_SKIP() << "fork + threads under sanitizers is not supported";
 #endif
     ASSERT_FALSE(selfExecutablePath().empty());
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     BenchParams params = soakParams();
     ExperimentRunner fallback(workloads::factory(), params);
 
@@ -191,7 +190,7 @@ TEST(ChaosSoak, SweepSurvivesChaosByteIdentically)
 
     // --- Leg B: the same sweep under sustained chaos.
     metricsReset();
-    ::setenv("EVRSIM_CHAOS",
+    ::setenv("EVRSIM_FAULT",
              "worker-kill9:0.08:11,worker-stall:0.03:12,"
              "wire-corrupt:0.05:13,wire-drop:0.04:14,wire-dup:0.05:15",
              1);
@@ -230,7 +229,7 @@ TEST(ChaosSoak, SweepSurvivesChaosByteIdentically)
                 break;
         }
         fleet.stop();
-        ::unsetenv("EVRSIM_CHAOS");
+        ::unsetenv("EVRSIM_FAULT");
 
         // Chaos nothing noticed is chaos that wasn't injected: the
         // fleet must have absorbed real failures.
@@ -340,7 +339,7 @@ TEST(RemoteFleetSoak, TcpFleetSurvivesNetworkChaosByteIdentically)
     GTEST_SKIP() << "fork + threads under sanitizers is not supported";
 #endif
     ASSERT_FALSE(selfExecutablePath().empty());
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     BenchParams params = soakParams();
     ExperimentRunner fallback(workloads::factory(), params);
 
@@ -402,7 +401,7 @@ TEST(RemoteFleetSoak, TcpFleetSurvivesNetworkChaosByteIdentically)
     // --- Leg E: the same sweep under sustained network chaos plus
     // worker-kill9 on the remote shards.
     metricsReset();
-    ::setenv("EVRSIM_CHAOS",
+    ::setenv("EVRSIM_FAULT",
              "net-partition:0.008:21,net-delay:0.03:22,"
              "net-reset:0.02:23,net-reconnect-storm:0.01:24,"
              "worker-kill9:0.05:25",
@@ -467,7 +466,7 @@ TEST(RemoteFleetSoak, TcpFleetSurvivesNetworkChaosByteIdentically)
             for (pid_t kid : kids)
                 reapChild(kid, SIGKILL);
         }
-        ::unsetenv("EVRSIM_CHAOS");
+        ::unsetenv("EVRSIM_FAULT");
 
         ShardFleet::Stats st = fleet.stats();
         EXPECT_GT(st.fences, 0u) << passes << " passes";

@@ -18,6 +18,8 @@
 #include <functional>
 #include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/env.hpp"
 #include "common/fault_injector.hpp"
@@ -132,65 +134,214 @@ TEST(EnvKnobs, CheckedVariantPropagatesInsteadOfExiting)
 
 // -------------------------------------------------------- FaultInjector --
 
-TEST(FaultInjector, ParsesSpecTriples)
+namespace {
+
+FaultInjector
+injectorFor(const char *spec)
 {
-    Result<FaultPlan> plan =
-        FaultInjector::parsePlan("cache-read:1:42,job-execute:0.25:7");
-    ASSERT_TRUE(plan.ok());
-    const FaultSpec &rd =
-        plan.value()[static_cast<int>(FaultSite::CacheRead)];
-    EXPECT_TRUE(rd.enabled);
-    EXPECT_DOUBLE_EQ(rd.rate, 1.0);
-    EXPECT_EQ(rd.seed, 42u);
-    const FaultSpec &wr =
-        plan.value()[static_cast<int>(FaultSite::CacheWrite)];
-    EXPECT_FALSE(wr.enabled);
-    const FaultSpec &ex =
-        plan.value()[static_cast<int>(FaultSite::JobExecute)];
-    EXPECT_TRUE(ex.enabled);
-    EXPECT_DOUBLE_EQ(ex.rate, 0.25);
+    Result<FaultPlan> plan = FaultInjector::parsePlan(spec);
+    EXPECT_TRUE(plan.ok()) << spec << ": " << plan.status().toString();
+    return FaultInjector(plan.ok() ? plan.value() : FaultPlan{});
 }
 
-TEST(FaultInjector, RejectsMalformedSpecs)
+} // namespace
+
+TEST(FaultInjector, ParsesSpecTriples)
 {
-    EXPECT_FALSE(FaultInjector::parsePlan("bogus-site:1:1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:2:1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:1:-1").ok());
-    EXPECT_FALSE(FaultInjector::parsePlan("cache-read:x:1").ok());
+    struct Row {
+        const char *spec;
+        FaultSite site;
+        bool enabled;
+        double rate;
+        std::uint64_t seed;
+    };
+    const Row rows[] = {
+        {"cache-read:1:42,job-execute:0.25:7", FaultSite::CacheRead, true,
+         1.0, 42},
+        {"cache-read:1:42,job-execute:0.25:7", FaultSite::CacheWrite, false,
+         0.0, 0},
+        {"cache-read:1:42,job-execute:0.25:7", FaultSite::JobExecute, true,
+         0.25, 7},
+        {"worker-kill9:0.25:7,wire-corrupt:1:3,wire-drop:0:9",
+         FaultSite::WorkerKill9, true, 0.25, 7},
+        {"worker-kill9:0.25:7,wire-corrupt:1:3,wire-drop:0:9",
+         FaultSite::WireCorrupt, true, 1.0, 3},
+        {"worker-kill9:0.25:7,wire-corrupt:1:3,wire-drop:0:9",
+         FaultSite::WorkerStall, false, 0.0, 0},
+        {"worker-kill9:0.25:7,wire-corrupt:1:3,wire-drop:0:9",
+         FaultSite::WireDup, false, 0.0, 0},
+    };
+    for (const Row &row : rows) {
+        Result<FaultPlan> plan = FaultInjector::parsePlan(row.spec);
+        ASSERT_TRUE(plan.ok()) << row.spec;
+        const FaultSpec &got = plan.value()[static_cast<int>(row.site)];
+        SCOPED_TRACE(std::string(row.spec) + " @ " +
+                     faultSiteName(row.site));
+        EXPECT_EQ(got.enabled, row.enabled);
+        EXPECT_DOUBLE_EQ(got.rate, row.rate);
+        EXPECT_EQ(got.seed, row.seed);
+    }
+}
+
+TEST(FaultInjector, RejectsMalformedSpecsNamingTheProblem)
+{
+    const std::pair<const char *, const char *> rows[] = {
+        {"bogus-site:1:1", "unknown fault site"},
+        {"worker-kill:0.5:1", "unknown fault site"},
+        {"cache-read:1", "<site>:<rate>:<seed>"},
+        {"worker-kill9:0.5", "<site>:<rate>:<seed>"},
+        {"cache-read:2:1", "[0, 1]"},
+        {"cache-read:x:1", "[0, 1]"},
+        {"wire-drop:1.5:1", "[0, 1]"},
+        {"cache-read:1:-1", "non-negative"},
+        {"wire-drop:0.5:-2", "non-negative"},
+    };
+    for (const auto &[spec, fragment] : rows) {
+        Result<FaultPlan> bad = FaultInjector::parsePlan(spec);
+        ASSERT_FALSE(bad.ok()) << spec;
+        EXPECT_NE(bad.status().message().find(fragment), std::string::npos)
+            << spec << ": " << bad.status().message();
+    }
+    // The unknown-site message is driven by the same name table as the
+    // parser, so it lists every site.
+    std::string message =
+        FaultInjector::parsePlan("bogus-site:1:1").status().message();
+    for (int i = 0; i < kNumFaultSites; ++i)
+        EXPECT_NE(message.find(faultSiteName(static_cast<FaultSite>(i))),
+                  std::string::npos)
+            << message;
 }
 
 TEST(FaultInjector, DrawsAreDeterministicInSeedAndCounter)
 {
-    Result<FaultPlan> plan = FaultInjector::parsePlan("job-execute:0.5:9");
-    ASSERT_TRUE(plan.ok());
-    FaultInjector a(plan.value());
-    FaultInjector b(plan.value());
-    for (int i = 0; i < 200; ++i)
-        EXPECT_EQ(a.shouldFail(FaultSite::JobExecute),
-                  b.shouldFail(FaultSite::JobExecute))
-            << "draw " << i << " diverged for identical plans";
-    EXPECT_EQ(a.draws(FaultSite::JobExecute), 200u);
-    EXPECT_EQ(a.injected(FaultSite::JobExecute),
-              b.injected(FaultSite::JobExecute));
+    const std::pair<const char *, FaultSite> rows[] = {
+        {"job-execute:0.5:9", FaultSite::JobExecute},
+        {"worker-kill9:0.3:42", FaultSite::WorkerKill9},
+    };
+    for (const auto &[spec, site] : rows) {
+        FaultInjector a = injectorFor(spec);
+        FaultInjector b = injectorFor(spec);
+        for (int i = 0; i < 200; ++i)
+            EXPECT_EQ(a.shouldFail(site), b.shouldFail(site))
+                << spec << ": draw " << i
+                << " diverged for identical plans";
+        EXPECT_EQ(a.draws(site), 200u) << spec;
+        EXPECT_EQ(a.injected(site), b.injected(site)) << spec;
+        // A mid rate over 200 draws fires sometimes, not always.
+        EXPECT_GT(a.injected(site), 0u) << spec;
+        EXPECT_LT(a.injected(site), 200u) << spec;
+    }
 }
 
 TEST(FaultInjector, RateZeroNeverFiresRateOneAlwaysFires)
 {
-    FaultPlan plan;
-    plan[static_cast<int>(FaultSite::CacheRead)] = {true, 0.0, 1};
-    plan[static_cast<int>(FaultSite::CacheWrite)] = {true, 1.0, 1};
-    FaultInjector inj(plan);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_FALSE(inj.shouldFail(FaultSite::CacheRead));
-        EXPECT_TRUE(inj.shouldFail(FaultSite::CacheWrite));
-        EXPECT_FALSE(inj.shouldFail(FaultSite::JobExecute)); // disabled
+    const std::pair<FaultSite, FaultSite> rows[] = {
+        {FaultSite::CacheRead, FaultSite::CacheWrite},
+        {FaultSite::WireDup, FaultSite::WireDrop},
+    };
+    for (const auto &[never, always] : rows) {
+        FaultPlan plan;
+        plan[static_cast<int>(never)] = {true, 0.0, 1};
+        plan[static_cast<int>(always)] = {true, 1.0, 1};
+        FaultInjector inj(plan);
+        for (int i = 0; i < 100; ++i) {
+            EXPECT_FALSE(inj.shouldFail(never));
+            EXPECT_TRUE(inj.shouldFail(always));
+            EXPECT_FALSE(inj.shouldFail(FaultSite::JobExecute)); // disabled
+        }
+        EXPECT_EQ(inj.injected(never), 0u);
+        EXPECT_EQ(inj.injected(always), 100u);
+        // A disabled site is a single branch: no draw is even recorded.
+        EXPECT_EQ(inj.draws(FaultSite::JobExecute), 0u);
+        EXPECT_EQ(inj.injected(FaultSite::JobExecute), 0u);
     }
-    EXPECT_EQ(inj.injected(FaultSite::CacheRead), 0u);
-    EXPECT_EQ(inj.injected(FaultSite::CacheWrite), 100u);
-    // A disabled site is a single branch: no draw is even recorded.
-    EXPECT_EQ(inj.draws(FaultSite::JobExecute), 0u);
-    EXPECT_EQ(inj.injected(FaultSite::JobExecute), 0u);
+}
+
+/*
+ * Decision sequences pinned from the two injectors this one replaced:
+ * every site at rate 0.3 with seed 1000 + site index. The counter draw
+ * n and the keyed draw at key n share one formula, so both sequences
+ * must equal the pinned string ('1' = inject).
+ */
+TEST(FaultInjector, DecisionSequencesArePinned)
+{
+    const std::pair<const char *, const char *> rows[kNumFaultSites] = {
+        {"cache-read:0.3:1000",
+         "1010100010001101100010001010101011000000010000010000000010100011"},
+        {"cache-write:0.3:1001",
+         "0000000100010111110000101000000000001000010000000010010000110001"},
+        {"job-execute:0.3:1002",
+         "1100000111000000010000101000101000000010000010100000000001100111"},
+        {"scene-mutate:0.3:1003",
+         "0010000000010010000000000000000000110001000000000011000110000000"},
+        {"worker-crash:0.3:1004",
+         "1010000110110000000001100000110011010000000000000000101000011110"},
+        {"worker-hang:0.3:1005",
+         "1000100001110000100010000000110010100000100000000000000100001110"},
+        {"worker-kill9:0.3:1006",
+         "1000000001100001000110011000010010001100000010110011101110000000"},
+        {"worker-stall:0.3:1007",
+         "0100000110010001001000011011000000010001000101000100010000000000"},
+        {"wire-corrupt:0.3:1008",
+         "0011010100000100000001001100001111000000100000000101011100000011"},
+        {"wire-drop:0.3:1009",
+         "1101000000000000000101001100100000100000110000000010101000100001"},
+        {"wire-dup:0.3:1010",
+         "0010100010000000000100100110011000000000001011000001100001000000"},
+        {"net-partition:0.3:1011",
+         "0001000000101100000001001010001001010110000000011000100101000000"},
+        {"net-delay:0.3:1012",
+         "0001011000101000100000110000011000100010000001000000000000010010"},
+        {"net-reset:0.3:1013",
+         "0000100001001010111110001000000000100100001000001001101101101101"},
+        {"net-reconnect-storm:0.3:1014",
+         "0000000000110101000000000000100100010000110000101000010100011100"},
+    };
+    for (int i = 0; i < kNumFaultSites; ++i) {
+        const FaultSite site = static_cast<FaultSite>(i);
+        const auto &[spec, pinned] = rows[i];
+        ASSERT_EQ(std::string(spec).rfind(faultSiteName(site), 0), 0u)
+            << spec;
+        FaultInjector counter = injectorFor(spec);
+        FaultInjector keyed = injectorFor(spec);
+        std::string by_counter, by_key;
+        for (std::uint64_t n = 0; n < 64; ++n) {
+            by_counter += counter.shouldFail(site) ? '1' : '0';
+            by_key += keyed.shouldFailAt(site, n) ? '1' : '0';
+        }
+        EXPECT_EQ(by_counter, pinned) << spec;
+        EXPECT_EQ(by_key, pinned) << spec;
+    }
+}
+
+TEST(FaultInjector, WireCorruptFlipIndicesArePinned)
+{
+    FaultInjector faults = injectorFor("wire-corrupt:1:77");
+    const std::string line =
+        "{\"schema\":1,\"payload_crc32\":123,\"payload\":{}}\n";
+    const std::size_t pinned[16] = {14, 43, 37, 20, 21, 24, 6,  0,
+                                    11, 11, 16, 17, 44, 34, 4,  5};
+    for (std::size_t expect : pinned) {
+        std::string out = applyWireChaos(faults, line);
+        ASSERT_EQ(out.size(), line.size());
+        std::vector<std::size_t> flipped;
+        for (std::size_t j = 0; j < line.size(); ++j)
+            if (out[j] != line[j])
+                flipped.push_back(j);
+        EXPECT_EQ(flipped, std::vector<std::size_t>{expect});
+    }
+}
+
+TEST(FaultInjector, EnvUnsetDisablesEverySite)
+{
+    unsetenv("EVRSIM_FAULT");
+    FaultInjector inj(FaultInjector::planFromEnv());
+    EXPECT_FALSE(inj.enabled());
+    for (int i = 0; i < kNumFaultSites; ++i) {
+        const FaultSite site = static_cast<FaultSite>(i);
+        EXPECT_FALSE(inj.shouldFail(site)) << faultSiteName(site);
+        EXPECT_EQ(inj.draws(site), 0u) << faultSiteName(site);
+    }
 }
 
 TEST(FaultInjector, MalformedEnvIsFatal)
@@ -199,6 +350,17 @@ TEST(FaultInjector, MalformedEnvIsFatal)
     EXPECT_EXIT(FaultInjector::planFromEnv(),
                 ::testing::ExitedWithCode(1), "EVRSIM_FAULT");
     unsetenv("EVRSIM_FAULT");
+}
+
+TEST(FaultInjector, RetiredChaosKnobIsFatalAndNamesItsReplacement)
+{
+    // A stale script arming the retired knob must not run a soak that
+    // is silently fault-free.
+    setenv("EVRSIM_CHAOS", "worker-kill9:0.05:11", 1);
+    EXPECT_EXIT(FaultInjector::planFromEnv(),
+                ::testing::ExitedWithCode(1),
+                "EVRSIM_CHAOS is retired.*EVRSIM_FAULT");
+    unsetenv("EVRSIM_CHAOS");
 }
 
 // -------------------------------------------- JobPool fault isolation --

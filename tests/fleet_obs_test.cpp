@@ -471,7 +471,7 @@ TEST(FleetObsSoak, StitchedTraceAndStatusMatchMetrics)
     GTEST_SKIP() << "fork + threads under sanitizers is not supported";
 #endif
     ASSERT_FALSE(selfExecutablePath().empty());
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     ::unsetenv("EVRSIM_TRACE");
     std::string dir = freshDir("soak");
     BenchParams params = obsParams(dir);
@@ -555,7 +555,7 @@ TEST(FleetObsSoak, StitchedTraceAndStatusMatchMetrics)
 
     // --- Leg C: chaos. Counters and status must stay in lockstep
     // through restarts, breaker trips and failovers.
-    ::setenv("EVRSIM_CHAOS",
+    ::setenv("EVRSIM_FAULT",
              "worker-kill9:0.08:11,worker-stall:0.03:12,"
              "wire-corrupt:0.05:13,wire-drop:0.04:14,wire-dup:0.05:15",
              1);
@@ -583,7 +583,7 @@ TEST(FleetObsSoak, StitchedTraceAndStatusMatchMetrics)
                 break;
         }
         fleet.stop();
-        ::unsetenv("EVRSIM_CHAOS");
+        ::unsetenv("EVRSIM_FAULT");
 
         // Quiescent after stop(): the equality must be exact.
         std::string why;
@@ -688,7 +688,7 @@ TEST(FleetObsService, StatusEndpointAndDrainedTraceFlush)
     GTEST_SKIP() << "fork + threads under sanitizers is not supported";
 #endif
     ASSERT_FALSE(selfExecutablePath().empty());
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     std::string dir = freshDir("svc");
     BenchParams params = obsParams(dir);
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Fleet + chaos unit suite: the EVRSIM_CHAOS grammar and its
- * deterministic draw streams, the wire-damage transform, content-key
- * routing, the circuit-breaker transition table, restart backoff, the
- * shard params round-trip, the argv probe, and the whole-fleet-dead
+ * Fleet unit suite: the wire-damage transform, content-key routing,
+ * the circuit-breaker transition table, restart backoff, the shard
+ * params round-trip, the argv probe, and the whole-fleet-dead
  * degradation path (no shard ever execs; every run must take the
  * in-daemon fallback and be counted).
  *
@@ -15,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/chaos.hpp"
+#include "common/fault_injector.hpp"
 #include "common/metrics.hpp"
 #include "service/fleet.hpp"
 #include "service/service_protocol.hpp"
@@ -23,98 +22,14 @@
 namespace evrsim {
 namespace {
 
-// --- chaos grammar --------------------------------------------------
-
-TEST(ChaosPlanParse, ParsesSitesRatesAndSeeds)
-{
-    Result<ChaosPlan> plan = ChaosInjector::parsePlan(
-        "worker-kill9:0.25:7,wire-corrupt:1:3,wire-drop:0:9");
-    ASSERT_TRUE(plan.ok()) << plan.status().toString();
-
-    const ChaosSpec &kill =
-        plan.value()[static_cast<int>(ChaosSite::WorkerKill9)];
-    EXPECT_TRUE(kill.enabled);
-    EXPECT_DOUBLE_EQ(kill.rate, 0.25);
-    EXPECT_EQ(kill.seed, 7u);
-
-    const ChaosSpec &corrupt =
-        plan.value()[static_cast<int>(ChaosSite::WireCorrupt)];
-    EXPECT_TRUE(corrupt.enabled);
-    EXPECT_DOUBLE_EQ(corrupt.rate, 1.0);
-
-    EXPECT_FALSE(
-        plan.value()[static_cast<int>(ChaosSite::WorkerStall)].enabled);
-    EXPECT_FALSE(
-        plan.value()[static_cast<int>(ChaosSite::WireDup)].enabled);
-}
-
-TEST(ChaosPlanParse, RejectsMalformedSpecsNamingTheProblem)
-{
-    Result<ChaosPlan> bad = ChaosInjector::parsePlan("worker-kill9:0.5");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("<site>:<rate>:<seed>"),
-              std::string::npos);
-
-    bad = ChaosInjector::parsePlan("worker-kill:0.5:1");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("unknown chaos site"),
-              std::string::npos);
-
-    bad = ChaosInjector::parsePlan("wire-drop:1.5:1");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("[0, 1]"), std::string::npos);
-
-    bad = ChaosInjector::parsePlan("wire-drop:0.5:-2");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("non-negative"),
-              std::string::npos);
-}
-
-TEST(ChaosPlanParse, EnvUnsetDisablesEverySite)
-{
-    ::unsetenv("EVRSIM_CHAOS");
-    ChaosInjector chaos(ChaosInjector::planFromEnv());
-    EXPECT_FALSE(chaos.enabled());
-    EXPECT_FALSE(chaos.shouldFire(ChaosSite::WorkerKill9));
-    EXPECT_EQ(chaos.fired(ChaosSite::WorkerKill9), 0u);
-}
-
-TEST(ChaosDraws, DeterministicPerSeedAndCounter)
-{
-    ChaosPlan plan = ChaosInjector::parsePlan("worker-kill9:0.3:42")
-                         .value();
-    ChaosInjector a(plan), b(plan);
-    for (int i = 0; i < 200; ++i)
-        EXPECT_EQ(a.shouldFire(ChaosSite::WorkerKill9),
-                  b.shouldFire(ChaosSite::WorkerKill9))
-            << "draw " << i;
-    EXPECT_EQ(a.draws(ChaosSite::WorkerKill9), 200u);
-    EXPECT_EQ(a.fired(ChaosSite::WorkerKill9),
-              b.fired(ChaosSite::WorkerKill9));
-    // Rate 0.3 over 200 draws fires sometimes, not always.
-    EXPECT_GT(a.fired(ChaosSite::WorkerKill9), 0u);
-    EXPECT_LT(a.fired(ChaosSite::WorkerKill9), 200u);
-}
-
-TEST(ChaosDraws, RateEndpointsAreExact)
-{
-    ChaosPlan plan =
-        ChaosInjector::parsePlan("wire-drop:1:1,wire-dup:0:1").value();
-    ChaosInjector chaos(plan);
-    for (int i = 0; i < 50; ++i) {
-        EXPECT_TRUE(chaos.shouldFire(ChaosSite::WireDrop));
-        EXPECT_FALSE(chaos.shouldFire(ChaosSite::WireDup));
-    }
-}
-
 // --- wire damage transform ------------------------------------------
 
 TEST(WireChaos, CorruptFlipsOneNonNewlineByte)
 {
-    ChaosInjector chaos(
-        ChaosInjector::parsePlan("wire-corrupt:1:5").value());
+    FaultInjector faults(
+        FaultInjector::parsePlan("wire-corrupt:1:5").value());
     std::string line = "{\"schema\":1,\"payload\":{}}\n";
-    std::string out = applyWireChaos(chaos, line);
+    std::string out = applyWireChaos(faults, line);
     ASSERT_EQ(out.size(), line.size());
     EXPECT_EQ(out.back(), '\n'); // framing newline never touched
     int diffs = 0;
@@ -126,16 +41,16 @@ TEST(WireChaos, CorruptFlipsOneNonNewlineByte)
 
 TEST(WireChaos, DropReturnsNothingAndBeatsDup)
 {
-    ChaosInjector chaos(
-        ChaosInjector::parsePlan("wire-drop:1:5,wire-dup:1:6").value());
-    EXPECT_TRUE(applyWireChaos(chaos, "payload\n").empty());
+    FaultInjector faults(
+        FaultInjector::parsePlan("wire-drop:1:5,wire-dup:1:6").value());
+    EXPECT_TRUE(applyWireChaos(faults, "payload\n").empty());
 }
 
 TEST(WireChaos, DupDoublesTheLine)
 {
-    ChaosInjector chaos(
-        ChaosInjector::parsePlan("wire-dup:1:5").value());
-    EXPECT_EQ(applyWireChaos(chaos, "payload\n"), "payload\npayload\n");
+    FaultInjector faults(
+        FaultInjector::parsePlan("wire-dup:1:5").value());
+    EXPECT_EQ(applyWireChaos(faults, "payload\n"), "payload\npayload\n");
 }
 
 // --- routing --------------------------------------------------------

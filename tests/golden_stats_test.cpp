@@ -7,7 +7,10 @@
  * image CRC and a CRC over the canonical text of its FrameStats totals
  * (every counter frameStatsToJson() serializes, including
  * tiles_equal_oracle, raster_mem_latency and raster_cycles). Both are
- * compared with values checked into tests/golden/.
+ * compared with values checked into tests/golden/. Per workload, the
+ * baseline and EVR image CRCs must also agree, both in that file and in
+ * this binary's renders: the paper's claim that EVR removes work
+ * without changing the image.
  *
  * The identity tests elsewhere compare two legs of the same code, so a
  * regression in shared per-fragment logic passes both of them; this
@@ -107,11 +110,15 @@ TEST(GoldenStats, TwentyWorkloadsMatchCheckedInDigests)
     gpu.screen_height = kHeight;
     std::string actual;
     int mismatches = 0;
+    const SimConfig configs[2] = {SimConfig::baseline(gpu),
+                                  SimConfig::evr(gpu)};
     for (const std::string &alias : workloads::allAliases()) {
-        for (const SimConfig &config :
-             {SimConfig::baseline(gpu), SimConfig::evr(gpu)}) {
-            const std::string key = alias + "/" + config.name;
-            const Digest d = simulate(alias, config);
+        std::uint32_t fresh_image[2] = {};
+        std::uint32_t golden_image[2] = {};
+        for (int c = 0; c < 2; ++c) {
+            const std::string key = alias + "/" + configs[c].name;
+            const Digest d = simulate(alias, configs[c]);
+            fresh_image[c] = d.image_crc;
             actual += line(key, d) + "\n";
             auto it = golden.find(key);
             if (it == golden.end()) {
@@ -119,6 +126,7 @@ TEST(GoldenStats, TwentyWorkloadsMatchCheckedInDigests)
                 ++mismatches;
                 continue;
             }
+            golden_image[c] = it->second.image_crc;
             EXPECT_EQ(it->second.image_crc, d.image_crc)
                 << key << ": image CRC";
             EXPECT_EQ(it->second.totals_crc, d.totals_crc)
@@ -127,6 +135,10 @@ TEST(GoldenStats, TwentyWorkloadsMatchCheckedInDigests)
                 it->second.totals_crc != d.totals_crc)
                 ++mismatches;
         }
+        EXPECT_EQ(fresh_image[0], fresh_image[1])
+            << alias << ": EVR rendered a different image than baseline";
+        EXPECT_EQ(golden_image[0], golden_image[1])
+            << alias << ": golden baseline and EVR images differ";
     }
     EXPECT_EQ(golden.size(), 2 * workloads::allAliases().size());
     if (mismatches > 0)

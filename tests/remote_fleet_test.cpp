@@ -141,7 +141,7 @@ remoteFleetConfig(int shards)
 
 TEST(RemoteFleet, HandshakeFencingAndQuietCounters)
 {
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     metricsReset();
 
     FleetConfig cfg = remoteFleetConfig(1);
@@ -210,7 +210,7 @@ TEST(RemoteFleet, HandshakeFencingAndQuietCounters)
 
 TEST(RemoteFleet, LeaseFenceFailsOverExactlyOnceAndDropsStaleFrames)
 {
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     metricsReset();
 
     std::atomic<int> degraded_calls{0};
@@ -348,7 +348,7 @@ TEST(RemoteFleet, LeaseFenceFailsOverExactlyOnceAndDropsStaleFrames)
 
 TEST(RemoteFleet, ReconnectAfterDisconnectCountsAndGetsFreshEpoch)
 {
-    ::unsetenv("EVRSIM_CHAOS");
+    ::unsetenv("EVRSIM_FAULT");
     metricsReset();
 
     ShardFleet fleet(remoteFleetConfig(1), nullptr);

@@ -2,10 +2,11 @@
  * @file
  * Sweep-service suite: wire framing, admission control, per-client
  * quotas, cross-client single-flight dedup, client retry/backoff,
- * cooperative shutdown, and the crash-recovery property — kill -9 the
- * daemon mid-sweep, restart it on the same cache directory, reconnect
- * by request id, and the completed sweep's RunResult documents are
- * byte-identical to an uninterrupted run.
+ * cooperative shutdown, replay of the sweep and request journals over
+ * torn, corrupt and foreign inputs, and the crash-recovery property —
+ * kill -9 the daemon mid-sweep, restart it on the same cache directory,
+ * reconnect by request id, and the completed sweep's RunResult
+ * documents are byte-identical to an uninterrupted run.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
@@ -162,75 +164,208 @@ TEST(ServiceProtocol, WireFramingRoundTripDetectsDamage)
     ::close(fds[1]);
 }
 
-TEST(RequestJournal, ReplayLastAdmissionWinsAndReopensDoneRequests)
+/** What a journal replay folded, flattened for table comparison. */
+struct Folded {
+    std::size_t records = 0;
+    std::size_t damaged = 0;
+    std::size_t duplicates = 0;
+    std::size_t in_flight = 0;
+    std::string outcomes; ///< folded outcomes, one "key=..." per entry
+};
+
+/** One journal vocabulary on the shared envelope log. */
+struct Vocabulary {
+    const char *name;
+    int schema;
+    std::function<void(const std::string &)> write;
+    std::function<Folded(const std::string &)> replay;
+};
+
+Vocabulary
+sweepVocabulary()
 {
-    TempDir dir;
-    std::string path = dir.path + "/service.journal";
-
-    Json spec1 = Json::object();
-    spec1.set("client", "a");
-    Json spec2 = Json::object();
-    spec2.set("client", "b");
-
-    {
-        RequestJournal j;
-        ASSERT_TRUE(j.open(path).ok());
-        j.recordRequest("r1", spec1);
-        j.recordDone("r1");
-        // Resume-of-a-resume: the same id admitted again supersedes the
-        // earlier spec AND makes the request live again.
-        j.recordRequest("r1", spec2);
-        j.recordRequest("r2", spec1);
-    }
-    Result<RequestJournal::Replay> rep = RequestJournal::replay(path);
-    ASSERT_TRUE(rep.ok());
-    EXPECT_EQ(rep.value().specs.size(), 2u);
-    EXPECT_EQ(rep.value().specs.at("r1").at("client").asString(), "b");
-    EXPECT_EQ(rep.value().duplicates, 1u);
-    EXPECT_EQ(rep.value().done.count("r1"), 0u);
-    EXPECT_EQ(rep.value().damaged, 0u);
-
-    {
-        RequestJournal j;
-        ASSERT_TRUE(j.open(path).ok());
-        j.recordDone("r1");
-    }
-    rep = RequestJournal::replay(path);
-    ASSERT_TRUE(rep.ok());
-    EXPECT_EQ(rep.value().done.count("r1"), 1u);
-    EXPECT_EQ(rep.value().done.count("r2"), 0u);
-}
-
-TEST(SweepJournalReplay, DuplicateTerminalRecordsLastWinsAndCounted)
-{
-    TempDir dir;
-    std::string path = dir.path + "/sweep.journal";
-
-    RunResult r1;
-    r1.workload = "w";
-    r1.config = "baseline";
-    r1.frames = 1;
-    r1.width = 8;
-    r1.height = 8;
-    r1.image_crc = 111;
-    RunResult r2 = r1;
-    r2.image_crc = 222;
-
-    {
+    auto write = [](const std::string &path) {
+        RunResult r;
+        r.workload = "w";
+        r.config = "baseline";
+        r.image_crc = 111;
+        {
+            SweepJournal j;
+            ASSERT_TRUE(j.open(path).ok());
+            j.recordStart("a");
+            j.recordFinish("a", r, 1);
+            j.recordStart("b");
+            j.recordFail("b", Status::invariantViolation("strict"), 1,
+                         false);
+        }
+        // Resume-of-a-resume reopens the journal and appends a second
+        // terminal record for "a"; "c" is in flight at the crash.
+        r.image_crc = 222;
         SweepJournal j;
         ASSERT_TRUE(j.open(path).ok());
-        j.recordStart("k");
-        j.recordFinish("k", r1, 1);
-        // Resume-of-a-resume: a second terminal record for the same key.
-        j.recordStart("k");
-        j.recordFinish("k", r2, 2);
+        j.recordStart("a");
+        j.recordFinish("a", r, 2);
+        j.recordStart("c");
+    };
+    auto replay = [](const std::string &path) {
+        Result<SweepJournal::Replay> rep = SweepJournal::replay(path);
+        EXPECT_TRUE(rep.ok());
+        const SweepJournal::Replay &v = rep.value();
+        Folded f{v.records, v.damaged, v.duplicates, v.in_flight, {}};
+        for (const auto &[key, o] : v.outcomes) {
+            using Kind = SweepJournal::ReplayedOutcome::Kind;
+            f.outcomes += key + "=";
+            if (o.kind == Kind::Finished)
+                f.outcomes += "finished:" +
+                              std::to_string(o.result.image_crc);
+            else
+                f.outcomes += std::string(o.kind == Kind::Failed
+                                              ? "failed:"
+                                              : "quarantined:") +
+                              errorCodeName(o.status.code());
+            f.outcomes += "@" + std::to_string(o.attempts) + " ";
+        }
+        return f;
+    };
+    return {"sweep", kSweepJournalVersion, write, replay};
+}
+
+Vocabulary
+requestVocabulary()
+{
+    auto write = [](const std::string &path) {
+        Json a = Json::object();
+        a.set("client", "a");
+        Json b = Json::object();
+        b.set("client", "b");
+        {
+            RequestJournal j;
+            ASSERT_TRUE(j.open(path).ok());
+            j.recordRequest("r1", a);
+            j.recordDone("r1");
+            // A re-admission supersedes the spec and makes r1 live.
+            j.recordRequest("r1", b);
+            j.recordRequest("r2", a);
+        }
+        RequestJournal j;
+        ASSERT_TRUE(j.open(path).ok());
+        j.recordDone("r2");
+    };
+    auto replay = [](const std::string &path) {
+        Result<RequestJournal::Replay> rep = RequestJournal::replay(path);
+        EXPECT_TRUE(rep.ok());
+        const RequestJournal::Replay &v = rep.value();
+        Folded f{v.records, v.damaged, v.duplicates, 0, {}};
+        for (const auto &[id, spec] : v.specs)
+            f.outcomes += id + "=" + spec.at("client").asString() +
+                          (v.done.count(id) ? "+done " : " ");
+        return f;
+    };
+    return {"request", kRequestJournalVersion, write, replay};
+}
+
+TEST(JournalReplay, BothVocabulariesFoldDamagedInputsConservatively)
+{
+    // How an input is derived from the clean journal's lines.
+    enum class Input {
+        Clean,
+        TornFinalLine,
+        TornFragment, // a partial envelope appended after the last record
+        CrcFlippedMiddle,
+        ForeignSchemaMiddle,
+        Missing,
+    };
+    struct Row {
+        Input input;
+        Folded want[2]; ///< sweep, request
+    };
+    const Row rows[] = {
+        {Input::Clean,
+         {{7, 0, 1, 1, "a=finished:222@2 b=failed:INVARIANT_VIOLATION@1 "},
+          {5, 0, 1, 0, "r1=b r2=a+done "}}},
+        // The last record ("start c" / "done r2") is cut mid-line.
+        {Input::TornFinalLine,
+         {{6, 1, 1, 0, "a=finished:222@2 b=failed:INVARIANT_VIOLATION@1 "},
+          {4, 1, 1, 0, "r1=b r2=a "}}},
+        {Input::TornFragment,
+         {{7, 1, 1, 1, "a=finished:222@2 b=failed:INVARIANT_VIOLATION@1 "},
+          {5, 1, 1, 0, "r1=b r2=a+done "}}},
+        // The middle record ("fail b" / the re-admission of r1) fails
+        // its CRC: b re-runs, r1 keeps its first spec and stays done.
+        {Input::CrcFlippedMiddle,
+         {{6, 1, 1, 2, "a=finished:222@2 "},
+          {4, 1, 0, 0, "r1=a+done r2=a+done "}}},
+        {Input::ForeignSchemaMiddle,
+         {{7, 1, 1, 1, "a=finished:222@2 b=failed:INVARIANT_VIOLATION@1 "},
+          {5, 1, 1, 0, "r1=b r2=a+done "}}},
+        {Input::Missing, {{0, 0, 0, 0, ""}, {0, 0, 0, 0, ""}}},
+    };
+
+    TempDir dir;
+    const Vocabulary vocabs[2] = {sweepVocabulary(), requestVocabulary()};
+    for (int v = 0; v < 2; ++v) {
+        const Vocabulary &vocab = vocabs[v];
+        const std::string clean = dir.path + "/" + vocab.name + ".clean";
+        vocab.write(clean);
+        std::vector<std::string> lines;
+        {
+            std::ifstream in(clean);
+            for (std::string line; std::getline(in, line);)
+                lines.push_back(line);
+        }
+        ASSERT_GE(lines.size(), 3u);
+        const std::size_t mid = lines.size() / 2;
+
+        for (const Row &row : rows) {
+            std::vector<std::string> input = lines;
+            std::string tail = "\n";
+            switch (row.input) {
+              case Input::Clean:
+              case Input::Missing:
+                break;
+              case Input::TornFinalLine:
+                input.back().resize(input.back().size() / 2);
+                tail.clear();
+                break;
+              case Input::TornFragment:
+                input.push_back(
+                    "{\"schema\": 1, \"payload_crc32\": 123, \"payl");
+                tail.clear();
+                break;
+              case Input::CrcFlippedMiddle: {
+                Json doc = Json::tryParse(input[mid]).value();
+                doc.set("payload_crc32",
+                        doc.at("payload_crc32").asU64() ^ 1u);
+                input[mid] = doc.dump(0);
+                break;
+              }
+              case Input::ForeignSchemaMiddle: {
+                // Intact framing and CRC, but another journal's schema.
+                Json doc = Json::tryParse(input[mid]).value();
+                doc.set("schema", vocab.schema + 1);
+                input.insert(input.begin() + mid, doc.dump(0));
+                break;
+              }
+            }
+            const std::string path = dir.path + "/" + vocab.name + "." +
+                                     std::to_string(int(row.input));
+            if (row.input != Input::Missing) {
+                std::ofstream out(path, std::ios::binary);
+                for (std::size_t i = 0; i < input.size(); ++i)
+                    out << input[i] << (i + 1 < input.size() ? "\n" : tail);
+            }
+
+            const Folded &want = row.want[v];
+            Folded got = vocab.replay(path);
+            SCOPED_TRACE(std::string(vocab.name) + " input " +
+                         std::to_string(int(row.input)));
+            EXPECT_EQ(got.records, want.records);
+            EXPECT_EQ(got.damaged, want.damaged);
+            EXPECT_EQ(got.duplicates, want.duplicates);
+            EXPECT_EQ(got.in_flight, want.in_flight);
+            EXPECT_EQ(got.outcomes, want.outcomes);
+        }
     }
-    Result<SweepJournal::Replay> rep = SweepJournal::replay(path);
-    ASSERT_TRUE(rep.ok());
-    ASSERT_EQ(rep.value().outcomes.count("k"), 1u);
-    EXPECT_EQ(rep.value().outcomes.at("k").result.image_crc, 222u);
-    EXPECT_EQ(rep.value().duplicates, 1u);
-    EXPECT_EQ(rep.value().in_flight, 0u);
 }
 
 TEST(SweepJournalReplay, RunnerResumeSurfacesDuplicateCount)

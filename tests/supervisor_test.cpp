@@ -520,37 +520,6 @@ TEST(Journal, RecordReplayRoundtrip)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Journal, TornTailIsDroppedNotFatal)
-{
-    std::filesystem::path dir = freshDir("evrsim_journal_torn");
-    std::string path = (dir / "sweep.journal").string();
-
-    RunResult r;
-    r.workload = "tiny-a";
-    {
-        SweepJournal j;
-        ASSERT_TRUE(j.open(path).ok());
-        j.recordStart("a.json");
-        j.recordFinish("a.json", r, 1);
-    }
-    // Simulate the record torn by the crash being resumed from.
-    std::ofstream(path, std::ios::app)
-        << "{\"schema\": 1, \"payload_crc32\": 123, \"payl";
-
-    Result<SweepJournal::Replay> replayed = SweepJournal::replay(path);
-    ASSERT_TRUE(replayed.ok());
-    EXPECT_EQ(replayed.value().damaged, 1u);
-    ASSERT_EQ(replayed.value().outcomes.size(), 1u);
-    EXPECT_EQ(replayed.value().outcomes.count("a.json"), 1u);
-
-    // A missing journal is an empty replay, not an error.
-    Result<SweepJournal::Replay> none =
-        SweepJournal::replay((dir / "nope.journal").string());
-    ASSERT_TRUE(none.ok());
-    EXPECT_TRUE(none.value().outcomes.empty());
-    std::filesystem::remove_all(dir);
-}
-
 TEST(Journal, ResumeReexecutesOnlyUnfinishedJobsByteIdentically)
 {
     // The reference: one uninterrupted sweep.
