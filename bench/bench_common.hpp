@@ -15,26 +15,20 @@
  * loops are all memo hits. prefetch() also prints the binary's sweep
  * throughput summary (sims/s, frames/s, parallel speedup).
  *
- * Process isolation (EVRSIM_ISOLATE=process): the same binary doubles
- * as its own worker. The supervisor re-execs it with a hidden
- * `--evrsim-worker=<job key>` flag; the re-execed copy resolves the
- * identical deterministic plan, finds the request whose cache-entry
- * key matches, simulates just that job in-process, frames the result
- * back on the response pipe, and exits — it never touches the cache,
- * the journal, or the scheduler (the parent owns those).
+ * Process isolation (EVRSIM_SHARDS=n): every attempt runs on a fleet
+ * of n shard processes (service/fleet.hpp), and the same binary
+ * doubles as its own shard. The fleet re-execs it with
+ * `--evrsim-shard=<i>`; the re-execed copy serves runs from its stdin
+ * until EOF and never touches the cache, the journal or the scheduler
+ * (the parent owns those). There is no in-process fallback: an
+ * isolated run never executes in the parent.
  */
 #ifndef EVRSIM_BENCH_BENCH_COMMON_HPP
 #define EVRSIM_BENCH_BENCH_COMMON_HPP
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/crash_handler.hpp"
@@ -44,6 +38,7 @@
 #include "driver/experiment.hpp"
 #include "driver/report.hpp"
 #include "driver/supervisor.hpp"
+#include "service/fleet.hpp"
 #include "workloads/registry.hpp"
 
 namespace evrsim {
@@ -51,35 +46,32 @@ namespace bench {
 
 /** Runner + params bundle every bench binary starts from. */
 struct BenchContext {
-    /** Job key from --evrsim-worker=<key>; empty in the parent. Must
-     *  precede params: worker mode overrides the sweep-owning knobs. */
-    std::string worker_job;
     BenchParams params;
     ExperimentRunner runner;
     std::vector<RunRequest> plan;
     BatchOutcome outcome; ///< filled by prefetch()
+    /** The shards every attempt runs on (EVRSIM_SHARDS > 0); null
+     *  in-process. Declared after the runner, so it stops first. */
+    std::unique_ptr<ShardFleet> fleet;
 
     BenchContext() : BenchContext(0, nullptr) {}
 
     BenchContext(int argc, char **argv)
-        : worker_job(workerJobArg(argc, argv)),
-          params(resolveParams(!worker_job.empty())),
+        : params(paramsOrServeShard(argc, argv)),
           runner(workloads::factory(), params)
     {
         setLogLevel(params.log_level);
-        installTracing(!worker_job.empty());
+        installTracing();
         // A sweep that crashes hours in should at least say which
         // (workload, config, frame, tile) it was simulating.
         installCrashHandler();
         // Ctrl-C / SIGTERM drains the sweep instead of killing it:
         // running jobs finish, queued ones are shed (Cancelled), the
         // journal and telemetry artifacts flush, and exitCode() maps to
-        // 130/143. Workers keep the default disposition so the
-        // supervisor sees a genuine signal death.
-        if (worker_job.empty())
-            installShutdownHandler();
-        if (worker_job.empty() && params.isolate == IsolateMode::Process)
-            installProcessLauncher();
+        // 130/143.
+        installShutdownHandler();
+        if (params.shards > 0)
+            startFleet();
     }
 
     GpuConfig gpu() const { return params.gpuConfig(); }
@@ -108,15 +100,10 @@ struct BenchContext {
      * Runs that fail permanently (after quarantine/retry) are reported
      * and excluded from aliases(); the binary still prints its tables
      * from the surviving runs and returns exitCode() != 0.
-     *
-     * In worker mode this never returns: the one job named on the
-     * command line is simulated and the process exits.
      */
     void
     prefetch()
     {
-        if (!worker_job.empty())
-            runWorkerAndExit();
         outcome = runner.runAllChecked(plan);
         printSweepSummary(runner);
         printFailureReport(outcome);
@@ -191,122 +178,64 @@ struct BenchContext {
     }
 
   private:
-    static std::string
-    workerJobArg(int argc, char **argv)
-    {
-        const std::string prefix = "--evrsim-worker=";
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i] ? argv[i] : "";
-            if (arg.compare(0, prefix.size(), prefix) == 0)
-                return arg.substr(prefix.size());
-        }
-        return {};
-    }
-
+    /**
+     * Bench parameters from the environment — unless this process was
+     * re-execed as a shard (--evrsim-shard=<i>): then it serves runs
+     * until its stdin closes and exits, never returning here.
+     */
     static BenchParams
-    resolveParams(bool as_worker)
+    paramsOrServeShard(int argc, char **argv)
     {
         BenchParams p = benchParamsFromEnv();
-        if (as_worker) {
-            // The parent owns the cache, the journal, the scheduler and
-            // the retry policy; the worker is one bare attempt. It also
-            // owns none of the sweep telemetry: no heartbeat, no
-            // metrics/summary artifacts (the parent's accounting covers
-            // the whole sweep).
-            p.use_cache = false;
-            p.resume = false;
-            p.isolate = IsolateMode::Off; // no nested forking
-            p.jobs = 1;
-            p.heartbeat_ms = 0;
-            p.metrics_dir.clear();
-            p.write_summary = false;
+        std::string shard_params;
+        int shard = shardFlagFromArgv(argc, argv, shard_params);
+        if (shard >= 0) {
+            installCrashHandler();
+            runShardAndExit(shard, workloads::factory(), p, shard_params);
         }
         return p;
     }
 
-    /**
-     * Arm the tracer from EVRSIM_TRACE (a bad spec is fatal, like any
-     * other knob). Workers inherit the parent's environment, so in
-     * worker mode the output path gets a `.worker-<pid>` suffix —
-     * per-process trace files instead of every worker clobbering the
-     * parent's.
-     */
-    void
-    installTracing(bool as_worker)
+    /** Arm the tracer from EVRSIM_TRACE (a bad spec is fatal, like any
+     *  other knob). Shards spill their own file and ship their spans
+     *  into this one. */
+    static void
+    installTracing()
     {
         Result<TraceConfig> cfg = traceConfigFromEnv();
         if (!cfg.ok())
             fatal("%s", cfg.status().message().c_str());
-        if (!cfg.value().enabled())
-            return;
-        TraceConfig tc = cfg.value();
-        if (as_worker)
-            tc.path += ".worker-" + std::to_string(::getpid());
-        traceConfigure(tc);
+        if (cfg.value().enabled())
+            traceConfigure(cfg.value());
     }
 
+    /** Route every attempt through EVRSIM_SHARDS shard processes. */
     void
-    installProcessLauncher()
+    startFleet()
     {
-        std::string self = selfExecutablePath();
-        if (self.empty()) {
-            warn("EVRSIM_ISOLATE=process: cannot resolve "
-                 "/proc/self/exe; jobs run in-process");
-            return;
-        }
-        WorkerLimits limits;
-        limits.mem_mb = params.job_mem_mb;
-        limits.timeout_ms = params.job_timeout_ms;
-        limits.grace_ms = defaultGraceMs(params.job_timeout_ms);
-        runner.setWorkerLauncher(
-            [self, limits](const std::string &, const SimConfig &,
-                           const std::string &key) {
-                WorkerOutcome o = superviseWorker(
-                    {self, "--evrsim-worker=" + key}, limits);
-                return WorkerAttempt{o.status, o.result, o.worker_died};
-            });
-    }
-
-    /**
-     * Injected worker faults, keyed by the job key so the *same* jobs
-     * die on every attempt (and get crash-quarantined) while every
-     * other job never does — which is what lets tests assert that
-     * survivors of a faulted isolated sweep are byte-identical to a
-     * fault-free run.
-     */
-    static void
-    maybeInjectWorkerFault(const std::string &job)
-    {
-        FaultInjector inj(FaultInjector::planFromEnv());
-        std::uint64_t key = fnv1a64(job);
-        if (inj.shouldFailAt(FaultSite::WorkerCrash, key))
-            std::raise(SIGSEGV);
-        if (inj.shouldFailAt(FaultSite::WorkerHang, key))
-            for (;;)
-                std::this_thread::sleep_for(std::chrono::seconds(3600));
-    }
-
-    [[noreturn]] void
-    runWorkerAndExit()
-    {
-        for (const RunRequest &r : plan) {
-            if (runner.jobKey(r.alias, r.config) != worker_job)
-                continue;
-            maybeInjectWorkerFault(worker_job);
-            Result<RunResult> attempt =
-                runner.trySimulate(r.alias, r.config);
-            // A failed attempt is still a *clean* worker exit: the
-            // status rides the response, ErrorCode intact, so the
-            // parent can distinguish "the job failed" from "the
-            // worker died".
-            bool wrote =
-                writeWorkerResponse(kWorkerResponseFd, attempt);
-            std::exit(wrote ? 0 : 1);
-        }
-        std::fprintf(stderr, "evrsim worker: no declared job matches "
-                             "key '%s'\n",
-                     worker_job.c_str());
-        std::exit(2);
+        FleetConfig cfg = fleetConfigFromParams(params);
+        cfg.shard_argv = {selfExecutablePath()};
+        if (cfg.shard_argv[0].empty())
+            fatal("EVRSIM_SHARDS=%d: cannot resolve /proc/self/exe to "
+                  "re-exec as a shard",
+                  params.shards);
+        // A bench shard dies once per attempt of a crashing job, so it
+        // must come straight back: reap promptly and restart after a
+        // few milliseconds. The backoff still doubles per death without
+        // a result, which caps a shard that cannot start at all.
+        cfg.poll_ms = 5;
+        cfg.restart_backoff_base_ms = 2;
+        cfg.restart_backoff_cap_ms = 50;
+        fleet = std::make_unique<ShardFleet>(cfg, nullptr);
+        if (Status s = fleet->start(); !s.ok())
+            fatal("EVRSIM_SHARDS=%d: %s", params.shards,
+                  s.message().c_str());
+        runner.setWorkerLauncher([f = fleet.get()](
+                                     const std::string &alias,
+                                     const SimConfig &config,
+                                     const std::string &key) {
+            return f->execute(alias, config, key);
+        });
     }
 };
 

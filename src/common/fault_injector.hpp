@@ -23,26 +23,26 @@
  *                 deterministic fuzz mutator before ingestion
  *                 (exercises the EVRSIM_VALIDATE sanitize/degrade paths)
  *
- * Isolated-worker sites (evaluated inside an EVRSIM_ISOLATE=process
- * worker, keyed by job so every attempt of an injected job dies and no
- * other job ever does):
- *   worker-crash  (keyed) the worker raises SIGSEGV before simulating
- *                 (the supervisor's crash-retry-quarantine path)
- *   worker-hang   (keyed) the worker spins forever instead of
- *                 simulating, so the parent's hard SIGKILL deadline
- *                 (EVRSIM_JOB_TIMEOUT_MS) must reap it
- *
  * Shard sites (evaluated inside a fleet shard process, which inherits
- * the daemon's environment):
+ * its caller's environment — under EVRSIM_SHARDS, a bench binary's or
+ * the daemon's):
+ *   worker-crash  (keyed on fnv1a64(job key)) the shard raises SIGSEGV
+ *                 before simulating, so every attempt of an injected
+ *                 job kills every shard it reaches and no other job
+ *                 ever dies: the failover-exhaustion -> crash
+ *                 quarantine path
+ *   worker-hang   (keyed on fnv1a64(job key)) the shard sleeps forever
+ *                 instead of simulating, so the fleet's run deadline
+ *                 (EVRSIM_JOB_TIMEOUT_MS + grace) must condemn it
  *   worker-kill9  the shard raises SIGKILL at the start of a run — the
- *                 daemon sees EOF with the run in flight (breaker
+ *                 caller sees EOF with the run in flight (breaker
  *                 failure, failover, restart)
  *   worker-stall  the shard sleeps kWorkerStallMs before handling a
  *                 message, so the parent's ping deadline fires
  *   wire-corrupt  one byte of an outgoing framed line is flipped (the
  *                 envelope CRC or parse catches it: DataLoss)
  *   wire-drop     an outgoing framed line is silently discarded (the
- *                 daemon's run deadline catches it)
+ *                 caller's run deadline catches it)
  *   wire-dup      an outgoing framed line is written twice (the daemon
  *                 must tolerate stray responses; the client must
  *                 reject non-monotone progress)

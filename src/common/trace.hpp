@@ -8,8 +8,8 @@
  * the fact in Perfetto / chrome://tracing:
  *
  *  - driver level: job queue wait, per-job execution, cache hit/miss,
- *    retry and quarantine instants, and the fork→exec→reap lifetime of
- *    isolated worker processes (with the child pid as metadata);
+ *    retry and quarantine instants, fleet dispatches, and the
+ *    shard-side span of each run a shard process executes;
  *  - simulation level: per-frame spans, the pipeline stages inside each
  *    frame (geometry+binning, raster, RE frame end), and — optionally,
  *    and usually sampled — per-tile raster spans.
@@ -52,7 +52,7 @@ namespace evrsim {
 enum class TraceCat : unsigned {
     Driver = 0, ///< scheduler: queue wait, job execution, retries
     Cache,      ///< result-cache hits / misses / quarantines
-    Worker,     ///< isolated worker process lifetimes (fork→exec→reap)
+    Worker,     ///< shard-side runs ("shard-run"), shipped to the caller
     Frame,      ///< one span per rendered frame
     Stage,      ///< pipeline stages inside a frame (geometry, raster, RE)
     Tile,       ///< per-tile raster spans (hot: sample with tile/N)

@@ -265,6 +265,15 @@ benchParamsFromEnvChecked()
         return s;
     if (present)
         p.job_mem_mb = static_cast<int>(v);
+    if (Status s = readIntKnob("EVRSIM_SHARDS", 0, 1024, v, present);
+        !s.ok())
+        return s;
+    if (present)
+        p.shards = static_cast<int>(v);
+    if (std::getenv("EVRSIM_ISOLATE") != nullptr)
+        return Status::invalidArgument(
+            "EVRSIM_ISOLATE is retired: set EVRSIM_SHARDS=n to run every "
+            "simulation on n shard processes");
     if (Status s = readIntKnob("EVRSIM_CORRUPT_KEEP", 0, 1000000, v,
                                present);
         !s.ok())
@@ -273,13 +282,6 @@ benchParamsFromEnvChecked()
         p.corrupt_keep = static_cast<int>(v);
 
     int choice = 0;
-    if (Status s = readChoiceKnob("EVRSIM_ISOLATE", {"off", "process"},
-                                  choice, present);
-        !s.ok())
-        return s;
-    if (present)
-        p.isolate = choice == 1 ? IsolateMode::Process : IsolateMode::Off;
-
     if (Status s = readChoiceKnob("EVRSIM_LOG",
                                   {"quiet", "normal", "verbose"}, choice,
                                   present);
@@ -561,7 +563,7 @@ ExperimentRunner::trySimulate(const std::string &alias,
                                    "' raised a transient error: " +
                                    e.what());
     } catch (const std::bad_alloc &) {
-        // Under process isolation the worker's RLIMIT_AS turns a runaway
+        // In a shard, the EVRSIM_JOB_MEM_MB RLIMIT_AS turns a runaway
         // allocation into bad_alloc (when the allocator throws before
         // the OOM killer acts); transient, like any resource exhaustion.
         return Status::unavailable("workload '" + alias +
@@ -600,7 +602,7 @@ ExperimentRunner::loadCacheEntry(const std::string &path)
         return Status::dataLoss("injected cache-read fault");
 
     // v3 envelope: {schema, payload_crc32, payload} (driver/envelope.hpp,
-    // shared with the sweep journal and the worker pipe). The schema
+    // shared with the sweep journal and the shard pipe). The schema
     // field guards against a foreign or stale document that happens to
     // land at a current filename; the CRC detects any corruption of the
     // payload bytes (truncation is caught earlier by the parse).
@@ -720,28 +722,19 @@ ExperimentRunner::attemptOnce(const std::string &alias,
                               const std::string &path, bool &worker_died)
 {
     worker_died = false;
-    if (params_.isolate == IsolateMode::Process) {
-        WorkerLauncher launcher;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            launcher = launcher_;
-            if (!launcher && !warned_no_launcher_) {
-                warned_no_launcher_ = true;
-                warn("EVRSIM_ISOLATE=process but no worker launcher is "
-                     "installed; jobs run in-process");
-            }
-        }
-        if (launcher) {
-            WorkerAttempt a =
-                launcher(alias, config,
-                         std::filesystem::path(path).filename().string());
-            worker_died = a.worker_died;
-            if (!a.status.ok())
-                return a.status;
-            return a.result;
-        }
+    WorkerLauncher launcher;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        launcher = launcher_;
     }
-    return trySimulate(alias, config);
+    if (!launcher)
+        return trySimulate(alias, config);
+    WorkerAttempt a = launcher(
+        alias, config, std::filesystem::path(path).filename().string());
+    worker_died = a.worker_died;
+    if (!a.status.ok())
+        return a.status;
+    return a.result;
 }
 
 ExperimentRunner::RunOutcome

@@ -45,15 +45,6 @@ namespace evrsim {
 
 class JobPool;
 
-/**
- * Failure-domain granularity for simulation jobs (EVRSIM_ISOLATE).
- * Off runs jobs on scheduler threads (PR 2's soft-failure machinery:
- * exceptions and cooperative deadlines cost one run). Process runs
- * each attempt in a forked, resource-limited worker, so a segfault,
- * hard hang or OOM also costs one run instead of the sweep.
- */
-enum class IsolateMode { Off, Process };
-
 /** Shared bench parameters, resolved from the environment. */
 struct BenchParams {
     int width = 608;   ///< EVRSIM_FULL=1 -> 1196 (Table II)
@@ -77,14 +68,17 @@ struct BenchParams {
     int tile_jobs = 1;
     /** Per-job wall-clock budget in milliseconds, enforced between
      *  frames (cooperative watchdog); 0 disables
-     *  (EVRSIM_JOB_TIMEOUT_MS). Under IsolateMode::Process the same
-     *  budget, plus a grace period, is also the hard SIGKILL deadline
-     *  the supervisor enforces on the worker process. */
+     *  (EVRSIM_JOB_TIMEOUT_MS). With shards the same budget, plus a
+     *  grace period, is also the hard run deadline at which a wedged
+     *  shard is killed. */
     int job_timeout_ms = 0;
-    /** Job failure domain (EVRSIM_ISOLATE: off | process). */
-    IsolateMode isolate = IsolateMode::Off;
-    /** Per-worker RLIMIT_AS budget in MiB under IsolateMode::Process
-     *  (EVRSIM_JOB_MEM_MB); 0 = unlimited. */
+    /** Out-of-process execution (EVRSIM_SHARDS): n > 0 runs every
+     *  attempt on a fleet of n persistent shard processes
+     *  (service/fleet.hpp), so a segfault, hard hang or OOM costs one
+     *  run instead of the sweep; 0 simulates in-process. */
+    int shards = 0;
+    /** Per-shard RLIMIT_AS budget in MiB (EVRSIM_JOB_MEM_MB); 0 =
+     *  unlimited. */
     int job_mem_mb = 0;
     /** EVRSIM_RESUME=1: replay <cache_dir>/sweep.journal on startup so
      *  an interrupted sweep re-executes only unfinished jobs. */
@@ -133,10 +127,11 @@ struct BenchParams {
  *                           simulation (default 1 = serial tiles;
  *                           results are byte-identical either way)
  *   EVRSIM_JOB_TIMEOUT_MS=n per-job wall-clock watchdog (0 = off);
- *                           doubles as the hard worker deadline under
- *                           process isolation
- *   EVRSIM_ISOLATE=mode     off | process job failure domain
- *   EVRSIM_JOB_MEM_MB=n     per-worker RLIMIT_AS in MiB (0 = unlimited)
+ *                           plus a grace period, the hard shard run
+ *                           deadline
+ *   EVRSIM_SHARDS=n         run every attempt on n shard processes
+ *                           (default 0 = in-process)
+ *   EVRSIM_JOB_MEM_MB=n     per-shard RLIMIT_AS in MiB (0 = unlimited)
  *   EVRSIM_RESUME=1         resume an interrupted sweep from the journal
  *   EVRSIM_CORRUPT_KEEP=n   quarantined .corrupt files kept per entry
  *   EVRSIM_VALIDATE=mode    off | permissive | strict (see validate.hpp)
@@ -150,7 +145,8 @@ struct BenchParams {
  *
  * Numeric knobs are validated strictly: a value that is not entirely a
  * number in the accepted range is InvalidArgument naming the variable,
- * never silently parsed as 0.
+ * never silently parsed as 0. The retired EVRSIM_ISOLATE is
+ * InvalidArgument naming EVRSIM_SHARDS, its replacement.
  */
 Result<BenchParams> benchParamsFromEnvChecked();
 
@@ -226,7 +222,7 @@ struct SweepStats {
     std::uint64_t validate_violations = 0; ///< invariant audit failures
 };
 
-/** One supervised worker attempt, as seen by the runner. */
+/** One out-of-process attempt, as seen by the runner. */
 struct WorkerAttempt {
     Status status; ///< Ok => result is valid
     RunResult result;
@@ -234,9 +230,9 @@ struct WorkerAttempt {
 };
 
 /**
- * Launches one isolated attempt of (alias, config) whose cache-entry
- * key is @p key, blocking until the worker terminates. The bench
- * context installs a fork/exec launcher (driver/supervisor.hpp);
+ * Runs one attempt of (alias, config) whose cache-entry key is @p key
+ * outside the process, blocking until it has a verdict. Bench binaries
+ * and the daemon install ShardFleet::execute (service/fleet.hpp);
  * tests install fakes to script worker behaviour deterministically.
  */
 using WorkerLauncher = std::function<WorkerAttempt(
@@ -302,10 +298,8 @@ class ExperimentRunner
     const BenchParams &params() const { return params_; }
 
     /**
-     * Install the launcher used for attempts under
-     * IsolateMode::Process. Without one, isolation degrades to the
-     * in-process path (with a warning) — the runner itself never
-     * forks; the embedding binary owns re-exec.
+     * Run every attempt through @p launcher instead of in-process. The
+     * runner itself never forks; the embedding binary owns the fleet.
      */
     void setWorkerLauncher(WorkerLauncher launcher);
 
@@ -313,7 +307,7 @@ class ExperimentRunner
      * Stable job key of (alias, config): the cache-entry filename,
      * which already encodes workload, config, dimensions, frames,
      * validation and schema version. Keys address jobs across the
-     * sweep journal and the worker protocol.
+     * sweep journal and the shard protocol.
      */
     std::string jobKey(const std::string &alias,
                        const SimConfig &config) const;
@@ -366,8 +360,8 @@ class ExperimentRunner
                                const SimConfig &config,
                                const std::string &path, bool &from_disk);
 
-    /** One simulation attempt: in-process, or via the worker launcher
-     *  under IsolateMode::Process. */
+    /** One simulation attempt: via the worker launcher when one is
+     *  installed, else in-process. */
     Result<RunResult> attemptOnce(const std::string &alias,
                                   const SimConfig &config,
                                   const std::string &path,
@@ -401,7 +395,6 @@ class ExperimentRunner
     std::condition_variable memo_done_;
     std::map<std::string, std::shared_ptr<MemoEntry>> memo_;
     SweepStats stats_;
-    bool warned_no_launcher_ = false;
 };
 
 /**

@@ -1,98 +1,18 @@
 /**
  * @file
- * Process-level job supervisor for EVRSIM_ISOLATE=process.
- *
- * PR 2's watchdog is cooperative: it catches a slow simulation at the
- * next frame boundary, but it cannot preempt a hung one, and nothing
- * in-process survives a segfault or the OOM killer. The supervisor is
- * the hard failure domain: each simulation attempt runs in a forked
- * worker (the embedding binary re-execed with a hidden worker flag)
- * under setrlimit budgets, and streams its RunResult back over a pipe
- * using the same CRC32-enveloped JSON framing as the result cache.
- *
- * Failure classification at the parent:
- *  - the worker wrote a well-formed response: its Status (or result)
- *    is returned verbatim, ErrorCode intact — a strict-validation
- *    failure stays an InvariantViolation, a cooperative-watchdog
- *    overrun stays DeadlineExceeded (neither is retried);
- *  - the worker died — crashed on a signal, was SIGKILLed at the hard
- *    deadline, ran out of its RLIMIT_AS budget, failed to exec, or
- *    produced a damaged response: Unavailable (transient), with
- *    worker_died set so the scheduler can count hard deaths toward
- *    its crash-quarantine threshold.
- *
- * The hard deadline reuses EVRSIM_JOB_TIMEOUT_MS plus a small grace
- * period, so the worker's own cooperative watchdog (which yields the
- * precise "exceeded after N frames" status) normally fires first and
- * the SIGKILL only reaps true hangs.
+ * Self re-exec support for binaries that double as their own shard
+ * processes (service/fleet.hpp spawns them with --evrsim-shard=<i>).
  */
 #ifndef EVRSIM_DRIVER_SUPERVISOR_HPP
 #define EVRSIM_DRIVER_SUPERVISOR_HPP
 
 #include <string>
-#include <vector>
-
-#include "common/status.hpp"
-#include "driver/run_result.hpp"
 
 namespace evrsim {
 
-/** Envelope schema of the worker-response pipe framing. */
-constexpr int kWorkerProtocolVersion = 1;
-
-/**
- * File descriptor a worker writes its framed response to. The parent
- * dup2()s the pipe there before exec, so the worker's stdout/stderr
- * stay free for normal logging (stdout is redirected to /dev/null —
- * a worker re-runs the embedder's banner printing on the way to its
- * job, and twenty workers' banners would shred the parent's tables).
- */
-constexpr int kWorkerResponseFd = 3;
-
-/** Resource budget for one worker process. */
-struct WorkerLimits {
-    /** RLIMIT_AS in MiB (EVRSIM_JOB_MEM_MB); 0 = unlimited. */
-    int mem_mb = 0;
-    /** Hard wall-clock deadline in ms (EVRSIM_JOB_TIMEOUT_MS); the
-     *  parent SIGKILLs the worker at timeout_ms + grace_ms. 0 = none.
-     *  Also caps the worker's RLIMIT_CPU, so a spinning worker dies
-     *  even if the parent does first. */
-    int timeout_ms = 0;
-    /** Extra slack over timeout_ms before the SIGKILL, letting the
-     *  worker's cooperative watchdog report the precise overrun. */
-    int grace_ms = 0;
-};
-
-/** What one supervised attempt came back with. */
-struct WorkerOutcome {
-    Status status; ///< Ok => result is valid
-    RunResult result;
-    /** The worker process died (signal, deadline kill, OOM, exec or
-     *  protocol failure) rather than reporting a Status of its own.
-     *  Hard deaths are transient to the retry policy but count toward
-     *  the scheduler's crash-quarantine threshold. */
-    bool worker_died = false;
-};
-
-/** Default grace period for a given timeout (0 stays 0). */
-int defaultGraceMs(int timeout_ms);
-
-/** Absolute path of the running executable (/proc/self/exe). */
+/** Absolute path of the running executable (/proc/self/exe); empty
+ *  when it cannot be resolved. */
 std::string selfExecutablePath();
-
-/**
- * Fork + exec @p argv (argv[0] is the program path), apply @p limits,
- * and collect the framed response. Never throws; never leaves a
- * zombie. Safe to call concurrently from scheduler workers.
- */
-WorkerOutcome superviseWorker(const std::vector<std::string> &argv,
-                              const WorkerLimits &limits);
-
-/**
- * Worker side: frame one attempt outcome onto @p fd. Returns false
- * when the write failed (the parent will classify that as a death).
- */
-bool writeWorkerResponse(int fd, const Result<RunResult> &attempt);
 
 } // namespace evrsim
 

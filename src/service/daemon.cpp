@@ -60,6 +60,7 @@ Result<ServiceConfig>
 serviceConfigFromEnvChecked(const BenchParams &params)
 {
     ServiceConfig cfg;
+    cfg.fleet = fleetConfigFromParams(params);
     if (const char *sock = std::getenv("EVRSIM_SOCKET");
         sock && *sock != '\0')
         cfg.socket_path = sock;
@@ -81,11 +82,6 @@ serviceConfigFromEnvChecked(const BenchParams &params)
         return s;
     if (present)
         cfg.client_quota = static_cast<int>(v);
-    if (Status s = readIntKnob("EVRSIM_SHARDS", 0, 1024, v, present);
-        !s.ok())
-        return s;
-    if (present)
-        cfg.fleet.shards = static_cast<int>(v);
     if (const char *listen = std::getenv("EVRSIM_FLEET_LISTEN");
         listen && *listen != '\0') {
         std::string host;
@@ -113,27 +109,11 @@ serviceConfigFromEnvChecked(const BenchParams &params)
     return cfg;
 }
 
-namespace {
-
-/** With a fleet on, every run must leave the daemon process: runs are
- *  forced onto the isolate path so the runner calls the installed
- *  launcher (the fleet). The cache key ignores isolate mode, so cached
- *  results stay valid either way. */
-BenchParams
-fleetAdjustedParams(BenchParams params, const ServiceConfig &config)
-{
-    if (fleetEnabled(config.fleet))
-        params.isolate = IsolateMode::Process;
-    return params;
-}
-
-} // namespace
-
 SweepService::SweepService(WorkloadFactory factory,
                            const BenchParams &params,
                            const ServiceConfig &config)
     : factory_(std::move(factory)),
-      params_(fleetAdjustedParams(params, config)), config_(config),
+      params_(params), config_(config),
       runner_(factory_, params_), pool_(params_.resolvedJobs())
 {
     if (fleetEnabled(config_.fleet)) {
@@ -829,24 +809,10 @@ SweepService::drain()
     if (fleet_)
         fleet_->stop();
 
-    // Flush the merged trace now that every shard's shipped events are
-    // ingested (a SIGTERM drain must leave a parseable trace, not rely
-    // on atexit), then clean up the shards' local spill files — their
-    // contents are already merged, and leaving them would re-orphan
-    // what this flush just stitched.
-    if (traceActive() && traceWrite().ok()) {
-        std::string obs = params_.metrics_dir.empty()
-                              ? params_.cache_dir
-                              : params_.metrics_dir;
-        if (fleet_ && !obs.empty()) {
-            std::error_code ec;
-            for (int i = 0; i < config_.fleet.shards; ++i)
-                std::filesystem::remove(
-                    obs + "/shard-" + std::to_string(i) +
-                        ".trace.json",
-                    ec);
-        }
-    }
+    // A SIGTERM drain must leave a parseable trace, not rely on
+    // atexit (the fleet's stop() flushed it too, with shard spans).
+    if (traceActive())
+        (void)traceWrite();
 
     // Wake idle readers (they observe draining_ and exit) and join.
     {

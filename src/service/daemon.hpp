@@ -23,7 +23,7 @@
  *    queueing unboundedly.
  *  - Per-client quotas: at most EVRSIM_CLIENT_QUOTA unfinished runs per
  *    client id, so one greedy client cannot starve the rest; the
- *    per-job rlimit budgets (EVRSIM_JOB_MEM_MB/EVRSIM_JOB_TIMEOUT_MS)
+ *    per-shard budgets (EVRSIM_JOB_MEM_MB/EVRSIM_JOB_TIMEOUT_MS)
  *    apply to service jobs exactly as to bench jobs.
  *  - Graceful drain: SIGTERM/SIGINT (common/shutdown.hpp) stops
  *    admission, lets in-flight requests finish, flushes journals and
@@ -70,9 +70,9 @@ struct ServiceConfig {
     /** Internal poll cadence in ms: accept loop wakeups, idle
      *  connection-read timeouts, drain checks. */
     int poll_ms = 100;
-    /** Worker-shard fleet (EVRSIM_SHARDS resolves fleet.shards; the
-     *  daemon binary fills fleet.shard_argv with its own executable).
-     *  fleet.shards == 0 keeps the PR 7 in-daemon execution model. */
+    /** Worker-shard fleet (fleetConfigFromParams(): EVRSIM_SHARDS
+     *  wide; the daemon binary fills fleet.shard_argv with its own
+     *  executable). fleet.shards == 0 simulates in the daemon. */
     FleetConfig fleet;
 };
 
@@ -82,9 +82,9 @@ struct ServiceConfig {
  *   EVRSIM_SOCKET=path        socket path (default <cache_dir>/evrsim.sock)
  *   EVRSIM_QUEUE_MAX=n        admission bound, runs (default 256)
  *   EVRSIM_CLIENT_QUOTA=n     per-client bound, runs (default 64)
- *   EVRSIM_SHARDS=n           worker-shard fleet width; 0 disables the
- *                             fleet (daemon binary default: cores/4,
- *                             min 1)
+ * and the fleet from the bench params (fleetConfigFromParams():
+ * BenchParams::shards is EVRSIM_SHARDS; the daemon binary defaults it
+ * to cores/4, min 1), plus
  *   EVRSIM_FLEET_LISTEN=h:p   accept remote shards over TCP on h:p
  *                             instead of forking local ones (port 0 =
  *                             kernel-assigned); EVRSIM_SHARDS slots

@@ -12,21 +12,12 @@
  * journal from the cache directory, so a SIGKILLed daemon restarted on
  * the same cache dir serves reconnecting clients byte-identically.
  *
- * Under EVRSIM_ISOLATE=process the binary doubles as its own worker:
- * the supervisor re-execs it with a hidden
- * `--evrsim-worker-run=<workload>/<config>` flag, and the re-execed
- * copy simulates exactly that job in-process, frames the result onto
- * the response pipe, and exits.
- *
- * It likewise doubles as a fleet shard (service/fleet.hpp): with
+ * The binary doubles as a fleet shard (service/fleet.hpp): with
  * EVRSIM_SHARDS > 0 (default cores/4, min 1) the daemon execs itself
  * with `--evrsim-shard=<i>` and the re-execed copy serves runs from
- * stdin until EOF. The fleet replaces the per-run worker launcher —
- * shards are persistent, so the fork/exec cost is paid per shard
- * lifetime instead of per run.
+ * stdin until EOF. Shards are persistent, so the fork/exec cost is
+ * paid per shard lifetime instead of per run.
  */
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdlib>
 #include <string>
@@ -42,104 +33,11 @@
 #include "service/tcp_transport.hpp"
 #include "workloads/registry.hpp"
 
-namespace {
-
 using namespace evrsim;
-
-std::string
-workerRunArg(int argc, char **argv)
-{
-    const std::string prefix = "--evrsim-worker-run=";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i] ? argv[i] : "";
-        if (arg.compare(0, prefix.size(), prefix) == 0)
-            return arg.substr(prefix.size());
-    }
-    return {};
-}
-
-[[noreturn]] void
-runWorkerAndExit(const std::string &job, BenchParams params)
-{
-    // The daemon owns the cache, the journals and the retry policy;
-    // the worker is one bare attempt (mirrors the bench worker mode).
-    std::string obs_dir = params.metrics_dir.empty()
-                              ? params.cache_dir
-                              : params.metrics_dir;
-    params.use_cache = false;
-    params.resume = false;
-    params.isolate = IsolateMode::Off;
-    params.jobs = 1;
-    params.heartbeat_ms = 0;
-    params.metrics_dir.clear();
-    params.write_summary = false;
-
-    // Route the worker's trace under the daemon's observability dir
-    // with a pid tag, not the default cwd-relative path that every
-    // worker would fight over.
-    if (Result<TraceConfig> tc = traceConfigFromEnv(); !tc.ok()) {
-        fatal("%s", tc.status().message().c_str());
-    } else if (tc.value().enabled()) {
-        TraceConfig cfg = tc.value();
-        std::string name = "evrsim_trace.json.worker-" +
-                           std::to_string(::getpid());
-        cfg.path = obs_dir.empty() ? name : obs_dir + "/" + name;
-        traceConfigure(cfg);
-    }
-
-    std::size_t slash = job.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= job.size()) {
-        std::fprintf(stderr,
-                     "evrsim-daemon worker: malformed job '%s' "
-                     "(want <workload>/<config>)\n",
-                     job.c_str());
-        std::exit(2);
-    }
-    std::string alias = job.substr(0, slash);
-    std::string config_name = job.substr(slash + 1);
-    Result<SimConfig> config =
-        configByName(config_name, params.gpuConfig());
-    if (!config.ok()) {
-        std::fprintf(stderr, "evrsim-daemon worker: %s\n",
-                     config.status().message().c_str());
-        std::exit(2);
-    }
-    ExperimentRunner runner(workloads::factory(), params);
-    Result<RunResult> attempt = runner.trySimulate(alias, config.value());
-    bool wrote = writeWorkerResponse(kWorkerResponseFd, attempt);
-    std::exit(wrote ? 0 : 1);
-}
-
-void
-installProcessLauncher(SweepService &service, const BenchParams &params)
-{
-    std::string self = selfExecutablePath();
-    if (self.empty()) {
-        warn("EVRSIM_ISOLATE=process: cannot resolve /proc/self/exe; "
-             "jobs run in-process");
-        return;
-    }
-    WorkerLimits limits;
-    limits.mem_mb = params.job_mem_mb;
-    limits.timeout_ms = params.job_timeout_ms;
-    limits.grace_ms = defaultGraceMs(params.job_timeout_ms);
-    service.runner().setWorkerLauncher(
-        [self, limits](const std::string &alias, const SimConfig &config,
-                       const std::string &) {
-            WorkerOutcome o = superviseWorker(
-                {self, "--evrsim-worker-run=" + alias + "/" + config.name},
-                limits);
-            return WorkerAttempt{o.status, o.result, o.worker_died};
-        });
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string worker_job = workerRunArg(argc, argv);
     std::string shard_params;
     int shard_index = shardFlagFromArgv(argc, argv, shard_params);
     std::string remote_plane = remoteShardFlagFromArgv(argc, argv);
@@ -156,16 +54,14 @@ main(int argc, char **argv)
                         shard_params);
     if (!remote_plane.empty())
         runRemoteShardAndExit(remote_plane, workloads::factory(), params);
-    if (!worker_job.empty())
-        runWorkerAndExit(worker_job, params);
 
     // Always resume: a daemon restarted after a crash (or a plain
     // restart) replays the journals and serves completed work from the
     // cache instead of re-simulating it.
     params.resume = true;
 
-    // Arm the tracer for the daemon itself (shards and workers arm
-    // their own on their exec paths above). A default output path is
+    // Arm the tracer for the daemon itself (shards arm their own on
+    // their exec paths above). A default output path is
     // rooted next to the journals; an explicit EVRSIM_TRACE=...:path
     // is honored as given.
     if (Result<TraceConfig> tc = traceConfigFromEnv(); !tc.ok()) {
@@ -180,17 +76,16 @@ main(int argc, char **argv)
         traceConfigure(tcfg);
     }
 
+    // Fleet width defaults to cores/4 (min 1) when EVRSIM_SHARDS is
+    // absent; EVRSIM_SHARDS=0 explicitly keeps in-daemon execution.
+    if (std::getenv("EVRSIM_SHARDS") == nullptr)
+        params.shards = static_cast<int>(
+            std::max(1u, std::thread::hardware_concurrency() / 4u));
+
     Result<ServiceConfig> sc = serviceConfigFromEnvChecked(params);
     if (!sc.ok())
         fatal("%s", sc.status().message().c_str());
     ServiceConfig scfg = sc.value();
-
-    // Fleet width defaults to cores/4 (min 1) when EVRSIM_SHARDS is
-    // absent; EVRSIM_SHARDS=0 explicitly keeps in-daemon execution.
-    if (std::getenv("EVRSIM_SHARDS") == nullptr) {
-        unsigned cores = std::thread::hardware_concurrency();
-        scfg.fleet.shards = std::max(1u, cores / 4u);
-    }
     if (scfg.fleet.shards > 0) {
         if (!scfg.fleet.listen.empty()) {
             // EVRSIM_FLEET_LISTEN: slots are filled by remote shards
@@ -209,10 +104,6 @@ main(int argc, char **argv)
     installShutdownHandler();
 
     SweepService service(workloads::factory(), params, scfg);
-    // The fleet is the launcher when it is on; EVRSIM_ISOLATE=process
-    // without a fleet keeps the PR 7 per-run supervised worker.
-    if (!service.fleet() && params.isolate == IsolateMode::Process)
-        installProcessLauncher(service, params);
 
     if (Status s = service.start(); !s.ok())
         fatal("%s", s.message().c_str());

@@ -11,6 +11,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -20,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
 
 #include "common/atomic_file.hpp" // writeAll
 #include "common/fault_injector.hpp"
@@ -27,7 +29,6 @@
 #include "common/metrics.hpp"
 #include "common/net.hpp"
 #include "driver/envelope.hpp"
-#include "driver/supervisor.hpp" // kWorkerResponseFd
 #include "service/service_protocol.hpp"
 #include "service/tcp_transport.hpp"
 
@@ -42,6 +43,15 @@ static_assert(kShardProtocolVersion == kServiceProtocolVersion,
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/**
+ * File descriptor a shard writes its framed responses to. The pipe
+ * transport installs the response pipe there before exec, so the
+ * shard's stdout/stderr stay free for logging (stdout goes to
+ * /dev/null: a re-execed bench binary would otherwise print its
+ * banner into the parent's tables).
+ */
+constexpr int kShardResponseFd = 3;
 
 /** Synthetic pid base for adopted shard trace lanes: far above any
  *  real pid so merged traces never collide with the daemon's own. */
@@ -62,6 +72,28 @@ writeFramedLine(int fd, Json payload, FaultInjector *faults)
     if (faults && faults->enabled())
         line = applyWireChaos(*faults, line);
     return writeAll(fd, line.data(), line.size());
+}
+
+/** The "obs_dir" field of a shardParamsJson() document (the caller's
+ *  metrics-or-cache directory); empty when absent or unparseable. */
+std::string
+shardObsDir(const std::string &params_json)
+{
+    Result<Json> doc = Json::tryParse(params_json);
+    if (!doc.ok())
+        return {};
+    if (const Json *f = doc.value().find("obs_dir");
+        f && f->type() == Json::Type::String)
+        return f->asString();
+    return {};
+}
+
+/** Where shard @p slot spills its local trace file. */
+std::string
+shardSpillPath(const std::string &obs_dir, int slot)
+{
+    std::string name = "shard-" + std::to_string(slot) + ".trace.json";
+    return obs_dir.empty() ? name : obs_dir + "/" + name;
 }
 
 } // namespace
@@ -121,19 +153,39 @@ CircuitBreaker::forceOpen()
 }
 
 int
-restartBackoffMs(const FleetConfig &c, int shard_index, int restarts)
+defaultGraceMs(int timeout_ms)
+{
+    if (timeout_ms <= 0)
+        return 0;
+    return std::clamp(timeout_ms / 2, 500, 5000);
+}
+
+FleetConfig
+fleetConfigFromParams(const BenchParams &params)
+{
+    FleetConfig c;
+    c.shards = params.shards;
+    c.shard_params_json = shardParamsJson(params);
+    if (params.job_timeout_ms > 0)
+        c.run_deadline_ms =
+            params.job_timeout_ms + defaultGraceMs(params.job_timeout_ms);
+    return c;
+}
+
+int
+restartBackoffMs(const FleetConfig &c, int shard_index, int deaths)
 {
     const long long base = std::max(c.restart_backoff_base_ms, 1);
     const long long cap =
         std::max<long long>(c.restart_backoff_cap_ms, base);
     const long long window =
-        std::min(base << std::min(std::max(restarts, 0), 16), cap);
+        std::min(base << std::min(std::max(deaths, 0), 16), cap);
     // Deterministic jitter over the upper half of the window: shards
     // killed together restart spread out, and the same (shard,
-    // restart) pair always picks the same delay.
+    // deaths) pair always picks the same delay.
     std::uint64_t m =
         mix64((static_cast<std::uint64_t>(shard_index) << 32) ^
-              static_cast<std::uint64_t>(restarts) ^
+              static_cast<std::uint64_t>(deaths) ^
               0x7f1e9ab3c44d1057ull);
     long long lo = window / 2;
     return static_cast<int>(
@@ -155,9 +207,9 @@ shardIndexForKey(const std::string &key, int shards)
 namespace {
 
 /**
- * PR 8's fork/exec transport: each slot is a supervised child wired
- * over stdin (requests) and fd 3 (responses), reaped and respawned
- * with capped jittered backoff from maintain().
+ * The fork/exec transport: each slot is a supervised child wired over
+ * stdin (requests) and fd 3 (responses), reaped and respawned with
+ * capped jittered backoff from maintain().
  */
 class PipeShardTransport final : public ShardTransport
 {
@@ -182,17 +234,22 @@ class PipeShardTransport final : public ShardTransport
             e->index = i;
             eps_.push_back(std::move(e));
         }
+        // Fork every shard before waiting for any exec, so their
+        // start-ups overlap.
+        std::vector<Status> spawned;
+        for (auto &e : eps_)
+            spawned.push_back(spawn(*e));
         for (auto &e : eps_) {
-            if (Status st = spawn(*e); !st.ok()) {
+            Status st = spawned[static_cast<std::size_t>(e->index)];
+            if (st.ok())
+                st = awaitExec(*e);
+            if (!st.ok()) {
                 // maintain() keeps retrying on the backoff schedule; a
                 // fleet that cannot spawn anything degrades per-run.
                 warn("fleet: shard %d spawn failed: %s", e->index,
                      st.message().c_str());
                 std::lock_guard<std::mutex> lock(mu_);
-                e->restart_at =
-                    Clock::now() +
-                    std::chrono::milliseconds(restartBackoffMs(
-                        config_, e->index, e->restarts));
+                scheduleRestart(*e);
             } else if (hooks_.on_up) {
                 hooks_.on_up(e->index);
             }
@@ -313,10 +370,7 @@ class PipeShardTransport final : public ShardTransport
                     std::lock_guard<std::mutex> lock(mu_);
                     e.needs_reap = false;
                     e.pid = -1;
-                    e.restart_at =
-                        Clock::now() +
-                        std::chrono::milliseconds(restartBackoffMs(
-                            config_, e.index, e.restarts));
+                    scheduleRestart(e);
                 }
             }
 
@@ -329,25 +383,26 @@ class PipeShardTransport final : public ShardTransport
                                Clock::now() >= e.restart_at;
             }
             if (want_restart && !stopping_.load()) {
-                if (spawn(e).ok()) {
+                Status st = spawn(e);
+                if (st.ok())
+                    st = awaitExec(e);
+                if (st.ok()) {
+                    int deaths;
                     {
                         std::lock_guard<std::mutex> lock(mu_);
-                        ++e.restarts;
                         ++stats_.restarts;
+                        deaths = e.deaths;
                     }
                     metricsCounterAdd("evrsim_fleet_restarts_total",
                                       1.0);
-                    inform("fleet: shard %d restarted (restart %d)",
-                           e.index, e.restarts);
+                    informv("fleet: shard %d restarted (%d death(s) "
+                            "since its last result)",
+                            e.index, deaths);
                     if (hooks_.on_up)
                         hooks_.on_up(e.index);
                 } else {
                     std::lock_guard<std::mutex> lock(mu_);
-                    ++e.restarts;
-                    e.restart_at =
-                        Clock::now() +
-                        std::chrono::milliseconds(restartBackoffMs(
-                            config_, e.index, e.restarts));
+                    scheduleRestart(e);
                 }
             }
         }
@@ -373,10 +428,28 @@ class PipeShardTransport final : public ShardTransport
         // Everything below is guarded by the transport mu_.
         bool alive = false;
         bool needs_reap = false;
-        int restarts = 0;
+        /** Deaths and failed spawns since the shard last returned a
+         *  result: the restart backoff exponent. */
+        int deaths = 0;
         Clock::time_point restart_at{};
+        /** Read end of the exec-status pipe between spawn() and
+         *  awaitExec(). */
+        int exec_fd = -1;
     };
 
+    /** Put a dead (or unspawnable) endpoint on the restart schedule.
+     *  Caller holds mu_. */
+    void
+    scheduleRestart(Endpoint &e)
+    {
+        e.restart_at = Clock::now() + std::chrono::milliseconds(
+                                          restartBackoffMs(
+                                              config_, e.index, e.deaths));
+        ++e.deaths;
+    }
+
+    /** Fork + exec the shard process; awaitExec() then learns whether
+     *  the exec succeeded. */
     Status
     spawn(Endpoint &e)
     {
@@ -389,6 +462,17 @@ class PipeShardTransport final : public ShardTransport
                 std::string("fleet pipe: ") + ::strerror(errno));
             ::close(in[0]);
             ::close(in[1]);
+            return st;
+        }
+
+        // Reports an exec failure (the child writes errno); closes on a
+        // successful exec (O_CLOEXEC), so EOF means the shard is running.
+        int exec_status[2];
+        if (::pipe2(exec_status, O_CLOEXEC) != 0) {
+            Status st = Status::unavailable(
+                std::string("fleet pipe: ") + ::strerror(errno));
+            for (int fd : {in[0], in[1], out[0], out[1]})
+                ::close(fd);
             return st;
         }
 
@@ -407,10 +491,9 @@ class PipeShardTransport final : public ShardTransport
         if (pid < 0) {
             Status st = Status::unavailable(
                 std::string("fleet fork: ") + ::strerror(errno));
-            ::close(in[0]);
-            ::close(in[1]);
-            ::close(out[0]);
-            ::close(out[1]);
+            for (int fd : {in[0], in[1], out[0], out[1], exec_status[0],
+                           exec_status[1]})
+                ::close(fd);
             return st;
         }
         if (pid == 0) {
@@ -428,7 +511,7 @@ class PipeShardTransport final : public ShardTransport
             };
             if (install(in[0], STDIN_FILENO) < 0)
                 ::_exit(127);
-            if (install(out[1], kWorkerResponseFd) < 0)
+            if (install(out[1], kShardResponseFd) < 0)
                 ::_exit(127);
             int devnull = ::open("/dev/null", O_WRONLY);
             if (devnull >= 0) {
@@ -437,23 +520,60 @@ class PipeShardTransport final : public ShardTransport
                     ::close(devnull);
             }
             ::execv(cargv[0], cargv.data());
+            int err = errno;
+            (void)!::write(exec_status[1], &err, sizeof(err));
             ::_exit(127);
         }
         ::close(in[0]);
         ::close(out[1]);
+        ::close(exec_status[1]);
         {
             std::lock_guard<std::mutex> wl(e.write_mu);
             e.in_fd = in[1];
         }
         e.out_fd = out[0];
+        e.exec_fd = exec_status[0];
+        std::lock_guard<std::mutex> lock(mu_);
+        e.pid = pid;
+        return {};
+    }
+
+    /** Wait for a spawn()ed shard's exec: mark it alive and start its
+     *  reader, or reap it and report why the exec failed. */
+    Status
+    awaitExec(Endpoint &e)
+    {
+        int exec_errno = 0;
+        ssize_t got;
+        while ((got = ::read(e.exec_fd, &exec_errno, sizeof(exec_errno))) <
+                   0 &&
+               errno == EINTR) {
+        }
+        ::close(e.exec_fd);
+        e.exec_fd = -1;
+        if (got > 0) {
+            {
+                std::lock_guard<std::mutex> wl(e.write_mu);
+                ::close(e.in_fd);
+                e.in_fd = -1;
+            }
+            ::close(e.out_fd);
+            e.out_fd = -1;
+            while (::waitpid(e.pid, nullptr, 0) < 0 && errno == EINTR) {
+            }
+            std::lock_guard<std::mutex> lock(mu_);
+            e.pid = -1;
+            return Status::unavailable("fleet: cannot exec " +
+                                       config_.shard_argv[0] + ": " +
+                                       ::strerror(exec_errno));
+        }
         {
             std::lock_guard<std::mutex> lock(mu_);
-            e.pid = pid;
             e.alive = true;
             e.needs_reap = false;
         }
         e.reader = std::thread(
-            [this, &e, fd = out[0]] { readerLoop(e, fd); });
+            [this, &e, fd = e.out_fd] { readerLoop(e, fd); });
         return {};
     }
 
@@ -487,6 +607,11 @@ class PipeShardTransport final : public ShardTransport
                 if (hooks_.on_down)
                     hooks_.on_down(e.index, msg.status().message());
                 return;
+            }
+            if (msg.value().get("type", Json("")).asString() ==
+                "result") {
+                std::lock_guard<std::mutex> lock(mu_);
+                e.deaths = 0;
             }
             if (hooks_.on_frame)
                 hooks_.on_frame(e.index, msg.value());
@@ -622,6 +747,7 @@ ShardFleet::handleUp(int slot)
         else
             ++s.restarts;
     }
+    shard_cv_.notify_all();
     events_.record(first ? "registration" : "restart", slot,
                    transport_ ? transport_->name() : "");
 }
@@ -633,8 +759,9 @@ ShardFleet::markShardHealthy(Shard &s)
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (s.breaker.state != BreakerState::Closed) {
-            inform("fleet: shard %d healthy again (breaker %s -> closed)",
-                   s.index, breakerStateName(s.breaker.state));
+            informv("fleet: shard %d healthy again (breaker %s -> "
+                    "closed)",
+                    s.index, breakerStateName(s.breaker.state));
             closed = true;
         }
         s.breaker.recordSuccess();
@@ -678,13 +805,14 @@ ShardFleet::fenceShard(Shard &s, const std::string &why)
     }
     warn("fleet: shard %d fenced (%s)", s.index, why.c_str());
     events_.record("fence", s.index, why);
-    // Fail its in-flight runs over *now* (exactly once — the
-    // transport's later on_down finds the shard already down), then
-    // terminate the endpoint so a zombie holding the old epoch can
-    // never answer into the ring again.
-    handleShardDown(s, why);
+    // Terminate the endpoint first, so a zombie holding the old epoch
+    // can never answer into the ring again and the fence is counted
+    // before the failover it causes; then fail its in-flight runs over
+    // (exactly once — whichever of this call and the transport's
+    // on_down comes second finds the shard already down).
     if (transport_)
         transport_->condemn(s.index, why);
+    handleShardDown(s, why);
     // A fence loses the shard's remaining buffers; flush what the
     // control plane already holds so the merged trace survives even
     // if the daemon never reaches a clean drain.
@@ -716,6 +844,7 @@ ShardFleet::handleShardDown(Shard &s, const std::string &why)
             s.breaker.forceOpen();
         }
     }
+    shard_cv_.notify_all();
     // Fail the shard's in-flight dispatches now so their owners fail
     // over immediately instead of riding out the run deadline.
     std::vector<std::shared_ptr<Waiter>> doomed;
@@ -898,6 +1027,35 @@ ShardFleet::monitorLoop()
     }
 }
 
+int
+ShardFleet::idleShardLocked(int primary, const std::vector<char> &killed,
+                            bool &live) const
+{
+    const int n = static_cast<int>(shards_.size());
+    live = false;
+    for (int off = 0; off < n; ++off) {
+        int i = (primary + off) % n;
+        const Shard &s = *shards_[static_cast<std::size_t>(i)];
+        if (killed[static_cast<std::size_t>(i)] || !s.alive ||
+            !s.breaker.admits())
+            continue;
+        live = true;
+        if (!s.busy)
+            return i;
+    }
+    return -1;
+}
+
+void
+ShardFleet::releaseShard(Shard &s)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        s.busy = false;
+    }
+    shard_cv_.notify_all();
+}
+
 WorkerAttempt
 ShardFleet::execute(const std::string &alias, const SimConfig &config,
                     const std::string &key)
@@ -908,20 +1066,65 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
     }
     metricsCounterAdd("evrsim_fleet_dispatched_total", 1.0);
 
-    const int n = std::max(config_.shards, 1);
-    const int primary = shardIndexForKey(key, n);
-    Status last =
-        Status::unavailable("fleet: no healthy shard admitted the run");
+    const int primary =
+        shardIndexForKey(key, static_cast<int>(shards_.size()));
+    const auto run_deadline =
+        std::chrono::milliseconds(std::max(config_.run_deadline_ms, 1));
+    const Clock::time_point give_up = Clock::now() + run_deadline;
+    Status last = Status::unavailable(
+        "fleet: no shard came up within the " +
+        std::to_string(config_.run_deadline_ms) + " ms run deadline");
+    // Shards this run reached. Each one died under it or missed its
+    // run deadline: a shard runs one run at a time, so either was this
+    // run's doing, and the run never goes back to it.
+    std::vector<char> killed(shards_.size(), 0);
+    bool reached = false;
 
-    for (int off = 0; off < n && !stopping_.load() &&
-                      static_cast<std::size_t>(n) <= shards_.size();
-         ++off) {
-        Shard &s = *shards_[static_cast<std::size_t>((primary + off) % n)];
+    for (;;) {
+        int pick = -1;
+        bool routed_around = false;
         {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!s.alive || !s.breaker.admits())
-                continue;
+            std::unique_lock<std::mutex> lock(mu_);
+            bool live = false;
+            // Prefer the primary, then ring order; while every live,
+            // admitting shard is busy, wait for one to go idle.
+            shard_cv_.wait(lock, [&] {
+                pick = idleShardLocked(primary, killed, live);
+                return stopping_.load() || pick >= 0 || !live;
+            });
+            if (stopping_.load()) {
+                pick = -1;
+            } else if (pick >= 0) {
+                const Shard &p = *shards_[static_cast<std::size_t>(primary)];
+                routed_around = reached || (pick != primary &&
+                                            !(p.alive && p.breaker.admits()));
+                shards_[static_cast<std::size_t>(pick)]->busy = true;
+            } else if (!reached && !degraded_) {
+                // No shard admits the run (a restart in progress, say):
+                // wait up to the run deadline for one to come up rather
+                // than charging the run a death.
+                if (shard_cv_.wait_until(lock, give_up, [&] {
+                        idleShardLocked(primary, killed, live);
+                        return stopping_.load() || live;
+                    }) &&
+                    !stopping_.load())
+                    continue;
+            }
         }
+        if (pick < 0) {
+            if (degraded_ && !stopping_.load())
+                break;
+            // Failover exhausted. A run that killed every shard it
+            // reached is a hard death, which the runner counts toward
+            // crash quarantine; one that reached none is not.
+            WorkerAttempt a;
+            a.status = stopping_.load() ? Status::unavailable("fleet: stopped")
+                                        : last;
+            a.worker_died = reached;
+            return a;
+        }
+
+        Shard &s = *shards_[static_cast<std::size_t>(pick)];
         std::uint64_t seq = seq_.fetch_add(1);
         auto w = std::make_shared<Waiter>();
         w->shard = s.index;
@@ -934,6 +1137,8 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
         req.set("seq", seq);
         req.set("workload", alias);
         req.set("config", config.name);
+        req.set("tile", config.gpu.tile_size);
+        req.set("key", key);
         // Trace-context propagation: stamp the run with a fresh trace
         // id and the dispatch span's id; the shard adopts them as its
         // ambient context, so its spans share the id and (after the
@@ -964,6 +1169,7 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
             traceContextClear();
         };
         if (!transport_->writeFrame(s.index, std::move(req))) {
+            // The shard was already gone: not this run's doing.
             {
                 std::lock_guard<std::mutex> lock(waiters_mu_);
                 waiters_.erase(seq);
@@ -971,55 +1177,53 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
             finishSpan("write-failed");
             handleShardDown(s, "run dispatch write failed");
             transport_->condemn(s.index, "run dispatch write failed");
-            last = Status::unavailable("fleet: dispatch to shard " +
-                                       std::to_string(s.index) +
-                                       " failed");
+            releaseShard(s);
             continue;
         }
         bool done = false;
         {
             std::unique_lock<std::mutex> lk(w->mu);
-            done = w->cv.wait_for(
-                lk,
-                std::chrono::milliseconds(
-                    std::max(config_.run_deadline_ms, 1)),
-                [&] { return w->done; });
+            done = w->cv.wait_for(lk, run_deadline,
+                                  [&] { return w->done; });
         }
         {
             std::lock_guard<std::mutex> lock(waiters_mu_);
             waiters_.erase(seq);
         }
         if (!done) {
-            // No response at all: a dropped wire line or a wedged
-            // shard. Strike it and fail over.
+            // No response: a hung simulation or a dropped wire line.
+            // Either way the shard is wedged — condemn it.
             finishSpan("deadline");
             last = Status::unavailable(
                 "fleet: run " + key + " exceeded the " +
                 std::to_string(config_.run_deadline_ms) +
-                " ms dispatch deadline on shard " +
-                std::to_string(s.index));
-            recordShardFailure(s, "run deadline exceeded");
-            continue;
+                " ms run deadline on shard " + std::to_string(s.index));
+            handleShardDown(s, "run deadline exceeded");
+            transport_->condemn(s.index, "run deadline exceeded");
         }
-        WorkerAttempt a = w->attempt;
-        if (a.worker_died) {
+        releaseShard(s);
+        if (done && w->attempt.worker_died) {
             finishSpan("shard-died");
-            last = a.status; // shard died under the run: fail over
-            continue;
+            last = w->attempt.status;
+        }
+        if (!done || w->attempt.worker_died) {
+            killed[static_cast<std::size_t>(pick)] = 1;
+            reached = true;
+            continue; // fail over
         }
         finishSpan("ok");
         {
             std::lock_guard<std::mutex> lock(mu_);
             ++stats_.completed;
-            if (off > 0)
+            if (routed_around)
                 ++stats_.failovers;
         }
         metricsCounterAdd("evrsim_fleet_completed_total", 1.0);
-        if (off > 0) {
+        if (routed_around) {
             metricsCounterAdd("evrsim_fleet_failovers_total", 1.0);
             events_.record("failover", s.index, key);
         }
-        return a; // the shard's verdict (result or Status), verbatim
+        return w->attempt; // the shard's verdict, verbatim
     }
 
     // Chain exhausted: degrade to in-daemon execution rather than
@@ -1029,12 +1233,6 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
         ++stats_.degraded;
     }
     metricsCounterAdd("evrsim_fleet_degraded_total", 1.0);
-    if (!degraded_) {
-        WorkerAttempt a;
-        a.status = last;
-        a.worker_died = true;
-        return a;
-    }
     warn("fleet: no healthy shard for %s; running degraded in-daemon",
          key.c_str());
     Result<RunResult> r = degraded_(alias, config);
@@ -1056,7 +1254,11 @@ ShardFleet::stop()
 {
     if (!started_)
         return;
-    stopping_.store(true);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        stopping_.store(true);
+    }
+    shard_cv_.notify_all();
     if (monitor_.joinable())
         monitor_.join();
     if (transport_)
@@ -1081,6 +1283,17 @@ ShardFleet::stop()
     }
     metricsGaugeSet("evrsim_fleet_shards", 0.0);
     started_ = false;
+
+    // Every shard has exited: flush the merged trace (a drain must
+    // leave a parseable trace, not rely on atexit), then delete the
+    // shards' local spill files — their events are already merged,
+    // and leaving them would re-orphan what this flush just stitched.
+    if (traceActive() && traceWrite().ok()) {
+        std::string obs = shardObsDir(config_.shard_params_json);
+        std::error_code ec;
+        for (int i = 0; i < config_.shards; ++i)
+            std::filesystem::remove(shardSpillPath(obs, i), ec);
+    }
 }
 
 ShardFleet::Stats
@@ -1216,6 +1429,7 @@ shardParamsJson(const BenchParams &params)
     j.set("warmup", params.warmup);
     j.set("tile_jobs", params.tile_jobs);
     j.set("job_timeout_ms", params.job_timeout_ms);
+    j.set("job_mem_mb", params.job_mem_mb);
     j.set("log_level", static_cast<int>(params.log_level));
     Json v = Json::object();
     v.set("mode", static_cast<int>(params.validation.mode));
@@ -1228,6 +1442,9 @@ shardParamsJson(const BenchParams &params)
     // dir; empty means "no durable home" (cwd-relative fallback).
     j.set("obs_dir", params.metrics_dir.empty() ? params.cache_dir
                                                 : params.metrics_dir);
+    // Shards record per-run metrics (and ship registry snapshots) only
+    // when the caller exports them.
+    j.set("metrics", !params.metrics_dir.empty());
     return j.dump(0);
 }
 
@@ -1250,6 +1467,7 @@ applyShardParams(const std::string &text, BenchParams &params)
     readInt("warmup", params.warmup);
     readInt("tile_jobs", params.tile_jobs);
     readInt("job_timeout_ms", params.job_timeout_ms);
+    readInt("job_mem_mb", params.job_mem_mb);
     if (const Json *f = j.find("log_level");
         f && f->type() == Json::Type::Number)
         params.log_level =
@@ -1287,63 +1505,58 @@ shardFlagFromArgv(int argc, char **argv, std::string &params_json)
     return index;
 }
 
-void
-applyShardRuntimePolicy(BenchParams &params)
+Status
+prepareShardProcess(int slot, const std::string &params_json,
+                    BenchParams &params)
 {
-    // The daemon owns the cache, the journals and the retry policy;
-    // a shard is a stream of bare attempts (the PR 4 worker
-    // philosophy), so its death never loses durable state. The
-    // metrics dir is cleared too: a shard never writes artifacts —
-    // configureShardObservability re-sets it purely as the "record
-    // per-run metrics for snapshot shipping" flag.
+    if (!params_json.empty())
+        if (Status s = applyShardParams(params_json, params); !s.ok())
+            return s;
+    // The caller owns the cache, the journals and the retry policy; a
+    // shard is a stream of bare attempts, so its death never loses
+    // durable state. It never writes telemetry artifacts either: the
+    // metrics dir below is purely the "record per-run metrics for
+    // snapshot shipping" flag (the gate shardExecuteRun uses), and the
+    // snapshots ride pong/result frames to the control plane.
+    const std::string obs_dir = shardObsDir(params_json);
+    Result<Json> doc = Json::tryParse(params_json);
+    const Json *metrics = doc.ok() ? doc.value().find("metrics") : nullptr;
     params.use_cache = false;
     params.resume = false;
-    params.isolate = IsolateMode::Off;
+    params.shards = 0;
     params.jobs = 1;
     params.heartbeat_ms = 0;
     params.metrics_dir.clear();
-    params.write_summary = false;
-}
-
-std::string
-shardObsDirFromParams(const std::string &params_json)
-{
-    Result<Json> doc = Json::tryParse(params_json);
-    if (!doc.ok())
-        return {};
-    if (const Json *f = doc.value().find("obs_dir");
-        f && f->type() == Json::Type::String)
-        return f->asString();
-    return {};
-}
-
-void
-configureShardObservability(int slot, const std::string &obs_dir,
-                            BenchParams &params)
-{
-    // Metrics: recording is keyed off a non-empty metrics_dir (the
-    // same gate runMemoized uses), but shards never write artifacts —
-    // snapshots ship to the control plane on pong/result frames and
-    // the daemon exports the merged files.
-    if (!obs_dir.empty())
+    if (metrics && metrics->type() == Json::Type::Bool && metrics->asBool())
         params.metrics_dir = obs_dir;
-    // Trace: honour EVRSIM_TRACE in the shard too, but route the
-    // local spill file under the observability dir with a slot-tagged
-    // name so a fenced/killed shard leaves an attributable file
-    // instead of an orphan in some cwd. The merged view still comes
-    // from shipped events; this file is the forensic fallback.
-    Result<TraceConfig> tc = traceConfigFromEnv();
-    if (!tc.ok()) {
-        warn("shard %d: %s", slot, tc.status().message().c_str());
-        return;
+    params.write_summary = false;
+    setLogLevel(params.log_level);
+
+    // The EVRSIM_JOB_MEM_MB budget: an allocation past it fails inside
+    // the attempt (bad_alloc -> Unavailable) or kills the shard.
+    if (params.job_mem_mb > 0) {
+        struct rlimit rl;
+        rl.rlim_cur = rl.rlim_max =
+            static_cast<rlim_t>(params.job_mem_mb) << 20;
+        if (::setrlimit(RLIMIT_AS, &rl) != 0)
+            warn("shard %d: cannot apply EVRSIM_JOB_MEM_MB=%d: %s", slot,
+                 params.job_mem_mb, ::strerror(errno));
     }
-    if (!tc.value().enabled())
-        return;
-    TraceConfig cfg = tc.value();
-    std::string name =
-        "shard-" + std::to_string(slot) + ".trace.json";
-    cfg.path = obs_dir.empty() ? name : obs_dir + "/" + name;
-    traceConfigure(cfg);
+
+    // Trace: honour EVRSIM_TRACE in the shard too, but spill the local
+    // file under the observability dir with a slot-tagged name, so a
+    // killed shard leaves an attributable file instead of an orphan in
+    // some cwd. The merged view comes from shipped events; this file
+    // is the forensic fallback, deleted by the fleet after a merge.
+    Result<TraceConfig> tc = traceConfigFromEnv();
+    if (!tc.ok())
+        return tc.status();
+    if (tc.value().enabled()) {
+        TraceConfig cfg = tc.value();
+        cfg.path = shardSpillPath(obs_dir, slot);
+        traceConfigure(cfg);
+    }
+    return {};
 }
 
 void
@@ -1356,78 +1569,108 @@ attachShardMetricsSnapshot(Json &payload)
         payload.set("mx", std::move(doc.value()));
 }
 
-TraceContext
-traceContextFromFrame(const Json &msg)
+ShardRun
+shardRunFromFrame(const Json &msg)
 {
-    TraceContext ctx;
-    if (const Json *f = msg.find("trace");
-        f && f->type() == Json::Type::String)
-        ctx.trace_id = traceIdParse(f->asString());
-    if (const Json *f = msg.find("span");
-        f && f->type() == Json::Type::String)
-        ctx.parent_span = traceIdParse(f->asString());
-    return ctx;
+    ShardRun run;
+    auto text = [&msg](const char *key) {
+        const Json *f = msg.find(key);
+        return f && f->type() == Json::Type::String ? f->asString()
+                                                    : std::string();
+    };
+    auto number = [&msg](const char *key) -> std::uint64_t {
+        const Json *f = msg.find(key);
+        return f && f->type() == Json::Type::Number ? f->asU64() : 0;
+    };
+    run.seq = number("seq");
+    run.workload = text("workload");
+    run.config = text("config");
+    run.key = text("key");
+    run.tile_size = static_cast<int>(number("tile"));
+    run.epoch = number("epoch");
+    run.ctx.trace_id = traceIdParse(text("trace"));
+    run.ctx.parent_span = traceIdParse(text("span"));
+    return run;
 }
 
-Json
-shardRunResponse(ExperimentRunner &runner, const BenchParams &params,
-                 std::uint64_t seq, const std::string &workload,
-                 const std::string &config)
+namespace {
+
+/** One bare attempt of @p run: the SimConfig rebuilt by name and tile
+ *  size, its job key checked against the one the caller sent. */
+Result<RunResult>
+shardAttempt(ExperimentRunner &runner, const BenchParams &params,
+             const ShardRun &run)
 {
+    GpuConfig gpu = params.gpuConfig();
+    if (run.tile_size > 0)
+        gpu.tile_size = run.tile_size;
+    Result<SimConfig> cfg = configByName(run.config, gpu);
+    if (!cfg.ok())
+        return cfg.status();
+    std::string key = runner.jobKey(run.workload, cfg.value());
+    if (key != run.key)
+        return Status::invalidArgument("shard computes job key '" + key +
+                                       "' for a run sent as '" + run.key +
+                                       "' (version skew?)");
+    return runner.trySimulate(run.workload, cfg.value());
+}
+
+} // namespace
+
+Json
+shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
+                FaultInjector &faults, const ShardRun &run)
+{
+    // worker-kill9: die exactly where a real crash would hurt most —
+    // after accepting the run, before responding. Counter-based, so
+    // the respawned shard does not re-kill the same job forever. The
+    // keyed sites, by contrast, chase their job onto every shard.
+    if (faults.shouldFail(FaultSite::WorkerKill9))
+        ::raise(SIGKILL);
+    const std::uint64_t job = fnv1a64(run.key);
+    if (faults.shouldFailAt(FaultSite::WorkerCrash, job))
+        ::raise(SIGSEGV);
+    if (faults.shouldFailAt(FaultSite::WorkerHang, job))
+        for (;;)
+            std::this_thread::sleep_for(std::chrono::hours(1));
+
+    const bool tracing = traceActive();
+    std::uint64_t t0 = 0;
+    if (tracing) {
+        traceContextSet(run.ctx);
+        t0 = traceNowNs();
+    }
     const bool metrics_on = !params.metrics_dir.empty();
-    auto t0 = std::chrono::steady_clock::now();
-    Result<RunResult> attempt = [&]() -> Result<RunResult> {
-        Result<SimConfig> cfg = configByName(config, params.gpuConfig());
-        if (!cfg.ok())
-            return cfg.status();
-        return runner.trySimulate(workload, cfg.value());
-    }();
+    auto wall_start = std::chrono::steady_clock::now();
+    Result<RunResult> attempt = Status::internal("not run");
+    {
+        TraceSpan span(TraceCat::Worker, "shard-run");
+        if (span.active()) {
+            span.setDetail(run.workload + "/" + run.config + " parent=" +
+                           traceIdHex(run.ctx.parent_span));
+            span.setValue(static_cast<std::int64_t>(run.seq));
+        }
+        attempt = shardAttempt(runner, params, run);
+    }
     if (metrics_on) {
-        double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        metricsCounterAdd(
-            "evrsim_runs_total", 1,
-            {{"outcome", attempt.ok() ? "ok" : "failed"}});
+        double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+        metricsCounterAdd("evrsim_runs_total", 1,
+                          {{"outcome", attempt.ok() ? "ok" : "failed"}});
         if (attempt.ok())
-            recordRunMetrics(workload, config, attempt.value(),
+            recordRunMetrics(run.workload, run.config, attempt.value(),
                              wall_ms);
     }
 
     Json payload = Json::object();
     payload.set("type", "result");
-    payload.set("seq", seq);
+    payload.set("seq", run.seq);
     payload.set("ok", attempt.ok());
     if (attempt.ok())
         payload.set("result", attempt.value().toJson());
     else
         payload.set("status", statusToJson(attempt.status()));
-    return payload;
-}
-
-Json
-shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
-                std::uint64_t seq, const std::string &workload,
-                const std::string &config, const TraceContext &ctx)
-{
-    const bool tracing = traceActive();
-    std::uint64_t t0 = 0;
-    if (tracing) {
-        traceContextSet(ctx);
-        t0 = traceNowNs();
-    }
-    Json payload;
-    {
-        TraceSpan span(TraceCat::Worker, "shard-run");
-        if (span.active()) {
-            span.setDetail(workload + "/" + config + " parent=" +
-                           traceIdHex(ctx.parent_span));
-            span.setValue(static_cast<std::int64_t>(seq));
-        }
-        payload =
-            shardRunResponse(runner, params, seq, workload, config);
-    }
     if (tracing) {
         // Ship every span this run recorded (the shard-run envelope
         // plus the frame/stage/tile spans beneath it); the control
@@ -1439,33 +1682,16 @@ shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
     return payload;
 }
 
-namespace {
-
-/** One queued run inside a shard process. */
-struct PendingRun {
-    std::uint64_t seq = 0;
-    std::string workload;
-    std::string config;
-    TraceContext ctx; ///< propagated trace context (zero = none)
-};
-
-} // namespace
-
 void
 runShardAndExit(int shard_index, WorkloadFactory factory,
                 BenchParams params, const std::string &params_json)
 {
-    if (!params_json.empty()) {
-        if (Status s = applyShardParams(params_json, params); !s.ok()) {
-            std::fprintf(stderr, "evrsim shard %d: %s\n", shard_index,
-                         s.message().c_str());
-            std::exit(2);
-        }
+    if (Status s = prepareShardProcess(shard_index, params_json, params);
+        !s.ok()) {
+        std::fprintf(stderr, "evrsim shard %d: %s\n", shard_index,
+                     s.message().c_str());
+        std::exit(2);
     }
-    applyShardRuntimePolicy(params);
-    configureShardObservability(
-        shard_index, shardObsDirFromParams(params_json), params);
-    setLogLevel(params.log_level);
     ignoreSigpipe();
 
     FaultInjector faults(FaultInjector::planFromEnv());
@@ -1475,17 +1701,17 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
     // mid-run; simulations execute on this one worker thread.
     std::mutex q_mu, write_mu;
     std::condition_variable q_cv;
-    std::deque<PendingRun> queue;
+    std::deque<ShardRun> queue;
     bool closed = false;
 
     auto respond = [&](Json payload) {
         std::lock_guard<std::mutex> lock(write_mu);
-        writeFramedLine(kWorkerResponseFd, std::move(payload), &faults);
+        writeFramedLine(kShardResponseFd, std::move(payload), &faults);
     };
 
     std::thread worker([&] {
         for (;;) {
-            PendingRun run;
+            ShardRun run;
             {
                 std::unique_lock<std::mutex> lk(q_mu);
                 q_cv.wait(lk, [&] { return closed || !queue.empty(); });
@@ -1494,16 +1720,7 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
                 run = std::move(queue.front());
                 queue.pop_front();
             }
-            // worker-kill9: die exactly where a real crash
-            // would hurt most — after accepting the run, before
-            // responding. Counter-based, so the respawned shard does
-            // not re-kill the same job forever.
-            if (faults.shouldFail(FaultSite::WorkerKill9))
-                ::raise(SIGKILL);
-
-            respond(shardExecuteRun(runner, params, run.seq,
-                                    run.workload, run.config,
-                                    run.ctx));
+            respond(shardExecuteRun(runner, params, faults, run));
         }
     });
 
@@ -1515,15 +1732,13 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
                 continue;
             if (msg.status().code() == ErrorCode::DataLoss)
                 continue; // damaged inbound line: skip, keep serving
-            break;        // EOF: the daemon is gone — exit cleanly
+            break;        // EOF: the control plane is gone — exit
         }
         if (faults.shouldFail(FaultSite::WorkerStall))
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(kWorkerStallMs));
-        const Json *type = msg.value().find("type");
-        if (!type || type->type() != Json::Type::String)
-            continue;
-        if (type->asString() == "ping") {
+        std::string type = msg.value().get("type", Json("")).asString();
+        if (type == "ping") {
             Json pong = Json::object();
             pong.set("type", "pong");
             pong.set("seq", msg.value().get("seq", Json(0)));
@@ -1533,26 +1748,13 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
             // of counters.
             attachShardMetricsSnapshot(pong);
             respond(std::move(pong));
-            continue;
+        } else if (type == "run") {
+            {
+                std::lock_guard<std::mutex> lock(q_mu);
+                queue.push_back(shardRunFromFrame(msg.value()));
+            }
+            q_cv.notify_one();
         }
-        if (type->asString() != "run")
-            continue;
-        PendingRun run;
-        if (const Json *f = msg.value().find("seq");
-            f && f->type() == Json::Type::Number)
-            run.seq = f->asU64();
-        if (const Json *f = msg.value().find("workload");
-            f && f->type() == Json::Type::String)
-            run.workload = f->asString();
-        if (const Json *f = msg.value().find("config");
-            f && f->type() == Json::Type::String)
-            run.config = f->asString();
-        run.ctx = traceContextFromFrame(msg.value());
-        {
-            std::lock_guard<std::mutex> lock(q_mu);
-            queue.push_back(std::move(run));
-        }
-        q_cv.notify_one();
     }
     {
         std::lock_guard<std::mutex> lock(q_mu);

@@ -1,16 +1,24 @@
 /**
  * @file
- * Self-healing sharded worker fleet for the sweep service.
+ * Self-healing sharded worker fleet: the one way a simulation runs
+ * outside the calling process.
  *
- * PR 7 made the daemon resident, but every simulation still executed
- * inside the daemon process: one runaway run was a whole-service blast
- * radius. The fleet splits that domain — the daemon becomes a control
- * plane (cache, journals, memo, retry policy, admission) and N
- * persistent shard processes (EVRSIM_SHARDS) do the actual simulating.
- * Each run is routed by content-key hash to its primary shard over the
- * same checksummed-envelope line protocol the cache, journal and
- * worker pipe already use (driver/envelope.hpp): requests go down the
+ * Every out-of-process run goes through a ShardFleet of N persistent
+ * shard processes (EVRSIM_SHARDS): the daemon's control plane uses one,
+ * and so does a bench binary run with EVRSIM_SHARDS > 0. The caller
+ * keeps the cache, journals, memo and retry policy; shards do the
+ * simulating. Each run is routed by content-key hash to its primary
+ * shard over the checksummed-envelope line protocol the cache and
+ * journals already use (driver/envelope.hpp): requests go down the
  * shard's stdin, framed responses come back on fd 3.
+ *
+ * A shard simulates one run at a time, and the fleet hands it exactly
+ * one: a run waits in the caller for its shard to go idle. So a shard
+ * death, or a run deadline missed, is always the doing of the one run
+ * in flight, which is what lets crash quarantine be failover
+ * exhaustion — a run that killed every shard it reached reports
+ * worker_died, and the runner quarantines a job after kJobMaxAttempts
+ * such deaths.
  *
  * Health model, per shard:
  *  - periodic ping with a hard pong deadline;
@@ -19,15 +27,19 @@
  *    the first success), so a flapping shard stops receiving work
  *    instead of timing out every run routed to it;
  *  - automatic restart with capped + deterministically jittered
- *    backoff (a fleet of shards killed together does not restart in
- *    lockstep);
+ *    backoff whose exponent counts the deaths since the shard last
+ *    returned a result (a fleet of shards killed together does not
+ *    restart in lockstep; a shard that dies once per crashing job
+ *    comes straight back);
+ *  - a run deadline (EVRSIM_JOB_TIMEOUT_MS plus a grace period when a
+ *    timeout is set): a shard that misses it is wedged and condemned;
  *  - failover: a dead or open shard's runs re-route to the next shard
- *    in ring order, and when the whole fleet is unhealthy the run
- *    degrades to in-daemon execution — counted, never dropped.
+ *    in ring order. When no shard admits work, the daemon degrades to
+ *    in-process execution (counted, never dropped); a fleet without a
+ *    fallback waits up to the run deadline for a shard to come up.
  *
- * Shards are one bare attempt per run, exactly like PR 4's isolate
- * workers: no cache, no journal, no retry — the daemon owns those, so
- * a shard death is always recoverable state-free. Results are
+ * Shards are one bare attempt per run: no cache, no journal, no retry,
+ * so a shard death is always recoverable state-free. Results are
  * byte-identical wherever they execute (the simulation is
  * deterministic), which is what the chaos soak asserts end to end.
  *
@@ -36,14 +48,15 @@
  * fences, reconnects, partitions, stale epochs, registrations)
  * plus an evrsim_fleet_shards gauge.
  *
- * PR 9 splits the fleet along a ShardTransport seam: the fleet keeps
+ * The fleet splits along a ShardTransport seam: the fleet keeps
  * everything about *policy* (routing, breakers, pings, failover,
  * degradation, waiter bookkeeping) while a transport owns everything
  * about *endpoints* (spawning or accepting them, framing bytes to
  * them, detecting their loss). Two transports exist:
  *
- *  - PipeShardTransport (in fleet.cpp): PR 8's fork/exec children on
- *    stdin/fd-3 pipes, with reap + jittered-backoff respawn.
+ *  - PipeShardTransport (in fleet.cpp): fork/exec children on
+ *    stdin/fd-3 pipes, with reap + jittered-backoff respawn. It is the
+ *    only code that fork/execs a simulation process.
  *  - TcpShardTransport (tcp_transport.hpp): remote shards dial in
  *    over TCP (EVRSIM_FLEET_LISTEN), register with a hello/welcome
  *    handshake, and hold a slot under an epoch lease. A shard that
@@ -80,8 +93,9 @@ namespace evrsim {
 /** Envelope schema of the parent<->shard line protocol. */
 constexpr int kShardProtocolVersion = 1;
 
-/** Fleet knobs. Tests set these directly; the daemon binary resolves
- *  EVRSIM_SHARDS and fills shard_argv with its own executable. */
+/** Fleet knobs. Tests set these directly; binaries start from
+ *  fleetConfigFromParams() and fill shard_argv with their own
+ *  executable. */
 struct FleetConfig {
     /** Worker-shard process count; 0 disables the fleet. */
     int shards = 0;
@@ -106,8 +120,10 @@ struct FleetConfig {
     int restart_backoff_base_ms = 100;
     int restart_backoff_cap_ms = 5000;
     /** Per-dispatch deadline: a run whose response never arrives (a
-     *  dropped wire line, a fully wedged shard) fails over after this
-     *  long instead of waiting forever. */
+     *  hung simulation, a dropped wire line) condemns its shard and
+     *  fails over after this long instead of waiting forever. Also
+     *  bounds how long a fleet without a fallback waits for a shard to
+     *  come up. */
     int run_deadline_ms = 120000;
     int poll_ms = 50; ///< monitor/reader wakeup cadence
     /** JSONL mirror of the fleet lifecycle event ring (restart, fence,
@@ -123,6 +139,19 @@ fleetEnabled(const FleetConfig &c)
 {
     return c.shards > 0 && (!c.shard_argv.empty() || !c.listen.empty());
 }
+
+/** Slack over EVRSIM_JOB_TIMEOUT_MS before a run's hard deadline, so
+ *  the shard's cooperative watchdog normally reports the precise
+ *  overrun first: timeout/2 clamped to [500, 5000] ms; 0 stays 0. */
+int defaultGraceMs(int timeout_ms);
+
+/**
+ * The fleet @p params ask for: EVRSIM_SHARDS wide, forwarding the
+ * simulation subset of @p params to every shard, with the run deadline
+ * at job_timeout_ms + defaultGraceMs() when a timeout is set. The
+ * caller fills shard_argv (or listen).
+ */
+FleetConfig fleetConfigFromParams(const BenchParams &params);
 
 /** Whether the config selects the TCP (remote-shard) transport. */
 inline bool
@@ -172,12 +201,13 @@ struct CircuitBreaker {
 };
 
 /**
- * Deterministic capped + jittered restart delay for @p restarts-th
- * restart of shard @p shard_index: exponential from the base, capped,
- * with the upper half jittered by a mix64 stream of (shard, restart)
- * so simultaneous deaths de-synchronize reproducibly.
+ * Deterministic capped + jittered restart delay for shard
+ * @p shard_index after @p deaths consecutive deaths without a result
+ * in between: exponential from the base, capped, with the upper half
+ * jittered by a mix64 stream of (shard, deaths) so simultaneous deaths
+ * de-synchronize reproducibly.
  */
-int restartBackoffMs(const FleetConfig &c, int shard_index, int restarts);
+int restartBackoffMs(const FleetConfig &c, int shard_index, int deaths);
 
 /** Primary shard for a content key: fnv1a64(key) % shards. */
 int shardIndexForKey(const std::string &key, int shards);
@@ -280,7 +310,7 @@ class ShardTransport
     virtual TransportStats stats() const = 0;
 };
 
-/** The PR 8 fork/exec pipe transport (defined in fleet.cpp). */
+/** The fork/exec pipe transport (defined in fleet.cpp). */
 std::unique_ptr<ShardTransport>
 makePipeShardTransport(const FleetConfig &config);
 
@@ -292,7 +322,9 @@ class ShardFleet
     struct Stats {
         std::uint64_t dispatched = 0; ///< execute() calls
         std::uint64_t completed = 0;  ///< runs that returned a verdict
-        std::uint64_t failovers = 0;  ///< completions off the primary
+        /** Completions routed around a failure: after a shard died
+         *  under the run, or off a dead or open primary. */
+        std::uint64_t failovers = 0;
         std::uint64_t restarts = 0;   ///< shard processes respawned
         std::uint64_t breaker_opens = 0;
         std::uint64_t degraded = 0; ///< in-daemon fallback executions
@@ -325,15 +357,20 @@ class ShardFleet
     Status start();
 
     /** Close every shard's stdin (clean EOF exit), SIGKILL stragglers,
-     *  join every thread. Idempotent. */
+     *  join every thread, then flush the merged trace and delete the
+     *  shards' local trace spill files. Idempotent. */
     void stop();
 
     /**
-     * Execute one run on the fleet: dispatch to the key's primary
-     * shard, failing over around the ring on death/timeout, degrading
-     * to the in-daemon fallback when no shard admits work. The
-     * returned attempt mirrors the supervisor contract: worker_died
-     * only when every shard AND the fallback were unavailable.
+     * Execute one run on the fleet: dispatch to the key's primary shard
+     * or, while it is busy, dead or open, the next idle shard in ring
+     * order (waiting while all are busy), failing over on death or a
+     * missed run deadline. When no shard admits work the run degrades
+     * to the fallback, or, without one, waits up to the run deadline
+     * for a shard to come up. The returned attempt is the shard's
+     * verdict verbatim (result, or Status with its code intact);
+     * worker_died is set only when the run killed every shard it
+     * reached.
      */
     WorkerAttempt execute(const std::string &alias,
                           const SimConfig &config,
@@ -382,6 +419,7 @@ class ShardFleet
     struct Shard {
         int index = 0;
         bool alive = false;
+        bool busy = false; ///< a run is in flight (one at a time)
         CircuitBreaker breaker;
         bool ping_outstanding = false;
         std::chrono::steady_clock::time_point ping_sent{};
@@ -411,6 +449,16 @@ class ShardFleet
      *  runs (TCP lease miss — harder than a strike). */
     void fenceShard(Shard &s, const std::string &why);
 
+    /** The first shard in ring order from @p primary that is live,
+     *  admitting, idle and not @p killed by this run; -1 if none.
+     *  @p live reports whether any such shard exists, busy or not.
+     *  Caller holds mu_. */
+    int idleShardLocked(int primary, const std::vector<char> &killed,
+                        bool &live) const;
+
+    /** Hand @p s back after a dispatch and wake waiting callers. */
+    void releaseShard(Shard &s);
+
     /** Pong/result received: close the breaker. */
     void markShardHealthy(Shard &s);
 
@@ -423,6 +471,9 @@ class ShardFleet
     FleetEventRing events_;     ///< lifecycle event ring (+ JSONL)
 
     mutable std::mutex mu_; ///< shard health + stats
+    /** Signalled (under mu_) when a shard comes up, goes down or goes
+     *  idle, and on stop. */
+    std::condition_variable shard_cv_;
     Stats stats_;
 
     mutable std::mutex waiters_mu_;
@@ -445,8 +496,9 @@ Json fleetStatsToJson(const ShardFleet::Stats &stats);
 // --- shard-process side ---------------------------------------------
 
 /** Serialize the simulation-relevant subset of @p params (dimensions,
- *  frames, warmup, tile jobs, timeout, validation, log level) for the
- *  --evrsim-shard-params argv flag. */
+ *  frames, warmup, tile jobs, timeout, memory budget, validation, log
+ *  level, observability dir) for the --evrsim-shard-params argv
+ *  flag. */
 std::string shardParamsJson(const BenchParams &params);
 
 /** Overlay a shardParamsJson() document onto @p params. */
@@ -455,63 +507,61 @@ Status applyShardParams(const std::string &text, BenchParams &params);
 /**
  * Detect shard mode in an embedding binary's argv: the shard index
  * from --evrsim-shard=<i> (else -1), with any --evrsim-shard-params=
- * payload copied to @p params_json. Call before normal flag parsing,
- * like the --evrsim-worker-run probe.
+ * payload copied to @p params_json. Call before normal flag parsing.
  */
 int shardFlagFromArgv(int argc, char **argv, std::string &params_json);
 
-/** Force the bare-attempt worker philosophy onto shard params: no
- *  cache, no journal, no isolation, one job, quiet telemetry. Shared
- *  by the pipe and remote serve loops. */
-void applyShardRuntimePolicy(BenchParams &params);
-
-/** The "obs_dir" field of a shardParamsJson() document (the daemon's
- *  metrics-or-cache directory); empty when absent or unparseable. */
-std::string shardObsDirFromParams(const std::string &params_json);
-
 /**
- * Arm shard-side observability after the runtime policy: route metric
- * recording into the in-process registry (snapshots ship to the
- * control plane; the daemon alone writes artifacts) and, when
- * EVRSIM_TRACE is set, re-point the trace file at
- * <obs_dir>/shard-<slot>.trace.json so shard traces land slot-tagged
- * under the daemon's directory instead of orphaned beside nothing.
+ * Turn this process into shard @p slot, for the pipe and remote serve
+ * loops alike: overlay @p params_json (when non-empty) onto @p params;
+ * force the bare-attempt policy (no cache, journal, fleet or telemetry
+ * artifacts; one job); cap the address space at job_mem_mb
+ * (RLIMIT_AS); record metrics for snapshot shipping when the caller
+ * exports metrics; and, when EVRSIM_TRACE is set, spill the
+ * trace to <obs_dir>/shard-<slot>.trace.json. InvalidArgument when the
+ * document does not parse.
  */
-void configureShardObservability(int slot, const std::string &obs_dir,
-                                 BenchParams &params);
+Status prepareShardProcess(int slot, const std::string &params_json,
+                           BenchParams &params);
 
 /** Attach the shard's metrics-registry snapshot to an outbound frame
  *  as "mx" (no-op while the registry is empty). */
 void attachShardMetricsSnapshot(Json &payload);
 
-/** The {trace_id, parent_span} a run frame carries ("trace"/"span"
- *  16-hex-digit strings); zero ids when the frame has none. */
-TraceContext traceContextFromFrame(const Json &msg);
+/** One run request as a shard receives it. */
+struct ShardRun {
+    std::uint64_t seq = 0;
+    std::string workload;
+    std::string config;
+    std::string key;   ///< the sender's ExperimentRunner::jobKey()
+    int tile_size = 0; ///< the SimConfig's gpu tile size
+    TraceContext ctx;  ///< propagated trace context (zero = none)
+    std::uint64_t epoch = 0; ///< lease epoch (remote shards)
+};
 
-/** Execute one shard run request (@p workload under @p config) and
- *  build the framed "result" payload for @p seq. */
-Json shardRunResponse(ExperimentRunner &runner,
-                      const BenchParams &params, std::uint64_t seq,
-                      const std::string &workload,
-                      const std::string &config);
+/** Parse a "run" frame; missing fields keep their defaults. */
+ShardRun shardRunFromFrame(const Json &msg);
 
 /**
- * shardRunResponse() wrapped in the fleet observability contract: the
- * run executes under @p ctx as the ambient trace context inside a
- * worker-category "shard-run" span, the events it recorded ship on
- * the response as "trace" (wire form, timestamps rebased to the run
- * start), and the metrics-registry snapshot rides along as "mx".
+ * Execute @p run inside a shard and build its framed "result" payload.
+ * The shard fault sites fire first: worker-kill9 (counter draw), then
+ * worker-crash and worker-hang keyed on fnv1a64(run.key), so the same
+ * jobs die on every attempt and on every shard. The SimConfig is
+ * rebuilt from its name and tile size; a key that differs from
+ * runner.jobKey() of the rebuilt config (version skew) is answered
+ * InvalidArgument. The run executes under run.ctx inside a
+ * worker-category "shard-run" span; the events it recorded ship as
+ * "trace" (timestamps rebased to the run start) and the metrics
+ * snapshot as "mx".
  */
 Json shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
-                     std::uint64_t seq, const std::string &workload,
-                     const std::string &config, const TraceContext &ctx);
+                     FaultInjector &faults, const ShardRun &run);
 
 /**
- * Serve as shard @p shard_index until stdin EOF, then exit: parse the
- * params overlay, force the bare-attempt worker philosophy (no cache,
- * no journal, no isolation, quiet), answer pings, execute runs on a
- * dedicated thread (the reader stays responsive to pings mid-run),
- * and frame every response through the fault injector's wire sites.
+ * Serve as shard @p shard_index until stdin EOF, then exit:
+ * prepareShardProcess(), answer pings, execute runs on a dedicated
+ * thread (the reader stays responsive to pings mid-run), and frame
+ * every response through the fault injector's wire sites.
  */
 [[noreturn]] void runShardAndExit(int shard_index,
                                   WorkloadFactory factory,

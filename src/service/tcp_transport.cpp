@@ -191,22 +191,17 @@ class TcpShardTransport final : public ShardTransport
     condemn(int slot, const std::string &why) override
     {
         Endpoint &e = *eps_[static_cast<std::size_t>(slot)];
-        bool fenced = false;
-        {
-            std::lock_guard<std::mutex> lock(e.mu);
-            if (e.fd >= 0) {
-                // shutdown, not close: the reader owns the close, and
-                // a torn-down socket wakes it with EOF instead of
-                // racing it on a recycled descriptor.
-                ::shutdown(e.fd, SHUT_RDWR);
-                fenced = true;
-            }
-        }
-        if (fenced) {
-            bump(&TransportStats::fences, "evrsim_fleet_fences_total");
-            warn("fleet: shard %d connection fenced (%s)", slot,
-                 why.c_str());
-        }
+        std::lock_guard<std::mutex> lock(e.mu);
+        if (e.fd < 0)
+            return;
+        // Count first: the shutdown wakes the reader, whose failover
+        // can complete a run before this call returns.
+        bump(&TransportStats::fences, "evrsim_fleet_fences_total");
+        warn("fleet: shard %d connection fenced (%s)", slot, why.c_str());
+        // shutdown, not close: the reader owns the close, and a
+        // torn-down socket wakes it with EOF instead of racing it on a
+        // recycled descriptor.
+        ::shutdown(e.fd, SHUT_RDWR);
     }
 
     void
@@ -499,16 +494,6 @@ remoteShardFlagFromArgv(int argc, char **argv)
 
 namespace {
 
-/** One queued run inside a remote shard, tagged with the epoch it
- *  arrived under (its response must carry the same epoch). */
-struct RemoteRun {
-    std::uint64_t seq = 0;
-    std::uint64_t epoch = 0;
-    std::string workload;
-    std::string config;
-    TraceContext ctx; ///< propagated trace context (zero = none)
-};
-
 /** The connection the worker thread responds through; reconnects swap
  *  the fd underneath it. */
 struct RemoteConn {
@@ -530,7 +515,7 @@ runRemoteShardAndExit(const std::string &host_port,
     RemoteConn conn;
     std::mutex q_mu;
     std::condition_variable q_cv;
-    std::deque<RemoteRun> queue;
+    std::deque<ShardRun> queue;
     bool closed = false;
 
     // Responses pass the wire sites first (corrupt/drop/dup, exactly
@@ -626,30 +611,24 @@ runRemoteShardAndExit(const std::string &host_port,
         std::uint64_t epoch =
             first.value().get("epoch", Json(0)).asU64();
         if (!runner) {
-            std::string overlay =
-                first.value().get("params", Json("")).asString();
-            if (!overlay.empty()) {
-                if (Status s = applyShardParams(overlay, params);
-                    !s.ok()) {
-                    std::fprintf(stderr, "evrsim remote shard: %s\n",
-                                 s.message().c_str());
-                    std::exit(2);
-                }
-            }
-            applyShardRuntimePolicy(params);
-            // The welcome names our slot: route the trace spill file
-            // and the metrics-recording flag the same way a pipe
-            // shard does. obs_dir rides the params overlay.
+            // The welcome names our slot and carries the params
+            // overlay: prepare the process exactly like a pipe shard.
             int slot = static_cast<int>(
                 first.value().get("slot", Json(0)).asDouble());
-            configureShardObservability(
-                slot, shardObsDirFromParams(overlay), params);
-            setLogLevel(params.log_level);
+            if (Status s = prepareShardProcess(
+                    slot,
+                    first.value().get("params", Json("")).asString(),
+                    params);
+                !s.ok()) {
+                std::fprintf(stderr, "evrsim remote shard: %s\n",
+                             s.message().c_str());
+                std::exit(2);
+            }
             runner =
                 std::make_unique<ExperimentRunner>(factory, params);
             worker = std::thread([&] {
                 for (;;) {
-                    RemoteRun run;
+                    ShardRun run;
                     {
                         std::unique_lock<std::mutex> lk(q_mu);
                         q_cv.wait(lk, [&] {
@@ -660,11 +639,8 @@ runRemoteShardAndExit(const std::string &host_port,
                         run = std::move(queue.front());
                         queue.pop_front();
                     }
-                    if (faults.shouldFail(FaultSite::WorkerKill9))
-                        ::raise(SIGKILL);
-                    Json payload = shardExecuteRun(
-                        *runner, params, run.seq, run.workload,
-                        run.config, run.ctx);
+                    Json payload =
+                        shardExecuteRun(*runner, params, faults, run);
                     payload.set("epoch", run.epoch);
                     respond(std::move(payload));
                 }
@@ -712,21 +688,9 @@ runRemoteShardAndExit(const std::string &host_port,
             }
             if (t->asString() != "run")
                 continue;
-            RemoteRun run;
-            run.epoch = epoch;
-            if (const Json *f = msg.value().find("seq");
-                f && f->type() == Json::Type::Number)
-                run.seq = f->asU64();
-            if (const Json *f = msg.value().find("workload");
-                f && f->type() == Json::Type::String)
-                run.workload = f->asString();
-            if (const Json *f = msg.value().find("config");
-                f && f->type() == Json::Type::String)
-                run.config = f->asString();
-            run.ctx = traceContextFromFrame(msg.value());
             {
                 std::lock_guard<std::mutex> lock(q_mu);
-                queue.push_back(std::move(run));
+                queue.push_back(shardRunFromFrame(msg.value()));
             }
             q_cv.notify_one();
         }

@@ -128,6 +128,9 @@ degradedRunner(ExperimentRunner &runner)
 std::map<std::string, std::string>
 runSweep(ShardFleet &fleet, const BenchParams &params)
 {
+    // Runs are addressed by the runner's job key, which the shard
+    // re-derives and checks.
+    ExperimentRunner keys(workloads::factory(), params, FaultPlan{});
     std::map<std::string, std::string> out;
     for (const auto &[alias, config_name] : soakPairs()) {
         Result<SimConfig> config =
@@ -136,7 +139,8 @@ runSweep(ShardFleet &fleet, const BenchParams &params)
         if (!config.ok())
             continue;
         std::string key = alias + "/" + config_name;
-        WorkerAttempt a = fleet.execute(alias, config.value(), key);
+        WorkerAttempt a = fleet.execute(
+            alias, config.value(), keys.jobKey(alias, config.value()));
         EXPECT_TRUE(a.status.ok())
             << key << ": " << a.status.toString()
             << (a.worker_died ? " (worker died)" : "");

@@ -804,14 +804,19 @@ TEST(ServiceKnobs, TypoedKnobFailsNamingTheVariable)
     ::unsetenv("EVRSIM_CLIENT_QUOTA");
     ::unsetenv("EVRSIM_SOCKET");
 
+    // EVRSIM_SHARDS is a bench knob (one parse for every binary); the
+    // service takes the fleet width from the params.
     ::setenv("EVRSIM_SHARDS", "-1", 1); // below the minimum of 0
-    bad = serviceConfigFromEnvChecked(params);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("EVRSIM_SHARDS"),
+    Result<BenchParams> bad_params = benchParamsFromEnvChecked();
+    ASSERT_FALSE(bad_params.ok());
+    EXPECT_NE(bad_params.status().message().find("EVRSIM_SHARDS"),
               std::string::npos);
 
     ::setenv("EVRSIM_SHARDS", "3", 1);
-    Result<ServiceConfig> sharded = serviceConfigFromEnvChecked(params);
+    Result<BenchParams> sharded_params = benchParamsFromEnvChecked();
+    ASSERT_TRUE(sharded_params.ok());
+    Result<ServiceConfig> sharded =
+        serviceConfigFromEnvChecked(sharded_params.value());
     ASSERT_TRUE(sharded.ok());
     EXPECT_EQ(sharded.value().fleet.shards, 3);
     ::unsetenv("EVRSIM_SHARDS");

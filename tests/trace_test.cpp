@@ -21,7 +21,6 @@
 #include "driver/experiment.hpp"
 #include "driver/json.hpp"
 #include "driver/report.hpp"
-#include "driver/supervisor.hpp"
 #include "workloads/registry.hpp"
 
 using namespace evrsim;
@@ -307,33 +306,6 @@ TEST_F(TraceTest, WriteProducesValidNestedChromeTrace)
             ends.push_back(s.first + s.second);
         }
     }
-}
-
-TEST_F(TraceTest, WorkerLifetimeSpanCarriesPid)
-{
-    auto dir = freshDir("evrsim_trace_worker");
-    traceConfigure(allCategories((dir / "t.json").string()));
-
-    // /bin/true exits 0 without speaking the worker protocol, so the
-    // outcome is a death — but the fork→exec→reap span still lands.
-    WorkerLimits limits;
-    WorkerOutcome out = superviseWorker({"/bin/true"}, limits);
-    EXPECT_TRUE(out.worker_died);
-
-    ASSERT_TRUE(traceWrite().ok());
-    Json events = loadTraceEvents(dir / "t.json");
-    bool found = false;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const Json &e = events.at(i);
-        if (e.at("name").asString() != "worker-lifetime")
-            continue;
-        found = true;
-        EXPECT_EQ(e.at("cat").asString(), "worker");
-        EXPECT_GT(e.at("args").at("value").asI64(), 0); // the child pid
-        EXPECT_NE(e.at("args").at("detail").asString().find("/bin/true"),
-                  std::string::npos);
-    }
-    EXPECT_TRUE(found);
 }
 
 TEST_F(TraceTest, ResultsByteIdenticalWithTracingOnVsOff)
