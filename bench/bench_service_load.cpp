@@ -19,16 +19,12 @@
  *     one;
  *  4. sharded fleet — the daemon runs with a two-shard worker fleet
  *     (this binary doubles as the shard program via --evrsim-shard),
- *     the full sweep is served through the shards, every reply is
- *     byte-identical to the single-process golden run, and a quiet
- *     fleet touches none of the failure machinery;
- *  5. remote TCP fleet — the control plane listens on loopback and two
- *     forked copies of this binary dial in as remote shards
- *     (--evrsim-remote-shard); the sweep is byte-identical again, a
- *     quiet fleet touches none of the fencing machinery, and the
- *     observability plane holds up under load: the drained control
- *     plane leaves one merged Chrome trace whose shard spans stitch
- *     under the dispatch spans by shared trace ids, and the exported
+ *     the full sweep is served through the shards with tracing on,
+ *     every reply is byte-identical to the single-process golden run,
+ *     a quiet fleet touches none of the failure machinery, and the
+ *     observability plane holds up: the drained daemon leaves one
+ *     merged Chrome trace whose shard spans stitch under the dispatch
+ *     spans by shared trace ids, and the exported
  *     metrics.json/metrics.prom artifacts self-parse with the fleet
  *     counters and the per-shard folded series present.
  *
@@ -61,7 +57,6 @@
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 #include "service/fleet.hpp"
-#include "service/tcp_transport.hpp"
 #include "workloads/registry.hpp"
 
 namespace {
@@ -158,10 +153,6 @@ main(int argc, char **argv)
     if (shard_index >= 0)
         runShardAndExit(shard_index, workloads::factory(), BenchParams{},
                         shard_params);
-    std::string remote_plane = remoteShardFlagFromArgv(argc, argv);
-    if (!remote_plane.empty())
-        runRemoteShardAndExit(remote_plane, workloads::factory(),
-                              BenchParams{});
 
     int clients = 64;
     int requests = 2;
@@ -365,7 +356,7 @@ main(int argc, char **argv)
     }
 #endif
 
-    // --- Phase 4: sharded worker fleet, quiet run ---
+    // --- Phase 4: sharded worker fleet, quiet traced run ---
 #ifdef EVRSIM_SANITIZED
     std::printf("fleet: skipped under sanitizers (fork + threads)\n");
 #else
@@ -382,6 +373,17 @@ main(int argc, char **argv)
         sc.fleet.shard_argv = {selfExecutablePath()};
         if (sc.fleet.shard_argv[0].empty())
             fatal("fleet: cannot resolve own executable path");
+
+        // Trace the whole leg: the shards inherit EVRSIM_TRACE and ship
+        // their spans back on result frames; the daemon stitches them
+        // into one merged file at drain.
+        ::setenv("EVRSIM_TRACE", "driver,worker", 1);
+        std::string trace_path = cache3 + "/fleet_trace.json";
+        TraceConfig tcfg;
+        tcfg.mask = (1u << static_cast<unsigned>(TraceCat::Driver)) |
+                    (1u << static_cast<unsigned>(TraceCat::Worker));
+        tcfg.path = trace_path;
+        traceConfigure(tcfg);
 
         SweepService fleet_svc(workloads::factory(), loadParams(cache3),
                                sc);
@@ -419,119 +421,17 @@ main(int argc, char **argv)
             check(st.completed >= pairs.size(),
                   "fleet: every run completed through the fleet");
             check(st.restarts == 0 && st.breaker_opens == 0 &&
-                      st.degraded == 0 && st.wire_errors == 0,
+                      st.failovers == 0 && st.degraded == 0 &&
+                      st.wire_errors == 0,
                   "fleet: quiet run touched no failure machinery");
         }
-        fleet_svc.drain();
-        std::error_code ec3;
-        std::filesystem::remove_all(cache3, ec3);
-    }
-
-    // --- Phase 5: remote TCP fleet over loopback, quiet run ---
-    {
-        char tmpl4[] = "/tmp/evrloadXXXXXX";
-        char *dir4 = ::mkdtemp(tmpl4);
-        if (!dir4)
-            fatal("mkdtemp: %s", std::strerror(errno));
-        std::string cache4 = dir4;
-        std::string sock4 = cache4 + "/s.sock";
-
-        ServiceConfig sc = loadServiceConfig(sock4);
-        sc.fleet.shards = 2;
-        sc.fleet.listen = "127.0.0.1:0"; // slots filled by dial-in
-        std::string self = selfExecutablePath();
-        if (self.empty())
-            fatal("remote: cannot resolve own executable path");
-
-        // Trace the whole remote leg: the dial-in shards inherit
-        // EVRSIM_TRACE and ship their spans back on result frames; the
-        // control plane stitches them into one merged file at drain.
-        ::setenv("EVRSIM_TRACE", "driver,worker", 1);
-        std::string trace_path = cache4 + "/remote_trace.json";
-        TraceConfig tcfg;
-        tcfg.mask = (1u << static_cast<unsigned>(TraceCat::Driver)) |
-                    (1u << static_cast<unsigned>(TraceCat::Worker));
-        tcfg.path = trace_path;
-        traceConfigure(tcfg);
-
-        SweepService remote_svc(workloads::factory(), loadParams(cache4),
-                                sc);
-        if (Status s = remote_svc.start(); !s.ok())
-            fatal("remote: %s", s.message().c_str());
-        const ShardFleet *fl = remote_svc.fleet();
-        if (!fl || fl->listenAddress().empty())
-            fatal("remote: control plane is not listening");
-        std::string addr = fl->listenAddress();
-
-        std::vector<pid_t> kids;
-        std::string flag = "--evrsim-remote-shard=" + addr;
-        for (int i = 0; i < sc.fleet.shards; ++i) {
-            pid_t pid = ::fork();
-            if (pid == 0) {
-                ::execl(self.c_str(), self.c_str(), flag.c_str(),
-                        static_cast<char *>(nullptr));
-                _exit(127);
-            }
-            if (pid > 0)
-                kids.push_back(pid);
-        }
-
-        auto reg_deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(15);
-        while (fl->stats().registrations <
-                   static_cast<std::uint64_t>(sc.fleet.shards) &&
-               std::chrono::steady_clock::now() < reg_deadline)
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        check(fl->stats().registrations ==
-                  static_cast<std::uint64_t>(sc.fleet.shards),
-              "remote: both shards dialed in and registered");
-
-        auto t0 = std::chrono::steady_clock::now();
-        ServiceClient cl(loadClient(sock4, "remote"));
-        Result<SweepReply> reply = cl.runSweep("remote-all", pairs);
-        double remote_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        check(reply.ok() && reply.value().runs.size() == pairs.size(),
-              "remote: sweep served through the TCP fleet");
-        if (reply.ok() && reply.value().runs.size() == pairs.size()) {
-            bool identical = true;
-            for (const ClientRunOutcome &run : reply.value().runs)
-                identical =
-                    identical && run.status.ok() &&
-                    run.result_json ==
-                        golden[run.workload + "/" + run.config];
-            check(identical, "remote: every reply byte-identical to "
-                             "the single-process golden run");
-        }
-        ShardFleet::Stats st = fl->stats();
-        std::printf("remote: %zu run(s) over %d TCP shard(s) in %.2fs "
-                    "(%.0f run/s), dispatched=%llu completed=%llu\n",
-                    pairs.size(), sc.fleet.shards, remote_s,
-                    pairs.size() / remote_s,
-                    static_cast<unsigned long long>(st.dispatched),
-                    static_cast<unsigned long long>(st.completed));
-        check(st.completed >= pairs.size(),
-              "remote: every run completed through the fleet");
-        check(st.fences == 0 && st.reconnects == 0 &&
-                  st.partitions == 0 && st.stale_epochs == 0 &&
-                  st.failovers == 0 && st.degraded == 0,
-              "remote: quiet run touched no fencing machinery");
 
         // Aggregated metrics artifacts before teardown: the merged
         // registry (daemon counters + per-shard folded series) must
         // export as self-parsing metrics.json/metrics.prom.
-        if (Status s = remote_svc.runner().writeMetricsArtifacts();
-            !s.ok())
-            fatal("remote: %s", s.message().c_str());
-
-        remote_svc.drain(); // also flushes the merged trace
-        for (pid_t pid : kids) {
-            ::kill(pid, SIGTERM);
-            int ws = 0;
-            while (::waitpid(pid, &ws, 0) < 0 && errno == EINTR) {
-            }
-        }
+        if (Status s = fleet_svc.runner().writeMetricsArtifacts(); !s.ok())
+            fatal("fleet: %s", s.message().c_str());
+        fleet_svc.drain(); // also flushes the merged trace
         ::unsetenv("EVRSIM_TRACE");
 
         // One merged Chrome trace: shard spans adopted into synthetic
@@ -539,7 +439,7 @@ main(int argc, char **argv)
         Json trace_doc = parseJsonFile(trace_path);
         const Json *tev = trace_doc.find("traceEvents");
         check(tev && tev->type() == Json::Type::Array && tev->size() > 0,
-              "remote: merged trace file exists and parses");
+              "fleet: merged trace file exists and parses");
         if (tev && tev->type() == Json::Type::Array) {
             std::map<std::string, bool> dispatch_ids;
             int shard_spans = 0, stitched = 0;
@@ -568,21 +468,21 @@ main(int argc, char **argv)
                                 "trace_id", Json("")).asString()))
                     ++stitched;
             }
-            std::printf("remote: trace events=%zu dispatch ids=%zu "
+            std::printf("fleet: trace events=%zu dispatch ids=%zu "
                         "shard spans=%d stitched=%d\n",
                         tev->size(), dispatch_ids.size(), shard_spans,
                         stitched);
             check(!dispatch_ids.empty() && shard_spans > 0,
-                  "remote: trace has dispatch spans and adopted shard "
+                  "fleet: trace has dispatch spans and adopted shard "
                   "spans");
             check(stitched == shard_spans && stitched > 0,
-                  "remote: every shard span stitches to a dispatch "
+                  "fleet: every shard span stitches to a dispatch "
                   "span by trace id");
         }
 
         // Aggregated metrics artifacts self-parse and carry both the
         // control plane's counters and the shard-folded series.
-        Json mjson = parseJsonFile(cache4 + "/metrics.json");
+        Json mjson = parseJsonFile(cache3 + "/metrics.json");
         const Json *metrics = mjson.find("metrics");
         bool saw_fleet = false, saw_shard_label = false;
         if (metrics && metrics->type() == Json::Type::Array) {
@@ -597,21 +497,21 @@ main(int argc, char **argv)
             }
         }
         check(metrics && metrics->type() == Json::Type::Array,
-              "remote: metrics.json exists and parses");
+              "fleet: metrics.json exists and parses");
         check(saw_fleet,
-              "remote: merged metrics carry the fleet counters");
+              "fleet: merged metrics carry the fleet counters");
         check(saw_shard_label,
-              "remote: merged metrics carry shard-labeled folded "
+              "fleet: merged metrics carry shard-labeled folded "
               "series");
-        std::ifstream prom(cache4 + "/metrics.prom");
+        std::ifstream prom(cache3 + "/metrics.prom");
         std::string prom_text((std::istreambuf_iterator<char>(prom)),
                               std::istreambuf_iterator<char>());
         check(prom_text.find("# TYPE evrsim_fleet_dispatched_total "
                              "counter") != std::string::npos,
-              "remote: metrics.prom exists with typed fleet counters");
+              "fleet: metrics.prom exists with typed fleet counters");
 
-        std::error_code ec4;
-        std::filesystem::remove_all(cache4, ec4);
+        std::error_code ec3;
+        std::filesystem::remove_all(cache3, ec3);
     }
 #endif
 

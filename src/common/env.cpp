@@ -102,4 +102,13 @@ readChoiceKnob(const char *name, const std::vector<std::string> &choices,
                                    "' is not one of " + accepted);
 }
 
+Status
+rejectRetiredKnob(const char *name, const std::string &replacement)
+{
+    if (std::getenv(name) == nullptr)
+        return {};
+    return Status::invalidArgument(std::string(name) + " is retired: " +
+                                   replacement);
+}
+
 } // namespace evrsim

@@ -60,6 +60,15 @@ Status readChoiceKnob(const char *name,
                       const std::vector<std::string> &choices, int &index,
                       bool &present);
 
+/**
+ * Fail fast on a retired knob, so a stale script cannot silently run
+ * something else than it asks for.
+ *
+ * @returns Ok when @p name is unset; otherwise InvalidArgument
+ *          "<name> is retired: <replacement>".
+ */
+Status rejectRetiredKnob(const char *name, const std::string &replacement);
+
 } // namespace evrsim
 
 #endif // EVRSIM_COMMON_ENV_HPP

@@ -17,8 +17,7 @@ namespace {
 constexpr const char *kSiteNames[kNumFaultSites] = {
     "cache-read",   "cache-write",   "job-execute",  "scene-mutate",
     "worker-crash", "worker-hang",   "worker-kill9", "worker-stall",
-    "wire-corrupt", "wire-drop",     "wire-dup",     "net-partition",
-    "net-delay",    "net-reset",     "net-reconnect-storm",
+    "wire-corrupt", "wire-drop",     "wire-dup",
 };
 
 Result<FaultSite>

@@ -2,9 +2,9 @@
  * @file
  * Deterministic fault injection: one plane for every failure the
  * recovery paths must absorb, from a corrupt cache entry up to a shard
- * SIGKILLed mid-run or a connection torn mid-frame, reproducible enough
- * to assert on from ctest without hand-corrupting files or racing kill
- * signals.
+ * SIGKILLed mid-run or a response line damaged on the wire,
+ * reproducible enough to assert on from ctest without hand-corrupting
+ * files or racing kill signals.
  *
  * Faults are enabled through EVRSIM_FAULT, a comma-separated list of
  * `<site>:<rate>:<seed>` triples:
@@ -47,19 +47,6 @@
  *                 must tolerate stray responses; the client must
  *                 reject non-monotone progress)
  *
- * Network sites (evaluated at the TCP transport's framed writes — the
- * control plane's sends apply net sites only; a remote shard's sends
- * apply wire sites then net sites):
- *   net-partition the connection is blackholed for kNetPartitionMs:
- *                 outgoing frames silently vanish, so the peer's
- *                 lease/run deadline fires and the shard is fenced
- *   net-delay     an outgoing frame is held kNetDelayMs before the write
- *   net-reset     half the frame is written, then the socket is shut
- *                 down, modelling an RST: the reader sees a torn tail
- *   net-reconnect-storm
- *                 a remote shard drops its control-plane connection and
- *                 immediately re-dials (register/reject/re-register)
- *
  * Decisions are a pure function of (site seed, per-site draw counter)
  * via mix64 (common/rng.hpp), so a single-threaded sweep injects the
  * *same* faults on every run. Sites whose decisions must not depend on
@@ -70,7 +57,7 @@
  * injected failure stays transient. When EVRSIM_FAULT is unset every
  * site is a single predictable branch (enabled flag false).
  *
- * EVRSIM_CHAOS, which once armed the shard and network sites, is
+ * EVRSIM_CHAOS, which once armed the shard sites, is
  * retired: setting it is a fatal error naming EVRSIM_FAULT, so a stale
  * script cannot run a silently fault-free soak.
  */
@@ -100,12 +87,8 @@ enum class FaultSite {
     WireCorrupt = 8,
     WireDrop = 9,
     WireDup = 10,
-    NetPartition = 11,
-    NetDelay = 12,
-    NetReset = 13,
-    NetReconnectStorm = 14,
 };
-constexpr int kNumFaultSites = 15;
+constexpr int kNumFaultSites = 11;
 
 /**
  * How long a worker-stall sleeps: comfortably past any test ping
@@ -113,17 +96,6 @@ constexpr int kNumFaultSites = 15;
  * (the parent SIGKILLs the stalled shard at breaker-open anyway).
  */
 constexpr int kWorkerStallMs = 2500;
-
-/**
- * How long a net-partition blackholes a connection: past any test
- * lease deadline (so the fence fires) but bounded, so a soaked
- * connection heals and the shard can re-register within the soak's
- * wall-clock budget.
- */
-constexpr int kNetPartitionMs = 2500;
-
-/** How long a net-delay holds a frame: deadline pressure, not a fence. */
-constexpr int kNetDelayMs = 150;
 
 /** Human name used in EVRSIM_FAULT specs ("cache-read"). */
 const char *faultSiteName(FaultSite site);

@@ -9,18 +9,12 @@
 #include <cstring>
 #include <mutex>
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-
-#include "common/env.hpp"
 
 namespace evrsim {
 
@@ -109,143 +103,6 @@ ignoreSigpipe()
     });
 }
 
-Status
-splitHostPort(const std::string &host_port, std::string *host,
-              int *port)
-{
-    std::size_t colon = host_port.rfind(':');
-    if (colon == std::string::npos || colon == 0)
-        return Status::invalidArgument("expected <host>:<port>, got '" +
-                                       host_port + "'");
-    Result<long long> p = parseIntStrict(host_port.substr(colon + 1));
-    if (!p.ok() || p.value() < 0 || p.value() > 65535)
-        return Status::invalidArgument("port in '" + host_port +
-                                       "' must be in [0, 65535]");
-    *host = host_port.substr(0, colon);
-    *port = static_cast<int>(p.value());
-    return {};
-}
-
-Result<int>
-tcpListen(const std::string &host_port, int backlog)
-{
-    std::string host;
-    int port = 0;
-    Status split = splitHostPort(host_port, &host, &port);
-    if (!split.ok())
-        return split;
-
-    struct addrinfo hints;
-    std::memset(&hints, 0, sizeof(hints));
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_PASSIVE;
-    struct addrinfo *res = nullptr;
-    std::string port_str = std::to_string(port);
-    int gai = ::getaddrinfo(host.c_str(), port_str.c_str(), &hints, &res);
-    if (gai != 0)
-        return Status::invalidArgument("resolve '" + host +
-                                       "': " + ::gai_strerror(gai));
-
-    Status last = Status::unavailable("no addresses for '" + host + "'");
-    for (struct addrinfo *ai = res; ai; ai = ai->ai_next) {
-        int fd = ::socket(ai->ai_family,
-                          ai->ai_socktype | SOCK_CLOEXEC, 0);
-        if (fd < 0) {
-            last = errnoStatus("socket");
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        if (::bind(fd, ai->ai_addr, ai->ai_addrlen) < 0 ||
-            ::listen(fd, backlog) < 0) {
-            last = errnoStatus("bind/listen " + host_port);
-            ::close(fd);
-            continue;
-        }
-        ::freeaddrinfo(res);
-        return fd;
-    }
-    ::freeaddrinfo(res);
-    return last;
-}
-
-std::string
-listenAddress(int listen_fd)
-{
-    struct sockaddr_in addr;
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd,
-                      reinterpret_cast<struct sockaddr *>(&addr),
-                      &len) < 0 ||
-        addr.sin_family != AF_INET)
-        return {};
-    char host[INET_ADDRSTRLEN] = {0};
-    if (!::inet_ntop(AF_INET, &addr.sin_addr, host, sizeof(host)))
-        return {};
-    return std::string(host) + ":" +
-           std::to_string(ntohs(addr.sin_port));
-}
-
-Result<int>
-tcpConnect(const std::string &host_port, int deadline_ms)
-{
-    std::string host;
-    int port = 0;
-    Status split = splitHostPort(host_port, &host, &port);
-    if (!split.ok())
-        return split;
-    if (port == 0)
-        return Status::invalidArgument("cannot connect to port 0 ('" +
-                                       host_port + "')");
-
-    struct addrinfo hints;
-    std::memset(&hints, 0, sizeof(hints));
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    struct addrinfo *res = nullptr;
-    std::string port_str = std::to_string(port);
-    int gai = ::getaddrinfo(host.c_str(), port_str.c_str(), &hints, &res);
-    if (gai != 0)
-        return Status::unavailable("resolve '" + host +
-                                   "': " + ::gai_strerror(gai));
-
-    const std::int64_t deadline = nowMs() + deadline_ms;
-    Status last = Status::unavailable("no addresses for '" + host + "'");
-    for (struct addrinfo *ai = res; ai; ai = ai->ai_next) {
-        int fd = ::socket(ai->ai_family,
-                          ai->ai_socktype | SOCK_CLOEXEC, 0);
-        if (fd < 0) {
-            last = errnoStatus("socket");
-            continue;
-        }
-        Status st = setNonblocking(fd, true);
-        if (st.ok()) {
-            if (::connect(fd, ai->ai_addr, ai->ai_addrlen) < 0 &&
-                errno != EINPROGRESS)
-                st = errnoStatus("connect " + host_port);
-            else
-                st = awaitConnect(fd, deadline);
-        }
-        if (st.ok())
-            st = setNonblocking(fd, false);
-        if (!st.ok()) {
-            last = st;
-            ::close(fd);
-            if (st.code() == ErrorCode::DeadlineExceeded)
-                break; // no budget left for further addresses
-            continue;
-        }
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_KEEPALIVE, &one, sizeof(one));
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        ::freeaddrinfo(res);
-        return fd;
-    }
-    ::freeaddrinfo(res);
-    return last;
-}
-
 Result<int>
 unixConnect(const std::string &path, int deadline_ms)
 {
@@ -284,74 +141,6 @@ unixConnect(const std::string &path, int deadline_ms)
         return st;
     }
     return fd;
-}
-
-Result<int>
-acceptDeadline(int listen_fd, int timeout_ms)
-{
-    const std::int64_t deadline = nowMs() + timeout_ms;
-    for (;;) {
-        std::int64_t left = deadline - nowMs();
-        if (left <= 0)
-            return Status::deadlineExceeded("accept timed out");
-        struct pollfd pfd;
-        pfd.fd = listen_fd;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        int n = ::poll(&pfd, 1, static_cast<int>(left));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return errnoStatus("poll(accept)");
-        }
-        if (n == 0)
-            return Status::deadlineExceeded("accept timed out");
-        if (pfd.revents & (POLLERR | POLLHUP | POLLNVAL))
-            return Status::cancelled("listener closed");
-        int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-        if (fd < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == ECONNABORTED)
-                continue;
-            if (errno == EBADF || errno == EINVAL)
-                return Status::cancelled("listener closed");
-            return errnoStatus("accept");
-        }
-        return fd;
-    }
-}
-
-Status
-sendAllDeadline(int fd, const void *data, std::size_t len,
-                int deadline_ms)
-{
-    const char *p = static_cast<const char *>(data);
-    std::size_t sent = 0;
-    const std::int64_t deadline = nowMs() + deadline_ms;
-    while (sent < len) {
-        ssize_t n = ::send(fd, p + sent, len - sent, MSG_NOSIGNAL);
-        if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            std::int64_t left = deadline - nowMs();
-            if (left <= 0)
-                return Status::deadlineExceeded("send timed out");
-            struct pollfd pfd;
-            pfd.fd = fd;
-            pfd.events = POLLOUT;
-            pfd.revents = 0;
-            if (::poll(&pfd, 1, static_cast<int>(left)) < 0 &&
-                errno != EINTR)
-                return errnoStatus("poll(send)");
-            continue;
-        }
-        return errnoStatus("send");
-    }
-    return {};
 }
 
 } // namespace evrsim

@@ -1,32 +1,22 @@
 /**
  * @file
- * Deadline-aware POSIX socket helpers shared by the service layer.
- *
- * Every cross-process hop in the resident service — client to daemon
- * over AF_UNIX, control plane to remote shard over TCP — has the same
- * three robustness requirements, so they live here once:
+ * Deadline-aware POSIX socket helpers for the service's client to
+ * daemon hop over AF_UNIX, which has two robustness requirements:
  *
  *  1. *No blocking past a deadline.* connect(2) on a wedged peer can
- *     hang for minutes (TCP SYN retries, a daemon stuck in accept with
- *     a full backlog). Every helper here takes a deadline and uses
- *     nonblocking sockets + poll(2), returning DeadlineExceeded
- *     instead of wedging the caller.
+ *     hang (a daemon stuck in accept with a full backlog). The connect
+ *     helper takes a deadline and uses a nonblocking socket + poll(2),
+ *     returning DeadlineExceeded instead of wedging the caller.
  *  2. *No SIGPIPE, ever.* A peer vanishing mid-stream must surface as
- *     a write Status, not kill the process. Writes use MSG_NOSIGNAL
- *     and processes additionally call ignoreSigpipe() once at setup
- *     (belt and braces: MSG_NOSIGNAL does not cover every path, e.g.
- *     a stray write(2) on a socket fd).
- *  3. *Dead peers are detected.* TCP connections enable SO_KEEPALIVE
- *     so a silently vanished host eventually errors the socket even
- *     between application-level pings.
+ *     a write Status, not kill the process. Processes call
+ *     ignoreSigpipe() once at setup.
  *
- * All fds are created close-on-exec so shard children never inherit
- * the control plane's sockets.
+ * The socket is created close-on-exec, so shard children never
+ * inherit it.
  */
 #ifndef EVRSIM_COMMON_NET_HPP
 #define EVRSIM_COMMON_NET_HPP
 
-#include <cstddef>
 #include <string>
 
 #include "common/status.hpp"
@@ -41,37 +31,6 @@ namespace evrsim {
 void ignoreSigpipe();
 
 /**
- * Split "host:port" at the *last* colon (loopback names only; no
- * bracketed-IPv6 support needed on a lab fleet). Fails on a missing
- * colon, empty host, or a port outside [0, 65535]. Port 0 is allowed
- * for listeners (kernel-assigned port, resolved via
- * listenAddress()).
- */
-Status splitHostPort(const std::string &host_port, std::string *host,
-                     int *port);
-
-/**
- * Create a TCP listener bound to @p host_port ("127.0.0.1:0" binds a
- * kernel-assigned loopback port). CLOEXEC, SO_REUSEADDR, backlog
- * @p backlog. Returns the listening fd.
- */
-Result<int> tcpListen(const std::string &host_port, int backlog);
-
-/**
- * The actual "host:port" a listener is bound to (resolves port 0 via
- * getsockname). Empty string on error.
- */
-std::string listenAddress(int listen_fd);
-
-/**
- * Connect to @p host_port with a wall-clock deadline: nonblocking
- * connect + poll + SO_ERROR. On success the fd is returned in
- * *blocking* mode with SO_KEEPALIVE and TCP_NODELAY set (framed
- * request/response traffic — Nagle only adds latency).
- */
-Result<int> tcpConnect(const std::string &host_port, int deadline_ms);
-
-/**
  * Connect to the AF_UNIX socket at @p path with a deadline. Note a
  * subtlety: a nonblocking UNIX connect whose backlog is full fails
  * EAGAIN immediately (poll will not complete it), which maps to
@@ -79,22 +38,6 @@ Result<int> tcpConnect(const std::string &host_port, int deadline_ms);
  * not spinning out the deadline here.
  */
 Result<int> unixConnect(const std::string &path, int deadline_ms);
-
-/**
- * Accept one connection from @p listen_fd, waiting up to
- * @p timeout_ms. The accepted fd is CLOEXEC and blocking.
- * DeadlineExceeded when nothing arrived; Cancelled when the listener
- * was closed/shut down under us.
- */
-Result<int> acceptDeadline(int listen_fd, int timeout_ms);
-
-/**
- * Write all @p len bytes to @p fd (MSG_NOSIGNAL, poll-paced) within
- * @p deadline_ms. Unavailable on a broken peer, DeadlineExceeded on
- * timeout.
- */
-Status sendAllDeadline(int fd, const void *data, std::size_t len,
-                       int deadline_ms);
 
 } // namespace evrsim
 

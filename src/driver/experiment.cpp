@@ -270,16 +270,17 @@ benchParamsFromEnvChecked()
         return s;
     if (present)
         p.shards = static_cast<int>(v);
-    if (std::getenv("EVRSIM_ISOLATE") != nullptr)
-        return Status::invalidArgument(
-            "EVRSIM_ISOLATE is retired: set EVRSIM_SHARDS=n to run every "
-            "simulation on n shard processes");
-    if (Status s = readIntKnob("EVRSIM_CORRUPT_KEEP", 0, 1000000, v,
-                               present);
+    if (Status s = rejectRetiredKnob(
+            "EVRSIM_ISOLATE", "set EVRSIM_SHARDS=n to run every "
+                              "simulation on n shard processes");
         !s.ok())
         return s;
-    if (present)
-        p.corrupt_keep = static_cast<int>(v);
+    if (Status s = rejectRetiredKnob(
+            "EVRSIM_CORRUPT_KEEP",
+            "the newest " + std::to_string(kCorruptKeep) +
+                " quarantined copies per entry are always kept");
+        !s.ok())
+        return s;
 
     int choice = 0;
     if (Status s = readChoiceKnob("EVRSIM_LOG",
@@ -670,11 +671,10 @@ ExperimentRunner::quarantine(const std::string &path, const Status &why)
 
     // Cap the pile: a crash-looping or bit-rotting deployment would
     // otherwise grow one `.corrupt` per damaged read forever. Keep the
-    // newest corrupt_keep copies (highest sequence numbers), evict the
+    // newest kCorruptKeep copies (highest sequence numbers), evict the
     // rest, and account for the eviction in the sweep stats.
     std::uint64_t evicted = 0;
-    const std::size_t keep =
-        static_cast<std::size_t>(std::max(params_.corrupt_keep, 0));
+    const std::size_t keep = kCorruptKeep;
     if (copies.size() > keep) {
         std::sort(copies.begin(), copies.end(),
                   [](const auto &a, const auto &b) {

@@ -83,9 +83,6 @@ struct BenchParams {
     /** EVRSIM_RESUME=1: replay <cache_dir>/sweep.journal on startup so
      *  an interrupted sweep re-executes only unfinished jobs. */
     bool resume = false;
-    /** Newest quarantined `.corrupt` files kept per cache entry before
-     *  older ones are evicted (EVRSIM_CORRUPT_KEEP). */
-    int corrupt_keep = 3;
     /** Ingestion validation + invariant auditing applied to every run
      *  whose SimConfig does not carry its own (EVRSIM_VALIDATE /
      *  EVRSIM_VALIDATE_SAMPLE). */
@@ -133,7 +130,6 @@ struct BenchParams {
  *                           (default 0 = in-process)
  *   EVRSIM_JOB_MEM_MB=n     per-shard RLIMIT_AS in MiB (0 = unlimited)
  *   EVRSIM_RESUME=1         resume an interrupted sweep from the journal
- *   EVRSIM_CORRUPT_KEEP=n   quarantined .corrupt files kept per entry
  *   EVRSIM_VALIDATE=mode    off | permissive | strict (see validate.hpp)
  *   EVRSIM_VALIDATE_SAMPLE=r image-identity audit tile sample rate
  *   EVRSIM_LOG=level        quiet | normal | verbose console verbosity
@@ -146,7 +142,9 @@ struct BenchParams {
  * Numeric knobs are validated strictly: a value that is not entirely a
  * number in the accepted range is InvalidArgument naming the variable,
  * never silently parsed as 0. The retired EVRSIM_ISOLATE is
- * InvalidArgument naming EVRSIM_SHARDS, its replacement.
+ * InvalidArgument naming EVRSIM_SHARDS, its replacement, and the
+ * retired EVRSIM_CORRUPT_KEEP is InvalidArgument (kCorruptKeep is
+ * fixed).
  */
 Result<BenchParams> benchParamsFromEnvChecked();
 
@@ -374,7 +372,7 @@ class ExperimentRunner
     Result<RunResult> loadCacheEntry(const std::string &path);
 
     /** Move a damaged entry aside (`<stem>.<seq>.corrupt`) so it is
-     *  never reused, evicting all but the newest corrupt_keep copies. */
+     *  never reused, evicting all but the newest kCorruptKeep copies. */
     void quarantine(const std::string &path, const Status &why);
 
     /** Atomically publish @p r at @p path (failure is only a warn). */
@@ -412,6 +410,10 @@ constexpr int kJobMaxAttempts = 3;
 
 /** Backoff before the first retry, doubling per retry (milliseconds). */
 constexpr int kRetryBaseMs = 2;
+
+/** Newest quarantined `.corrupt` files kept per cache entry; older
+ *  ones are evicted. */
+constexpr int kCorruptKeep = 3;
 
 } // namespace evrsim
 

@@ -23,7 +23,7 @@
  *   status | --status    fleet introspection: per-shard topology +
  *                        service/fleet counters, printed as a table
  *   --events             with status: also print the lifecycle event
- *                        ring (restart, fence, breaker, failover)
+ *                        ring (restart, breaker, failover)
  *   --json               with status: raw JSON instead of the table
  */
 #include <cstdio>
@@ -93,23 +93,19 @@ printStatus(const Json &st, bool with_events)
     if (!fleet || fleet->type() != Json::Type::Object) {
         std::printf("fleet: off (EVRSIM_SHARDS=0)\n");
     } else {
-        std::printf("fleet: transport=%s listen=%s\n",
-                    fleet->get("transport", Json("?")).asString().c_str(),
-                    fleet->get("listen", Json("")).asString().c_str());
-        std::printf("%-5s %-6s %-9s %-6s %10s %9s %9s  %s\n", "slot",
-                    "alive", "breaker", "epoch", "lease_ms", "inflight",
+        std::printf("%-5s %-6s %-9s %17s %9s %9s  %s\n", "slot",
+                    "alive", "breaker", "last_frame_age_ms", "inflight",
                     "restarts", "last_error");
         const Json *shards = fleet->find("shards");
         if (shards && shards->type() == Json::Type::Array) {
             for (std::size_t i = 0; i < shards->size(); ++i) {
                 const Json &s = shards->at(i);
                 std::printf(
-                    "%-5.0f %-6s %-9s %-6.0f %10.0f %9.0f %9.0f  %s\n",
+                    "%-5.0f %-6s %-9s %17.0f %9.0f %9.0f  %s\n",
                     s.get("slot", Json(0)).asDouble(),
                     s.get("alive", Json(false)).asBool() ? "yes" : "no",
                     s.get("breaker", Json("?")).asString().c_str(),
-                    s.get("epoch", Json(0)).asDouble(),
-                    s.get("lease_age_ms", Json(-1)).asDouble(),
+                    s.get("last_frame_age_ms", Json(-1)).asDouble(),
                     s.get("inflight", Json(0)).asDouble(),
                     s.get("restarts", Json(0)).asDouble(),
                     s.get("last_error", Json("")).asString().c_str());

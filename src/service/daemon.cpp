@@ -82,20 +82,12 @@ serviceConfigFromEnvChecked(const BenchParams &params)
         return s;
     if (present)
         cfg.client_quota = static_cast<int>(v);
-    if (const char *listen = std::getenv("EVRSIM_FLEET_LISTEN");
-        listen && *listen != '\0') {
-        std::string host;
-        int port = 0;
-        if (Status s = splitHostPort(listen, &host, &port); !s.ok())
-            return s.withContext("EVRSIM_FLEET_LISTEN");
-        cfg.fleet.listen = listen;
-    }
-    if (Status s = readIntKnob("EVRSIM_LEASE_MS", 100, 3600000, v,
-                               present);
-        !s.ok())
-        return s;
-    if (present)
-        cfg.fleet.lease_ms = static_cast<int>(v);
+    for (const char *retired : {"EVRSIM_FLEET_LISTEN", "EVRSIM_LEASE_MS"})
+        if (Status s = rejectRetiredKnob(
+                retired, "remote shards were removed; set EVRSIM_SHARDS=n "
+                         "to run n local shard processes");
+            !s.ok())
+            return s;
     // Lifecycle-event persistence: defaults next to the journals,
     // EVRSIM_FLEET_EVENTS=0 disables, anything else is an explicit
     // path. The in-memory ring serves `status` either way.
@@ -790,11 +782,6 @@ SweepService::drain()
         std::lock_guard<std::mutex> lock(admit_mu_);
         draining_ = true;
     }
-    // Shed remote-shard registrations first so a shard dialing in
-    // mid-drain gets a clean "draining" reject instead of a slot that
-    // is about to be torn down.
-    if (fleet_)
-        fleet_->setRegistrationDraining(true);
     stop_accept_.store(true);
     if (accept_thread_.joinable())
         accept_thread_.join();

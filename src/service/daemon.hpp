@@ -85,15 +85,11 @@ struct ServiceConfig {
  * and the fleet from the bench params (fleetConfigFromParams():
  * BenchParams::shards is EVRSIM_SHARDS; the daemon binary defaults it
  * to cores/4, min 1), plus
- *   EVRSIM_FLEET_LISTEN=h:p   accept remote shards over TCP on h:p
- *                             instead of forking local ones (port 0 =
- *                             kernel-assigned); EVRSIM_SHARDS slots
- *   EVRSIM_LEASE_MS=n         remote-shard lease: a registered shard
- *                             missing a pong for this long is fenced
- *                             (default 5000)
  *   EVRSIM_FLEET_EVENTS=path  fleet lifecycle event JSONL (default
  *                             <cache_dir>/events.jsonl; 0 disables
  *                             persistence — the ring stays on)
+ * The retired EVRSIM_FLEET_LISTEN and EVRSIM_LEASE_MS (remote shards)
+ * are InvalidArgument naming EVRSIM_SHARDS.
  */
 Result<ServiceConfig>
 serviceConfigFromEnvChecked(const BenchParams &params);

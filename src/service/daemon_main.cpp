@@ -30,7 +30,6 @@
 #include "driver/supervisor.hpp"
 #include "service/daemon.hpp"
 #include "service/fleet.hpp"
-#include "service/tcp_transport.hpp"
 #include "workloads/registry.hpp"
 
 using namespace evrsim;
@@ -40,7 +39,13 @@ main(int argc, char **argv)
 {
     std::string shard_params;
     int shard_index = shardFlagFromArgv(argc, argv, shard_params);
-    std::string remote_plane = remoteShardFlagFromArgv(argc, argv);
+    // Remote shards were removed: a stale launcher must not start a
+    // second daemon instead.
+    for (int i = 1; i < argc; ++i)
+        if (std::string(argv[i]).rfind("--evrsim-remote-shard", 0) == 0)
+            fatal("--evrsim-remote-shard is retired: remote shards were "
+                  "removed; set EVRSIM_SHARDS=n on the daemon to run n "
+                  "local shard processes");
 
     Result<BenchParams> pr = benchParamsFromEnvChecked();
     if (!pr.ok())
@@ -52,8 +57,6 @@ main(int argc, char **argv)
     if (shard_index >= 0)
         runShardAndExit(shard_index, workloads::factory(), params,
                         shard_params);
-    if (!remote_plane.empty())
-        runRemoteShardAndExit(remote_plane, workloads::factory(), params);
 
     // Always resume: a daemon restarted after a crash (or a plain
     // restart) replays the journals and serves completed work from the
@@ -87,12 +90,7 @@ main(int argc, char **argv)
         fatal("%s", sc.status().message().c_str());
     ServiceConfig scfg = sc.value();
     if (scfg.fleet.shards > 0) {
-        if (!scfg.fleet.listen.empty()) {
-            // EVRSIM_FLEET_LISTEN: slots are filled by remote shards
-            // dialing in, not by forked children — leave shard_argv
-            // empty so the TCP transport is chosen.
-        } else if (std::string self = selfExecutablePath();
-                   self.empty()) {
+        if (std::string self = selfExecutablePath(); self.empty()) {
             warn("fleet: cannot resolve /proc/self/exe; running without "
                  "worker shards");
             scfg.fleet.shards = 0;

@@ -1,14 +1,12 @@
 /**
  * @file
- * ShardFleet implementation: control-plane policy (routing, breakers,
- * pings, failover) on one side, the pipe transport and the shard
- * process's serve loop on the other. The TCP transport lives in
- * tcp_transport.cpp behind the same ShardTransport seam.
+ * ShardFleet implementation: the control plane (shard processes,
+ * routing, breakers, pings, failover) on one side, the shard process's
+ * serve loop on the other.
  */
 #include "service/fleet.hpp"
 
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <string.h>
 #include <sys/resource.h>
@@ -30,7 +28,6 @@
 #include "common/net.hpp"
 #include "driver/envelope.hpp"
 #include "service/service_protocol.hpp"
-#include "service/tcp_transport.hpp"
 
 namespace evrsim {
 
@@ -45,8 +42,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /**
- * File descriptor a shard writes its framed responses to. The pipe
- * transport installs the response pipe there before exec, so the
+ * File descriptor a shard writes its framed responses to. The fleet
+ * installs the response pipe there before exec, so the
  * shard's stdout/stderr stay free for logging (stdout goes to
  * /dev/null: a re-execed bench binary would otherwise print its
  * banner into the parent's tables).
@@ -202,440 +199,7 @@ shardIndexForKey(const std::string &key, int shards)
                             static_cast<std::uint64_t>(shards));
 }
 
-// --- pipe transport -------------------------------------------------
-
-namespace {
-
-/**
- * The fork/exec transport: each slot is a supervised child wired over
- * stdin (requests) and fd 3 (responses), reaped and respawned with
- * capped jittered backoff from maintain().
- */
-class PipeShardTransport final : public ShardTransport
-{
-  public:
-    explicit PipeShardTransport(FleetConfig config)
-        : config_(std::move(config))
-    {
-    }
-
-    ~PipeShardTransport() override { stop(); }
-
-    const char *name() const override { return "pipe"; }
-
-    Status
-    start(TransportHooks hooks) override
-    {
-        hooks_ = std::move(hooks);
-        stopping_.store(false);
-        eps_.clear();
-        for (int i = 0; i < config_.shards; ++i) {
-            auto e = std::make_unique<Endpoint>();
-            e->index = i;
-            eps_.push_back(std::move(e));
-        }
-        // Fork every shard before waiting for any exec, so their
-        // start-ups overlap.
-        std::vector<Status> spawned;
-        for (auto &e : eps_)
-            spawned.push_back(spawn(*e));
-        for (auto &e : eps_) {
-            Status st = spawned[static_cast<std::size_t>(e->index)];
-            if (st.ok())
-                st = awaitExec(*e);
-            if (!st.ok()) {
-                // maintain() keeps retrying on the backoff schedule; a
-                // fleet that cannot spawn anything degrades per-run.
-                warn("fleet: shard %d spawn failed: %s", e->index,
-                     st.message().c_str());
-                std::lock_guard<std::mutex> lock(mu_);
-                scheduleRestart(*e);
-            } else if (hooks_.on_up) {
-                hooks_.on_up(e->index);
-            }
-        }
-        started_ = true;
-        return {};
-    }
-
-    void
-    stop() override
-    {
-        if (!started_)
-            return;
-        stopping_.store(true);
-        // EOF every shard's stdin: a healthy shard drains and exits 0.
-        for (auto &e : eps_) {
-            std::lock_guard<std::mutex> wl(e->write_mu);
-            if (e->in_fd >= 0) {
-                ::close(e->in_fd);
-                e->in_fd = -1;
-            }
-        }
-        // Bounded wait for clean exits, then SIGKILL the stragglers.
-        Clock::time_point deadline =
-            Clock::now() + std::chrono::milliseconds(2000);
-        for (auto &e : eps_) {
-            pid_t pid;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                pid = e->pid;
-            }
-            if (pid <= 0)
-                continue;
-            for (;;) {
-                int wstatus = 0;
-                pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-                if (r == pid || (r < 0 && errno == ECHILD))
-                    break;
-                if (Clock::now() >= deadline) {
-                    ::kill(pid, SIGKILL);
-                    while (::waitpid(pid, &wstatus, 0) < 0 &&
-                           errno == EINTR) {
-                    }
-                    break;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-            }
-            std::lock_guard<std::mutex> lock(mu_);
-            e->pid = -1;
-        }
-        for (auto &e : eps_) {
-            if (e->reader.joinable())
-                e->reader.join();
-            if (e->out_fd >= 0) {
-                ::close(e->out_fd);
-                e->out_fd = -1;
-            }
-        }
-        started_ = false;
-    }
-
-    bool
-    writeFrame(int slot, Json payload) override
-    {
-        Endpoint &e = *eps_[static_cast<std::size_t>(slot)];
-        std::lock_guard<std::mutex> lock(e.write_mu);
-        if (e.in_fd < 0)
-            return false;
-        return writeFramedLine(e.in_fd, std::move(payload), nullptr);
-    }
-
-    void
-    condemn(int slot, const std::string &why) override
-    {
-        (void)why;
-        Endpoint &e = *eps_[static_cast<std::size_t>(slot)];
-        pid_t pid = -1;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (e.alive && e.pid > 0)
-                pid = e.pid;
-        }
-        if (pid > 0)
-            ::kill(pid, SIGKILL);
-    }
-
-    void
-    maintain() override
-    {
-        for (auto &ep : eps_) {
-            Endpoint &e = *ep;
-
-            // Reap a dead shard once its reader has drained, then put
-            // it on the restart schedule.
-            bool reap = false;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                reap = e.needs_reap;
-            }
-            if (reap) {
-                int wstatus = 0;
-                pid_t r = ::waitpid(e.pid, &wstatus, WNOHANG);
-                if (r == e.pid || (r < 0 && errno == ECHILD)) {
-                    if (e.reader.joinable())
-                        e.reader.join();
-                    {
-                        std::lock_guard<std::mutex> wl(e.write_mu);
-                        if (e.in_fd >= 0) {
-                            ::close(e.in_fd);
-                            e.in_fd = -1;
-                        }
-                    }
-                    if (e.out_fd >= 0) {
-                        ::close(e.out_fd);
-                        e.out_fd = -1;
-                    }
-                    std::lock_guard<std::mutex> lock(mu_);
-                    e.needs_reap = false;
-                    e.pid = -1;
-                    scheduleRestart(e);
-                }
-            }
-
-            // Restart when the backoff expires.
-            bool want_restart = false;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                want_restart = !e.alive && !e.needs_reap &&
-                               e.pid < 0 &&
-                               Clock::now() >= e.restart_at;
-            }
-            if (want_restart && !stopping_.load()) {
-                Status st = spawn(e);
-                if (st.ok())
-                    st = awaitExec(e);
-                if (st.ok()) {
-                    int deaths;
-                    {
-                        std::lock_guard<std::mutex> lock(mu_);
-                        ++stats_.restarts;
-                        deaths = e.deaths;
-                    }
-                    metricsCounterAdd("evrsim_fleet_restarts_total",
-                                      1.0);
-                    informv("fleet: shard %d restarted (%d death(s) "
-                            "since its last result)",
-                            e.index, deaths);
-                    if (hooks_.on_up)
-                        hooks_.on_up(e.index);
-                } else {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    scheduleRestart(e);
-                }
-            }
-        }
-    }
-
-    TransportStats
-    stats() const override
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        return stats_;
-    }
-
-  private:
-    struct Endpoint {
-        int index = 0;
-        pid_t pid = -1;
-        int in_fd = -1;  ///< parent writes requests (shard stdin)
-        int out_fd = -1; ///< parent reads responses (shard fd 3)
-        std::thread reader;
-        /** Serializes writes to in_fd AND its close, so a dispatch
-         *  can never write through a recycled descriptor. */
-        std::mutex write_mu;
-        // Everything below is guarded by the transport mu_.
-        bool alive = false;
-        bool needs_reap = false;
-        /** Deaths and failed spawns since the shard last returned a
-         *  result: the restart backoff exponent. */
-        int deaths = 0;
-        Clock::time_point restart_at{};
-        /** Read end of the exec-status pipe between spawn() and
-         *  awaitExec(). */
-        int exec_fd = -1;
-    };
-
-    /** Put a dead (or unspawnable) endpoint on the restart schedule.
-     *  Caller holds mu_. */
-    void
-    scheduleRestart(Endpoint &e)
-    {
-        e.restart_at = Clock::now() + std::chrono::milliseconds(
-                                          restartBackoffMs(
-                                              config_, e.index, e.deaths));
-        ++e.deaths;
-    }
-
-    /** Fork + exec the shard process; awaitExec() then learns whether
-     *  the exec succeeded. */
-    Status
-    spawn(Endpoint &e)
-    {
-        int in[2], out[2];
-        if (::pipe2(in, O_CLOEXEC) != 0)
-            return Status::unavailable(std::string("fleet pipe: ") +
-                                       ::strerror(errno));
-        if (::pipe2(out, O_CLOEXEC) != 0) {
-            Status st = Status::unavailable(
-                std::string("fleet pipe: ") + ::strerror(errno));
-            ::close(in[0]);
-            ::close(in[1]);
-            return st;
-        }
-
-        // Reports an exec failure (the child writes errno); closes on a
-        // successful exec (O_CLOEXEC), so EOF means the shard is running.
-        int exec_status[2];
-        if (::pipe2(exec_status, O_CLOEXEC) != 0) {
-            Status st = Status::unavailable(
-                std::string("fleet pipe: ") + ::strerror(errno));
-            for (int fd : {in[0], in[1], out[0], out[1]})
-                ::close(fd);
-            return st;
-        }
-
-        std::vector<std::string> args = config_.shard_argv;
-        args.push_back("--evrsim-shard=" + std::to_string(e.index));
-        if (!config_.shard_params_json.empty())
-            args.push_back("--evrsim-shard-params=" +
-                           config_.shard_params_json);
-        std::vector<char *> cargv;
-        cargv.reserve(args.size() + 1);
-        for (std::string &a : args)
-            cargv.push_back(a.data());
-        cargv.push_back(nullptr);
-
-        pid_t pid = ::fork();
-        if (pid < 0) {
-            Status st = Status::unavailable(
-                std::string("fleet fork: ") + ::strerror(errno));
-            for (int fd : {in[0], in[1], out[0], out[1], exec_status[0],
-                           exec_status[1]})
-                ::close(fd);
-            return st;
-        }
-        if (pid == 0) {
-            // Async-signal-safe child setup only: the parent is
-            // threaded. dup2 clears FD_CLOEXEC on the target; when
-            // source == target the flag must be cleared explicitly.
-            auto install = [](int from, int to) -> int {
-                if (from == to) {
-                    int fl = ::fcntl(from, F_GETFD);
-                    return fl < 0 ? -1
-                                  : ::fcntl(from, F_SETFD,
-                                            fl & ~FD_CLOEXEC);
-                }
-                return ::dup2(from, to);
-            };
-            if (install(in[0], STDIN_FILENO) < 0)
-                ::_exit(127);
-            if (install(out[1], kShardResponseFd) < 0)
-                ::_exit(127);
-            int devnull = ::open("/dev/null", O_WRONLY);
-            if (devnull >= 0) {
-                ::dup2(devnull, STDOUT_FILENO);
-                if (devnull != STDOUT_FILENO)
-                    ::close(devnull);
-            }
-            ::execv(cargv[0], cargv.data());
-            int err = errno;
-            (void)!::write(exec_status[1], &err, sizeof(err));
-            ::_exit(127);
-        }
-        ::close(in[0]);
-        ::close(out[1]);
-        ::close(exec_status[1]);
-        {
-            std::lock_guard<std::mutex> wl(e.write_mu);
-            e.in_fd = in[1];
-        }
-        e.out_fd = out[0];
-        e.exec_fd = exec_status[0];
-        std::lock_guard<std::mutex> lock(mu_);
-        e.pid = pid;
-        return {};
-    }
-
-    /** Wait for a spawn()ed shard's exec: mark it alive and start its
-     *  reader, or reap it and report why the exec failed. */
-    Status
-    awaitExec(Endpoint &e)
-    {
-        int exec_errno = 0;
-        ssize_t got;
-        while ((got = ::read(e.exec_fd, &exec_errno, sizeof(exec_errno))) <
-                   0 &&
-               errno == EINTR) {
-        }
-        ::close(e.exec_fd);
-        e.exec_fd = -1;
-        if (got > 0) {
-            {
-                std::lock_guard<std::mutex> wl(e.write_mu);
-                ::close(e.in_fd);
-                e.in_fd = -1;
-            }
-            ::close(e.out_fd);
-            e.out_fd = -1;
-            while (::waitpid(e.pid, nullptr, 0) < 0 && errno == EINTR) {
-            }
-            std::lock_guard<std::mutex> lock(mu_);
-            e.pid = -1;
-            return Status::unavailable("fleet: cannot exec " +
-                                       config_.shard_argv[0] + ": " +
-                                       ::strerror(exec_errno));
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            e.alive = true;
-            e.needs_reap = false;
-        }
-        e.reader = std::thread(
-            [this, &e, fd = e.out_fd] { readerLoop(e, fd); });
-        return {};
-    }
-
-    void
-    readerLoop(Endpoint &e, int fd)
-    {
-        MessageReader reader(fd);
-        for (;;) {
-            Result<Json> msg = reader.next(config_.poll_ms);
-            if (!msg.ok()) {
-                if (msg.status().code() ==
-                    ErrorCode::DeadlineExceeded) {
-                    if (stopping_.load())
-                        return;
-                    continue;
-                }
-                if (msg.status().code() == ErrorCode::DataLoss) {
-                    // A damaged response line: the run it carried (if
-                    // any) will fail over at its deadline; the damage
-                    // itself is a health strike against the shard.
-                    if (hooks_.on_strike)
-                        hooks_.on_strike(e.index,
-                                         "damaged response line");
-                    continue;
-                }
-                {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    e.alive = false;
-                    e.needs_reap = true;
-                }
-                if (hooks_.on_down)
-                    hooks_.on_down(e.index, msg.status().message());
-                return;
-            }
-            if (msg.value().get("type", Json("")).asString() ==
-                "result") {
-                std::lock_guard<std::mutex> lock(mu_);
-                e.deaths = 0;
-            }
-            if (hooks_.on_frame)
-                hooks_.on_frame(e.index, msg.value());
-        }
-    }
-
-    FleetConfig config_;
-    TransportHooks hooks_;
-    std::vector<std::unique_ptr<Endpoint>> eps_;
-    mutable std::mutex mu_;
-    TransportStats stats_;
-    std::atomic<bool> stopping_{false};
-    bool started_ = false;
-};
-
-} // namespace
-
-std::unique_ptr<ShardTransport>
-makePipeShardTransport(const FleetConfig &config)
-{
-    return std::make_unique<PipeShardTransport>(config);
-}
-
-// --- fleet policy ---------------------------------------------------
+// --- fleet ----------------------------------------------------------
 
 ShardFleet::ShardFleet(const FleetConfig &config, DegradedRunFn degraded)
     : config_(config), degraded_(std::move(degraded))
@@ -656,8 +220,7 @@ ShardFleet::start()
 {
     if (!fleetEnabled(config_))
         return Status::invalidArgument(
-            "fleet: need shards > 0 and a shard argv or listen "
-            "address");
+            "fleet: need shards > 0 and a shard argv");
     if (started_)
         return {};
     ignoreSigpipe();
@@ -667,43 +230,29 @@ ShardFleet::start()
         auto s = std::make_unique<Shard>();
         s->index = i;
         s->breaker.threshold = config_.breaker_threshold;
-        // A TCP slot starts with no endpoint at all: hold it Open so
-        // routing skips it until a shard registers (handleUp probes
-        // it half-open, exactly like a pipe respawn).
-        if (fleetListens(config_))
-            s->breaker.forceOpen();
         shards_.push_back(std::move(s));
     }
-
-    transport_ = fleetListens(config_)
-                     ? makeTcpShardTransport(config_)
-                     : makePipeShardTransport(config_);
-    TransportHooks hooks;
-    hooks.on_frame = [this](int slot, const Json &msg) {
-        handleFrame(slot, msg);
-    };
-    hooks.on_up = [this](int slot) { handleUp(slot); };
-    hooks.on_down = [this](int slot, const std::string &why) {
-        if (slot >= 0 &&
-            static_cast<std::size_t>(slot) < shards_.size())
-            handleShardDown(*shards_[static_cast<std::size_t>(slot)],
-                            why);
-    };
-    hooks.on_strike = [this](int slot, const std::string &why) {
-        if (slot < 0 || static_cast<std::size_t>(slot) >= shards_.size())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.wire_errors;
-        }
-        metricsCounterAdd("evrsim_fleet_wire_errors_total", 1.0);
-        recordShardFailure(*shards_[static_cast<std::size_t>(slot)],
-                           why);
-    };
     events_.setPersistPath(config_.events_path);
-    if (Status st = transport_->start(std::move(hooks)); !st.ok()) {
-        transport_.reset();
-        return st;
+
+    // Fork every shard before waiting for any exec, so their start-ups
+    // overlap.
+    std::vector<Status> spawned;
+    for (auto &s : shards_)
+        spawned.push_back(spawn(*s));
+    for (auto &s : shards_) {
+        Status st = spawned[static_cast<std::size_t>(s->index)];
+        if (st.ok())
+            st = awaitExec(*s);
+        if (st.ok()) {
+            shardUp(*s);
+            continue;
+        }
+        // maintain() keeps retrying on the backoff schedule; a fleet
+        // that cannot spawn anything degrades per-run.
+        warn("fleet: shard %d spawn failed: %s", s->index,
+             st.message().c_str());
+        std::lock_guard<std::mutex> lock(mu_);
+        scheduleRestartLocked(*s);
     }
 
     // Materialize every fleet counter at zero so a quiet fleet exports
@@ -725,19 +274,135 @@ ShardFleet::start()
 }
 
 void
-ShardFleet::handleUp(int slot)
+ShardFleet::scheduleRestartLocked(Shard &s)
 {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= shards_.size())
-        return;
-    Shard &s = *shards_[static_cast<std::size_t>(slot)];
+    s.restart_at = Clock::now() + std::chrono::milliseconds(restartBackoffMs(
+                                      config_, s.index, s.deaths));
+    ++s.deaths;
+}
+
+Status
+ShardFleet::spawn(Shard &s)
+{
+    int in[2], out[2];
+    if (::pipe2(in, O_CLOEXEC) != 0)
+        return Status::unavailable(std::string("fleet pipe: ") +
+                                   ::strerror(errno));
+    if (::pipe2(out, O_CLOEXEC) != 0) {
+        Status st = Status::unavailable(std::string("fleet pipe: ") +
+                                        ::strerror(errno));
+        ::close(in[0]);
+        ::close(in[1]);
+        return st;
+    }
+
+    // Reports an exec failure (the child writes errno); closes on a
+    // successful exec (O_CLOEXEC), so EOF means the shard is running.
+    int exec_status[2];
+    if (::pipe2(exec_status, O_CLOEXEC) != 0) {
+        Status st = Status::unavailable(std::string("fleet pipe: ") +
+                                        ::strerror(errno));
+        for (int fd : {in[0], in[1], out[0], out[1]})
+            ::close(fd);
+        return st;
+    }
+
+    std::vector<std::string> args = config_.shard_argv;
+    args.push_back("--evrsim-shard=" + std::to_string(s.index));
+    if (!config_.shard_params_json.empty())
+        args.push_back("--evrsim-shard-params=" +
+                       config_.shard_params_json);
+    std::vector<char *> cargv;
+    cargv.reserve(args.size() + 1);
+    for (std::string &a : args)
+        cargv.push_back(a.data());
+    cargv.push_back(nullptr);
+
+    pid_t pid = ::fork();
+    if (pid < 0) {
+        Status st = Status::unavailable(std::string("fleet fork: ") +
+                                        ::strerror(errno));
+        for (int fd : {in[0], in[1], out[0], out[1], exec_status[0],
+                       exec_status[1]})
+            ::close(fd);
+        return st;
+    }
+    if (pid == 0) {
+        // Async-signal-safe child setup only: the parent is threaded.
+        // dup2 clears FD_CLOEXEC on the target; when source == target
+        // the flag must be cleared explicitly.
+        auto install = [](int from, int to) -> int {
+            if (from == to) {
+                int fl = ::fcntl(from, F_GETFD);
+                return fl < 0 ? -1
+                              : ::fcntl(from, F_SETFD, fl & ~FD_CLOEXEC);
+            }
+            return ::dup2(from, to);
+        };
+        if (install(in[0], STDIN_FILENO) < 0)
+            ::_exit(127);
+        if (install(out[1], kShardResponseFd) < 0)
+            ::_exit(127);
+        int devnull = ::open("/dev/null", O_WRONLY);
+        if (devnull >= 0) {
+            ::dup2(devnull, STDOUT_FILENO);
+            if (devnull != STDOUT_FILENO)
+                ::close(devnull);
+        }
+        ::execv(cargv[0], cargv.data());
+        int err = errno;
+        (void)!::write(exec_status[1], &err, sizeof(err));
+        ::_exit(127);
+    }
+    ::close(in[0]);
+    ::close(out[1]);
+    ::close(exec_status[1]);
+    {
+        std::lock_guard<std::mutex> wl(s.write_mu);
+        s.in_fd = in[1];
+    }
+    s.out_fd = out[0];
+    s.exec_fd = exec_status[0];
+    std::lock_guard<std::mutex> lock(mu_);
+    s.pid = pid;
+    return {};
+}
+
+Status
+ShardFleet::awaitExec(Shard &s)
+{
+    int exec_errno = 0;
+    ssize_t got;
+    while ((got = ::read(s.exec_fd, &exec_errno, sizeof(exec_errno))) <
+               0 &&
+           errno == EINTR) {
+    }
+    ::close(s.exec_fd);
+    s.exec_fd = -1;
+    if (got <= 0)
+        return {};
+    closePipes(s);
+    while (::waitpid(s.pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    s.pid = -1;
+    return Status::unavailable("fleet: cannot exec " +
+                               config_.shard_argv[0] + ": " +
+                               ::strerror(exec_errno));
+}
+
+void
+ShardFleet::shardUp(Shard &s)
+{
     // A fresh incarnation's counters start from zero: forget the old
     // snapshot so its metrics accumulate instead of being seen as an
     // already-reported prefix.
-    folder_.onShardUp(slot);
+    folder_.onShardUp(s.index);
     bool first;
     {
         std::lock_guard<std::mutex> lock(mu_);
         s.alive = true;
+        s.needs_reap = false;
         s.ping_outstanding = false;
         s.last_ping = s.last_frame = Clock::now();
         s.breaker.onRestart(); // open -> half-open probe
@@ -747,9 +412,141 @@ ShardFleet::handleUp(int slot)
         else
             ++s.restarts;
     }
+    // Live before its reader starts, so an immediate EOF takes the
+    // normal down path.
+    s.reader = std::thread([this, &s, fd = s.out_fd] { readerLoop(s, fd); });
     shard_cv_.notify_all();
-    events_.record(first ? "registration" : "restart", slot,
-                   transport_ ? transport_->name() : "");
+    events_.record(first ? "registration" : "restart", s.index, "");
+}
+
+void
+ShardFleet::closePipes(Shard &s)
+{
+    {
+        std::lock_guard<std::mutex> wl(s.write_mu);
+        if (s.in_fd >= 0) {
+            ::close(s.in_fd);
+            s.in_fd = -1;
+        }
+    }
+    if (s.out_fd >= 0) {
+        ::close(s.out_fd);
+        s.out_fd = -1;
+    }
+}
+
+void
+ShardFleet::readerLoop(Shard &s, int fd)
+{
+    MessageReader reader(fd);
+    for (;;) {
+        Result<Json> msg = reader.next(config_.poll_ms);
+        if (msg.ok()) {
+            handleFrame(s, msg.value());
+            continue;
+        }
+        if (msg.status().code() == ErrorCode::DeadlineExceeded) {
+            if (stopping_.load())
+                return;
+            continue;
+        }
+        if (msg.status().code() == ErrorCode::DataLoss) {
+            // A damaged response line: the run it carried (if any) will
+            // fail over at its deadline; the damage itself is a health
+            // strike against the shard.
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++stats_.wire_errors;
+            }
+            metricsCounterAdd("evrsim_fleet_wire_errors_total", 1.0);
+            recordShardFailure(s, "damaged response line");
+            continue;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            s.needs_reap = true;
+        }
+        handleShardDown(s, msg.status().message());
+        return;
+    }
+}
+
+bool
+ShardFleet::writeFrame(Shard &s, Json payload)
+{
+    std::lock_guard<std::mutex> lock(s.write_mu);
+    if (s.in_fd < 0)
+        return false;
+    return writeFramedLine(s.in_fd, std::move(payload), nullptr);
+}
+
+void
+ShardFleet::condemn(Shard &s)
+{
+    // Under mu_, where a reap clears the pid.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (s.pid > 0)
+        ::kill(s.pid, SIGKILL);
+}
+
+void
+ShardFleet::maintain()
+{
+    for (auto &sp : shards_) {
+        Shard &s = *sp;
+
+        // Reap a dead shard once its reader has drained, then put it on
+        // the restart schedule.
+        bool reap;
+        pid_t pid;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            reap = s.needs_reap;
+            pid = s.pid;
+        }
+        if (reap) {
+            int wstatus = 0;
+            pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
+            if (r == pid || (r < 0 && errno == ECHILD)) {
+                if (s.reader.joinable())
+                    s.reader.join();
+                closePipes(s);
+                std::lock_guard<std::mutex> lock(mu_);
+                s.needs_reap = false;
+                s.pid = -1;
+                scheduleRestartLocked(s);
+            }
+        }
+
+        // Restart when the backoff expires.
+        bool want_restart;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            want_restart = !s.alive && !s.needs_reap && s.pid < 0 &&
+                           Clock::now() >= s.restart_at;
+        }
+        if (!want_restart || stopping_.load())
+            continue;
+        Status st = spawn(s);
+        if (st.ok())
+            st = awaitExec(s);
+        if (!st.ok()) {
+            std::lock_guard<std::mutex> lock(mu_);
+            scheduleRestartLocked(s);
+            continue;
+        }
+        int deaths;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.restarts;
+            deaths = s.deaths;
+        }
+        metricsCounterAdd("evrsim_fleet_restarts_total", 1.0);
+        informv("fleet: shard %d restarted (%d death(s) since its last "
+                "result)",
+                s.index, deaths);
+        shardUp(s);
+    }
 }
 
 void
@@ -789,35 +586,10 @@ ShardFleet::recordShardFailure(Shard &s, const std::string &why)
     if (opened)
         events_.record("breaker-open", s.index, why);
     // An open breaker on a live shard means it is misbehaving, not
-    // dead (stalled, flaky wire): replace it. The transport's reader
-    // observes the loss and runs the normal down path.
-    if (kill && transport_)
-        transport_->condemn(s.index, why);
-}
-
-void
-ShardFleet::fenceShard(Shard &s, const std::string &why)
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!s.alive)
-            return; // already gone; nothing to fence
-    }
-    warn("fleet: shard %d fenced (%s)", s.index, why.c_str());
-    events_.record("fence", s.index, why);
-    // Terminate the endpoint first, so a zombie holding the old epoch
-    // can never answer into the ring again and the fence is counted
-    // before the failover it causes; then fail its in-flight runs over
-    // (exactly once — whichever of this call and the transport's
-    // on_down comes second finds the shard already down).
-    if (transport_)
-        transport_->condemn(s.index, why);
-    handleShardDown(s, why);
-    // A fence loses the shard's remaining buffers; flush what the
-    // control plane already holds so the merged trace survives even
-    // if the daemon never reaches a clean drain.
-    if (traceActive())
-        (void)traceWrite();
+    // dead (stalled, flaky wire): replace it. Its reader observes the
+    // loss and runs the normal down path.
+    if (kill)
+        condemn(s);
 }
 
 void
@@ -868,17 +640,14 @@ ShardFleet::handleShardDown(Shard &s, const std::string &why)
 }
 
 void
-ShardFleet::handleFrame(int slot, const Json &msg)
+ShardFleet::handleFrame(Shard &s, const Json &msg)
 {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= shards_.size())
-        return;
-    Shard &s = *shards_[static_cast<std::size_t>(slot)];
-
+    const int slot = s.index;
     const Json *type = msg.find("type");
     if (!type || type->type() != Json::Type::String)
         return;
     // Shards piggyback their metrics-registry snapshot on pong and
-    // result frames; folding on both means a fenced shard's last
+    // result frames; folding on both means a killed shard's last
     // counters (shipped with its final result) are never lost.
     if (const Json *mx = msg.find("mx"))
         folder_.fold(slot, *mx);
@@ -896,6 +665,7 @@ ShardFleet::handleFrame(int slot, const Json &msg)
     {
         std::lock_guard<std::mutex> lock(mu_);
         s.last_frame = Clock::now();
+        s.deaths = 0;
     }
 
     const Json *seqj = msg.find("seq");
@@ -970,18 +740,8 @@ ShardFleet::handleFrame(int slot, const Json &msg)
 void
 ShardFleet::monitorLoop()
 {
-    // Under the TCP transport the pong deadline IS the lease: missing
-    // it fences the shard immediately (its epoch is dead; the
-    // connection is condemned) instead of striking toward the breaker
-    // threshold — a partitioned shard must lose ownership of its
-    // content-key range in one lease, not three.
-    const bool hard_lease = fleetListens(config_);
-    const int pong_deadline_ms =
-        hard_lease ? std::max(config_.lease_ms, 1)
-                   : config_.ping_deadline_ms;
-
     while (!stopping_.load()) {
-        transport_->maintain();
+        maintain();
         for (auto &sp : shards_) {
             Shard &s = *sp;
             bool need_ping = false, deadline_missed = false;
@@ -992,7 +752,7 @@ ShardFleet::monitorLoop()
                     if (s.ping_outstanding &&
                         now - s.ping_sent >
                             std::chrono::milliseconds(
-                                pong_deadline_ms)) {
+                                config_.ping_deadline_ms)) {
                         s.ping_outstanding = false;
                         ++stats_.ping_timeouts;
                         deadline_missed = true;
@@ -1009,16 +769,13 @@ ShardFleet::monitorLoop()
             if (deadline_missed) {
                 metricsCounterAdd("evrsim_fleet_ping_timeouts_total",
                                   1.0);
-                if (hard_lease)
-                    fenceShard(s, "lease missed");
-                else
-                    recordShardFailure(s, "ping deadline exceeded");
+                recordShardFailure(s, "ping deadline exceeded");
             }
             if (need_ping) {
                 Json ping = Json::object();
                 ping.set("type", "ping");
                 ping.set("seq", seq_.fetch_add(1));
-                if (!transport_->writeFrame(s.index, std::move(ping)))
+                if (!writeFrame(s, std::move(ping)))
                     handleShardDown(s, "ping write failed");
             }
         }
@@ -1128,10 +885,6 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
         std::uint64_t seq = seq_.fetch_add(1);
         auto w = std::make_shared<Waiter>();
         w->shard = s.index;
-        {
-            std::lock_guard<std::mutex> lock(waiters_mu_);
-            waiters_[seq] = w;
-        }
         Json req = Json::object();
         req.set("type", "run");
         req.set("seq", seq);
@@ -1168,7 +921,13 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
                           static_cast<std::int64_t>(seq));
             traceContextClear();
         };
-        if (!transport_->writeFrame(s.index, std::move(req))) {
+        // Published only now, fully initialized: the reader thread
+        // reads dispatch_start_ns once it finds the waiter.
+        {
+            std::lock_guard<std::mutex> lock(waiters_mu_);
+            waiters_[seq] = w;
+        }
+        if (!writeFrame(s, std::move(req))) {
             // The shard was already gone: not this run's doing.
             {
                 std::lock_guard<std::mutex> lock(waiters_mu_);
@@ -1176,7 +935,7 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
             }
             finishSpan("write-failed");
             handleShardDown(s, "run dispatch write failed");
-            transport_->condemn(s.index, "run dispatch write failed");
+            condemn(s);
             releaseShard(s);
             continue;
         }
@@ -1199,7 +958,7 @@ ShardFleet::execute(const std::string &alias, const SimConfig &config,
                 std::to_string(config_.run_deadline_ms) +
                 " ms run deadline on shard " + std::to_string(s.index));
             handleShardDown(s, "run deadline exceeded");
-            transport_->condemn(s.index, "run deadline exceeded");
+            condemn(s);
         }
         releaseShard(s);
         if (done && w->attempt.worker_died) {
@@ -1261,8 +1020,47 @@ ShardFleet::stop()
     shard_cv_.notify_all();
     if (monitor_.joinable())
         monitor_.join();
-    if (transport_)
-        transport_->stop();
+
+    // EOF every shard's stdin: a healthy shard drains and exits 0.
+    for (auto &s : shards_) {
+        std::lock_guard<std::mutex> wl(s->write_mu);
+        if (s->in_fd >= 0) {
+            ::close(s->in_fd);
+            s->in_fd = -1;
+        }
+    }
+    // Bounded wait for clean exits, then SIGKILL the stragglers.
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(2000);
+    for (auto &s : shards_) {
+        pid_t pid;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            pid = s->pid;
+        }
+        if (pid <= 0)
+            continue;
+        for (;;) {
+            int wstatus = 0;
+            pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
+            if (r == pid || (r < 0 && errno == ECHILD))
+                break;
+            if (Clock::now() >= deadline) {
+                ::kill(pid, SIGKILL);
+                while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+                }
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        std::lock_guard<std::mutex> lock(mu_);
+        s->pid = -1;
+    }
+    for (auto &s : shards_) {
+        if (s->reader.joinable())
+            s->reader.join();
+        closePipes(*s);
+    }
 
     // Anything still parked on a waiter unblocks with Unavailable.
     std::vector<std::shared_ptr<Waiter>> left;
@@ -1299,22 +1097,8 @@ ShardFleet::stop()
 ShardFleet::Stats
 ShardFleet::stats() const
 {
-    Stats s;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        s = stats_;
-    }
-    if (transport_) {
-        TransportStats t = transport_->stats();
-        s.restarts += t.restarts;
-        s.fences += t.fences;
-        s.reconnects += t.reconnects;
-        s.partitions += t.partitions;
-        s.stale_epochs += t.stale_epochs;
-        s.registrations += t.registrations;
-        s.shed_registrations += t.shed_registrations;
-    }
-    return s;
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
 }
 
 BreakerState
@@ -1324,19 +1108,6 @@ ShardFleet::breakerState(int index) const
     if (index < 0 || static_cast<std::size_t>(index) >= shards_.size())
         return BreakerState::Open;
     return shards_[static_cast<std::size_t>(index)]->breaker.state;
-}
-
-std::string
-ShardFleet::listenAddress() const
-{
-    return transport_ ? transport_->listenAddress() : std::string();
-}
-
-void
-ShardFleet::setRegistrationDraining(bool draining)
-{
-    if (transport_)
-        transport_->setDraining(draining);
 }
 
 Json
@@ -1353,13 +1124,6 @@ fleetStatsToJson(const ShardFleet::Stats &stats)
     j.set("ping_timeouts", static_cast<double>(stats.ping_timeouts));
     j.set("stray_responses",
           static_cast<double>(stats.stray_responses));
-    j.set("fences", static_cast<double>(stats.fences));
-    j.set("reconnects", static_cast<double>(stats.reconnects));
-    j.set("partitions", static_cast<double>(stats.partitions));
-    j.set("stale_epochs", static_cast<double>(stats.stale_epochs));
-    j.set("registrations", static_cast<double>(stats.registrations));
-    j.set("shed_registrations",
-          static_cast<double>(stats.shed_registrations));
     return j;
 }
 
@@ -1375,9 +1139,6 @@ ShardFleet::statusJson() const
             ++inflight[kv.second->shard];
     }
     Json j = Json::object();
-    j.set("transport",
-          transport_ ? transport_->name() : std::string("none"));
-    j.set("listen", listenAddress());
     Json arr = Json::array();
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -1388,16 +1149,16 @@ ShardFleet::statusJson() const
             e.set("slot", s.index);
             e.set("alive", s.alive);
             e.set("breaker", breakerStateName(s.breaker.state));
-            e.set("epoch",
-                  static_cast<double>(
-                      transport_ ? transport_->slotEpoch(s.index) : 0));
-            double lease_ms = -1.0;
+            double age_ms = -1.0;
             if (s.last_frame.time_since_epoch().count() != 0)
-                lease_ms = static_cast<double>(
+                age_ms = static_cast<double>(
                     std::chrono::duration_cast<
                         std::chrono::milliseconds>(now - s.last_frame)
                         .count());
-            e.set("lease_age_ms", lease_ms);
+            e.set("last_frame_age_ms", age_ms);
+            // The same value under its old name, which evrbench's
+            // shard-readiness wait still reads.
+            e.set("lease_age_ms", age_ms);
             auto it = inflight.find(s.index);
             e.set("inflight",
                   it == inflight.end() ? 0 : it->second);
@@ -1505,6 +1266,17 @@ shardFlagFromArgv(int argc, char **argv, std::string &params_json)
     return index;
 }
 
+namespace {
+
+/**
+ * Turn this process into shard @p slot: overlay @p params_json (when
+ * non-empty) onto @p params; force the bare-attempt policy (no cache,
+ * journal, fleet or telemetry artifacts; one job); cap the address
+ * space at job_mem_mb (RLIMIT_AS); record metrics for snapshot
+ * shipping when the caller exports metrics; and, when EVRSIM_TRACE is
+ * set, spill the trace to <obs_dir>/shard-<slot>.trace.json.
+ * InvalidArgument when the document does not parse.
+ */
 Status
 prepareShardProcess(int slot, const std::string &params_json,
                     BenchParams &params)
@@ -1559,6 +1331,8 @@ prepareShardProcess(int slot, const std::string &params_json,
     return {};
 }
 
+/** Attach the shard's metrics-registry snapshot to an outbound frame
+ *  as "mx" (no-op while the registry is empty). */
 void
 attachShardMetricsSnapshot(Json &payload)
 {
@@ -1569,6 +1343,17 @@ attachShardMetricsSnapshot(Json &payload)
         payload.set("mx", std::move(doc.value()));
 }
 
+/** One run request as a shard receives it. */
+struct ShardRun {
+    std::uint64_t seq = 0;
+    std::string workload;
+    std::string config;
+    std::string key;   ///< the sender's ExperimentRunner::jobKey()
+    int tile_size = 0; ///< the SimConfig's gpu tile size
+    TraceContext ctx;  ///< propagated trace context (zero = none)
+};
+
+/** Parse a "run" frame; missing fields keep their defaults. */
 ShardRun
 shardRunFromFrame(const Json &msg)
 {
@@ -1587,13 +1372,10 @@ shardRunFromFrame(const Json &msg)
     run.config = text("config");
     run.key = text("key");
     run.tile_size = static_cast<int>(number("tile"));
-    run.epoch = number("epoch");
     run.ctx.trace_id = traceIdParse(text("trace"));
     run.ctx.parent_span = traceIdParse(text("span"));
     return run;
 }
-
-namespace {
 
 /** One bare attempt of @p run: the SimConfig rebuilt by name and tile
  *  size, its job key checked against the one the caller sent. */
@@ -1615,8 +1397,18 @@ shardAttempt(ExperimentRunner &runner, const BenchParams &params,
     return runner.trySimulate(run.workload, cfg.value());
 }
 
-} // namespace
-
+/**
+ * Execute @p run inside a shard and build its framed "result" payload.
+ * The shard fault sites fire first: worker-kill9 (counter draw), then
+ * worker-crash and worker-hang keyed on fnv1a64(run.key), so the same
+ * jobs die on every attempt and on every shard. The SimConfig is
+ * rebuilt from its name and tile size; a key that differs from
+ * runner.jobKey() of the rebuilt config (version skew) is answered
+ * InvalidArgument. The run executes under run.ctx inside a
+ * worker-category "shard-run" span; the events it recorded ship as
+ * "trace" (timestamps rebased to the run start) and the metrics
+ * snapshot as "mx".
+ */
 Json
 shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
                 FaultInjector &faults, const ShardRun &run)
@@ -1682,6 +1474,8 @@ shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
     return payload;
 }
 
+} // namespace
+
 void
 runShardAndExit(int shard_index, WorkloadFactory factory,
                 BenchParams params, const std::string &params_json)
@@ -1744,7 +1538,7 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
             pong.set("seq", msg.value().get("seq", Json(0)));
             // Piggyback the registry snapshot on every pong so the
             // control plane's aggregate stays fresh between runs and
-            // a later fence cannot lose more than one ping interval
+            // a later kill cannot lose more than one ping interval
             // of counters.
             attachShardMetricsSnapshot(pong);
             respond(std::move(pong));

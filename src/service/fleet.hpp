@@ -43,29 +43,15 @@
  * byte-identical wherever they execute (the simulation is
  * deterministic), which is what the chaos soak asserts end to end.
  *
- * Everything here is observable: evrsim_fleet_* counters (restarts,
- * breaker opens, failovers, degraded runs, wire errors, ping timeouts,
- * fences, reconnects, partitions, stale epochs, registrations)
- * plus an evrsim_fleet_shards gauge.
+ * Everything here is observable: evrsim_fleet_* counters (dispatched,
+ * completed, failovers, restarts, breaker opens, degraded runs, wire
+ * errors, ping timeouts, stray responses) plus an evrsim_fleet_shards
+ * gauge.
  *
- * The fleet splits along a ShardTransport seam: the fleet keeps
- * everything about *policy* (routing, breakers, pings, failover,
- * degradation, waiter bookkeeping) while a transport owns everything
- * about *endpoints* (spawning or accepting them, framing bytes to
- * them, detecting their loss). Two transports exist:
- *
- *  - PipeShardTransport (in fleet.cpp): fork/exec children on
- *    stdin/fd-3 pipes, with reap + jittered-backoff respawn. It is the
- *    only code that fork/execs a simulation process.
- *  - TcpShardTransport (tcp_transport.hpp): remote shards dial in
- *    over TCP (EVRSIM_FLEET_LISTEN), register with a hello/welcome
- *    handshake, and hold a slot under an epoch lease. A shard that
- *    misses its lease (EVRSIM_LEASE_MS, riding the ping machinery
- *    with a hard deadline) is *fenced*: its connection is condemned,
- *    its in-flight runs fail over exactly once, and any frame or
- *    reconnect carrying the old epoch is rejected — a partition can
- *    never yield two owners of one content-key range or a duplicate
- *    seq stream.
+ * The fleet owns its shard processes directly: it fork/execs each
+ * shard on stdin/fd-3 pipes, reads its frames on a per-shard thread,
+ * reaps it when it dies and respawns it on the backoff schedule. It is
+ * the only code that fork/execs a simulation process.
  */
 #ifndef EVRSIM_SERVICE_FLEET_HPP
 #define EVRSIM_SERVICE_FLEET_HPP
@@ -81,6 +67,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/types.h>
 
 #include "common/status.hpp"
 #include "driver/experiment.hpp"
@@ -105,14 +93,6 @@ struct FleetConfig {
     /** Simulation-relevant BenchParams subset forwarded to each shard
      *  (shardParamsJson()); filled from the service params when empty. */
     std::string shard_params_json;
-    /** Non-empty ("host:port", port 0 = kernel-assigned) selects the
-     *  TCP transport: remote shards dial in and register instead of
-     *  being fork/exec'd. EVRSIM_FLEET_LISTEN. */
-    std::string listen;
-    /** TCP lease: a registered shard whose pong misses this hard
-     *  deadline is fenced (condemned + failed over), not merely
-     *  struck. EVRSIM_LEASE_MS. */
-    int lease_ms = 5000;
     int ping_interval_ms = 500;  ///< cadence of liveness pings
     int ping_deadline_ms = 2000; ///< pong deadline = one health failure
     /** Consecutive failures that open a shard's circuit breaker. */
@@ -126,18 +106,17 @@ struct FleetConfig {
      *  come up. */
     int run_deadline_ms = 120000;
     int poll_ms = 50; ///< monitor/reader wakeup cadence
-    /** JSONL mirror of the fleet lifecycle event ring (restart, fence,
+    /** JSONL mirror of the fleet lifecycle event ring (restart,
      *  breaker transitions, failover, registration); empty disables
      *  persistence (the in-memory ring stays on). EVRSIM_FLEET_EVENTS. */
     std::string events_path;
 };
 
-/** A fleet is on when it has a width and either a program to exec
- *  (pipe transport) or an address to listen on (TCP transport). */
+/** A fleet is on when it has a width and a program to exec. */
 inline bool
 fleetEnabled(const FleetConfig &c)
 {
-    return c.shards > 0 && (!c.shard_argv.empty() || !c.listen.empty());
+    return c.shards > 0 && !c.shard_argv.empty();
 }
 
 /** Slack over EVRSIM_JOB_TIMEOUT_MS before a run's hard deadline, so
@@ -149,16 +128,9 @@ int defaultGraceMs(int timeout_ms);
  * The fleet @p params ask for: EVRSIM_SHARDS wide, forwarding the
  * simulation subset of @p params to every shard, with the run deadline
  * at job_timeout_ms + defaultGraceMs() when a timeout is set. The
- * caller fills shard_argv (or listen).
+ * caller fills shard_argv.
  */
 FleetConfig fleetConfigFromParams(const BenchParams &params);
-
-/** Whether the config selects the TCP (remote-shard) transport. */
-inline bool
-fleetListens(const FleetConfig &c)
-{
-    return !c.listen.empty();
-}
 
 /** Circuit breaker state (DESIGN.md §14). */
 enum class BreakerState { Closed, Open, HalfOpen };
@@ -212,108 +184,6 @@ int restartBackoffMs(const FleetConfig &c, int shard_index, int deaths);
 /** Primary shard for a content key: fnv1a64(key) % shards. */
 int shardIndexForKey(const std::string &key, int shards);
 
-// --- transport seam -------------------------------------------------
-
-/**
- * Endpoint-lifecycle accounting a transport keeps for itself; the
- * fleet merges it into ShardFleet::Stats. The pipe transport only
- * moves `restarts`; the TCP transport moves the rest.
- */
-struct TransportStats {
-    std::uint64_t restarts = 0; ///< endpoints respawned (pipe)
-    std::uint64_t fences = 0;   ///< live connections condemned (TCP)
-    std::uint64_t reconnects = 0; ///< re-registrations beyond a
-                                  ///< slot's first (TCP)
-    std::uint64_t partitions = 0; ///< net-partition blackholes engaged
-    std::uint64_t stale_epochs = 0; ///< frames/hellos with an old
-                                    ///< epoch, rejected (TCP)
-    std::uint64_t registrations = 0; ///< hellos admitted (TCP)
-    std::uint64_t shed_registrations = 0; ///< hellos rejected:
-                                          ///< draining/full/version
-};
-
-/**
- * Callbacks a transport raises into the fleet. All may be invoked
- * from transport-owned threads; the fleet's handlers are thread-safe
- * and must not call back into the transport while holding locks the
- * transport's stop() path could need.
- */
-struct TransportHooks {
-    /** A well-framed, epoch-valid message arrived from @p slot. */
-    std::function<void(int slot, const Json &msg)> on_frame;
-    /** Slot @p slot gained a live endpoint (spawn, respawn, or an
-     *  admitted registration). */
-    std::function<void(int slot)> on_up;
-    /** Slot @p slot lost its endpoint (EOF, reset, condemned). */
-    std::function<void(int slot, const std::string &why)> on_down;
-    /** A health strike against a live endpoint (damaged frame). */
-    std::function<void(int slot, const std::string &why)> on_strike;
-};
-
-/**
- * How the fleet reaches its shards. A transport owns endpoint
- * lifetime (processes or sockets), framing, and loss detection; the
- * fleet owns routing, health policy, and failover. Implementations:
- * the in-process pipe transport (fleet.cpp) and TcpShardTransport
- * (tcp_transport.hpp).
- */
-class ShardTransport
-{
-  public:
-    virtual ~ShardTransport() = default;
-
-    /** Transport name for logs ("pipe", "tcp"). */
-    virtual const char *name() const = 0;
-
-    /** Bring up endpoints (or start listening for them). */
-    virtual Status start(TransportHooks hooks) = 0;
-
-    /** Tear down every endpoint and join every thread. Idempotent. */
-    virtual void stop() = 0;
-
-    /**
-     * Frame @p payload to slot @p slot's endpoint. False when the
-     * endpoint is gone or the write failed (the caller fails over);
-     * an injected drop or blackholed frame still reports true — the
-     * run deadline is the detector for silence.
-     */
-    virtual bool writeFrame(int slot, Json payload) = 0;
-
-    /**
-     * Terminate slot @p slot's current endpoint (SIGKILL the child /
-     * fence the connection). The endpoint's reader observes the loss
-     * and raises on_down as usual.
-     */
-    virtual void condemn(int slot, const std::string &why) = 0;
-
-    /** Periodic upkeep from the fleet's monitor thread (reap +
-     *  respawn for pipes; nothing for TCP — its acceptor is a
-     *  thread). */
-    virtual void maintain() = 0;
-
-    /** Stop admitting new registrations (drain). Pipe: no-op. */
-    virtual void setDraining(bool draining) { (void)draining; }
-
-    /** Resolved listen address ("127.0.0.1:43211") for transports
-     *  that listen; empty otherwise. */
-    virtual std::string listenAddress() const { return {}; }
-
-    /** Epoch of slot @p slot's current endpoint (TCP lease epoch; 0
-     *  for transports without epochs). Introspection only. */
-    virtual std::uint64_t
-    slotEpoch(int slot) const
-    {
-        (void)slot;
-        return 0;
-    }
-
-    virtual TransportStats stats() const = 0;
-};
-
-/** The fork/exec pipe transport (defined in fleet.cpp). */
-std::unique_ptr<ShardTransport>
-makePipeShardTransport(const FleetConfig &config);
-
 /** The control-plane side: supervises the shard processes. */
 class ShardFleet
 {
@@ -331,13 +201,6 @@ class ShardFleet
         std::uint64_t wire_errors = 0;   ///< damaged response lines
         std::uint64_t ping_timeouts = 0; ///< pongs past the deadline
         std::uint64_t stray_responses = 0; ///< no waiter (wire-dup)
-        // Transport-side accounting, merged in stats():
-        std::uint64_t fences = 0;     ///< lease losses condemned (TCP)
-        std::uint64_t reconnects = 0; ///< slot re-registrations (TCP)
-        std::uint64_t partitions = 0; ///< net-partition blackholes
-        std::uint64_t stale_epochs = 0;  ///< old-epoch frames dropped
-        std::uint64_t registrations = 0; ///< hellos admitted (TCP)
-        std::uint64_t shed_registrations = 0; ///< hellos rejected
     };
 
     /** In-daemon fallback when no shard is healthy. */
@@ -380,9 +243,9 @@ class ShardFleet
 
     /**
      * Fleet topology as JSON for the daemon's `status` endpoint:
-     * transport kind, resolved listen address, per-shard state (slot,
-     * alive, breaker, epoch, lease age, inflight, restarts, last
-     * error) and the full stats counter block.
+     * per-shard state (slot, alive, breaker, age of the last frame,
+     * inflight, restarts, last error) and the full stats counter
+     * block.
      */
     Json statusJson() const;
 
@@ -393,13 +256,6 @@ class ShardFleet
     BreakerState breakerState(int index) const;
 
     const FleetConfig &config() const { return config_; }
-
-    /** Resolved transport listen address (TCP transport; empty for
-     *  pipes). Lets tests bind port 0 and discover the real port. */
-    std::string listenAddress() const;
-
-    /** Shed new shard registrations (daemon drain). */
-    void setRegistrationDraining(bool draining);
 
   private:
     /** One pending dispatch, keyed by wire seq. */
@@ -414,11 +270,28 @@ class ShardFleet
         std::uint64_t dispatch_start_ns = 0;
     };
 
-    /** Per-slot health policy state, all guarded by the fleet mu_.
-     *  The endpoint itself (process/socket) lives in the transport. */
+    /**
+     * One shard process and its health state. in_fd is guarded by
+     * write_mu; out_fd, exec_fd and the reader thread belong to the
+     * thread that spawns or reaps the shard (start(), the monitor,
+     * stop()); everything else is guarded by the fleet mu_.
+     */
     struct Shard {
         int index = 0;
+        pid_t pid = -1;   ///< -1 once reaped
+        int in_fd = -1;   ///< parent writes requests (shard stdin)
+        int out_fd = -1;  ///< parent reads responses (shard fd 3)
+        int exec_fd = -1; ///< exec-status pipe, spawn() to awaitExec()
+        std::thread reader;
+        /** Serializes writes to in_fd AND its close, so a dispatch
+         *  can never write through a recycled descriptor. */
+        std::mutex write_mu;
         bool alive = false;
+        bool needs_reap = false; ///< the reader saw EOF; waitpid due
+        /** Deaths and failed spawns since the shard last returned a
+         *  result: the restart backoff exponent. */
+        int deaths = 0;
+        std::chrono::steady_clock::time_point restart_at{};
         bool busy = false; ///< a run is in flight (one at a time)
         CircuitBreaker breaker;
         bool ping_outstanding = false;
@@ -433,21 +306,49 @@ class ShardFleet
 
     void monitorLoop();
 
-    // Transport hook handlers.
-    void handleFrame(int slot, const Json &msg);
-    void handleUp(int slot);
+    /** Reap shards whose reader saw EOF; respawn the ones whose
+     *  restart backoff expired. Monitor thread. */
+    void maintain();
 
-    /** Endpoint-loss path: mark dead, open the breaker, fail the
-     *  shard's in-flight waiters with Unavailable. */
+    /** Fork + exec shard @p s; awaitExec() then learns whether the
+     *  exec succeeded. Never holds mu_ across fork. */
+    Status spawn(Shard &s);
+
+    /** Wait for a spawn()ed shard's exec; on failure reap it and
+     *  report why. */
+    Status awaitExec(Shard &s);
+
+    /** An exec'd shard is live: mark it up (a half-open probe after a
+     *  restart) and start its reader. */
+    void shardUp(Shard &s);
+
+    /** Close @p s's pipe ends (its process is gone or being reaped). */
+    void closePipes(Shard &s);
+
+    /** Put a dead (or unspawnable) shard on the restart schedule.
+     *  Caller holds mu_. */
+    void scheduleRestartLocked(Shard &s);
+
+    /** Per-shard reader thread: frames in, EOF -> handleShardDown. */
+    void readerLoop(Shard &s, int fd);
+
+    /** Frame @p payload to @p s's stdin. False when the pipe is gone
+     *  or the write failed (the caller fails over). */
+    bool writeFrame(Shard &s, Json payload);
+
+    /** SIGKILL @p s's process; its reader observes the loss and runs
+     *  the normal down path. */
+    void condemn(Shard &s);
+
+    void handleFrame(Shard &s, const Json &msg);
+
+    /** Shard-loss path: mark dead, open the breaker, fail the shard's
+     *  in-flight waiters with Unavailable. */
     void handleShardDown(Shard &s, const std::string &why);
 
     /** Health failure (ping timeout, wire damage, run deadline);
-     *  condemns the shard's endpoint when the breaker opens. */
+     *  condemns the shard when the breaker opens. */
     void recordShardFailure(Shard &s, const std::string &why);
-
-    /** Fence: condemn the endpoint now and fail over its in-flight
-     *  runs (TCP lease miss — harder than a strike). */
-    void fenceShard(Shard &s, const std::string &why);
 
     /** The first shard in ring order from @p primary that is live,
      *  admitting, idle and not @p killed by this run; -1 if none.
@@ -464,7 +365,6 @@ class ShardFleet
 
     FleetConfig config_;
     DegradedRunFn degraded_;
-    std::unique_ptr<ShardTransport> transport_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
     ShardMetricsFolder folder_; ///< shard snapshot aggregation
@@ -512,56 +412,12 @@ Status applyShardParams(const std::string &text, BenchParams &params);
 int shardFlagFromArgv(int argc, char **argv, std::string &params_json);
 
 /**
- * Turn this process into shard @p slot, for the pipe and remote serve
- * loops alike: overlay @p params_json (when non-empty) onto @p params;
- * force the bare-attempt policy (no cache, journal, fleet or telemetry
- * artifacts; one job); cap the address space at job_mem_mb
- * (RLIMIT_AS); record metrics for snapshot shipping when the caller
- * exports metrics; and, when EVRSIM_TRACE is set, spill the
- * trace to <obs_dir>/shard-<slot>.trace.json. InvalidArgument when the
- * document does not parse.
- */
-Status prepareShardProcess(int slot, const std::string &params_json,
-                           BenchParams &params);
-
-/** Attach the shard's metrics-registry snapshot to an outbound frame
- *  as "mx" (no-op while the registry is empty). */
-void attachShardMetricsSnapshot(Json &payload);
-
-/** One run request as a shard receives it. */
-struct ShardRun {
-    std::uint64_t seq = 0;
-    std::string workload;
-    std::string config;
-    std::string key;   ///< the sender's ExperimentRunner::jobKey()
-    int tile_size = 0; ///< the SimConfig's gpu tile size
-    TraceContext ctx;  ///< propagated trace context (zero = none)
-    std::uint64_t epoch = 0; ///< lease epoch (remote shards)
-};
-
-/** Parse a "run" frame; missing fields keep their defaults. */
-ShardRun shardRunFromFrame(const Json &msg);
-
-/**
- * Execute @p run inside a shard and build its framed "result" payload.
- * The shard fault sites fire first: worker-kill9 (counter draw), then
- * worker-crash and worker-hang keyed on fnv1a64(run.key), so the same
- * jobs die on every attempt and on every shard. The SimConfig is
- * rebuilt from its name and tile size; a key that differs from
- * runner.jobKey() of the rebuilt config (version skew) is answered
- * InvalidArgument. The run executes under run.ctx inside a
- * worker-category "shard-run" span; the events it recorded ship as
- * "trace" (timestamps rebased to the run start) and the metrics
- * snapshot as "mx".
- */
-Json shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
-                     FaultInjector &faults, const ShardRun &run);
-
-/**
- * Serve as shard @p shard_index until stdin EOF, then exit:
- * prepareShardProcess(), answer pings, execute runs on a dedicated
- * thread (the reader stays responsive to pings mid-run), and frame
- * every response through the fault injector's wire sites.
+ * Serve as shard @p shard_index until stdin EOF, then exit: overlay
+ * @p params_json onto @p params and force the bare-attempt policy (no
+ * cache, journal, fleet or telemetry artifacts; one job; RLIMIT_AS at
+ * job_mem_mb), answer pings, execute runs on a dedicated thread (the
+ * reader stays responsive to pings mid-run), and frame every response
+ * through the fault injector's wire sites.
  */
 [[noreturn]] void runShardAndExit(int shard_index,
                                   WorkloadFactory factory,

@@ -15,7 +15,7 @@
  *    accumulate in the aggregate instead of double-counting or
  *    resetting; gauges overwrite.
  *  - FleetEventRing: a bounded ring of structured fleet lifecycle
- *    events (restart, fence, breaker open/close, failover,
+ *    events (restart, breaker open/close, failover,
  *    registration), optionally persisted as JSONL, surfaced by the
  *    daemon's `status` endpoint.
  *
@@ -87,7 +87,7 @@ class ShardMetricsFolder
 struct FleetEvent {
     std::uint64_t seq = 0;  ///< monotone per control plane
     std::int64_t ts_ms = 0; ///< wall clock, unix milliseconds
-    std::string type;       ///< "restart", "fence", "breaker-open", ...
+    std::string type;       ///< "restart", "breaker-open", ...
     int shard = -1;         ///< slot index; -1 for fleet-wide events
     std::string detail;     ///< free-form context ("pong deadline", ...)
 };

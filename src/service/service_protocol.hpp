@@ -27,10 +27,13 @@
  *   {type:"result",   id, final:true, elapsed_s, runs:[...], stats:{}}
  *   {type:"error",    id?, status:{code, message}}
  *   {type:"pong",     draining}
- *   {type:"status",   draining, service:{...}, fleet?:{transport,
- *    listen, shards:[{slot, alive, breaker, epoch, lease_age_ms,
- *    inflight, restarts, last_error}], stats:{...}}, events?:[...]}
- *                                 fleet is absent with EVRSIM_SHARDS=0
+ *   {type:"status",   draining, service:{...}, fleet?:{shards:[{slot,
+ *    alive, breaker, last_frame_age_ms, inflight, restarts,
+ *    last_error}], stats:{...}}, events?:[...]}
+ *                                 fleet is absent with EVRSIM_SHARDS=0;
+ *                                 each shard also repeats
+ *                                 last_frame_age_ms as lease_age_ms,
+ *                                 its old name
  *
  * Result payloads embed RunResult::toJson(false) — host timing
  * excluded — so a request replayed after a daemon crash is

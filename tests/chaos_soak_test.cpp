@@ -3,7 +3,7 @@
  * Chaos soak: the whole shard fleet under sustained, deterministic
  * process- and wire-level chaos.
  *
- * Five legs over the same 20-workload sweep:
+ * Three legs over the same 20-workload sweep:
  *
  *  A. Quiet fleet — two shards, no chaos. Produces the golden
  *     RunResult bytes and must touch none of the failure machinery
@@ -18,34 +18,17 @@
  *  C. Dead fleet — shards exec /bin/false, so the fleet is permanently
  *     unhealthy. Every run must gracefully degrade to the in-process
  *     fallback, still byte-identical.
- *  D. Quiet TCP fleet — the control plane listens on loopback and two
- *     real remote-shard child processes dial in and register. Same
- *     golden bytes; every remote-fleet counter (fences, reconnects,
- *     partitions, stale epochs) stays zero.
- *  E. TCP fleet under network chaos — net-partition/net-delay/
- *     net-reset/net-reconnect-storm plus worker-kill9 on the remote
- *     shards (a babysitter respawns the killed ones). The soak loops
- *     sweeps until the fleet has demonstrably fenced a lease, failed
- *     a run over and absorbed a re-registration — every pass still
- *     byte-identical to the quiet single-process golden.
  *
- * The binary doubles as the shard executable (--evrsim-shard=<i> for
- * pipes, --evrsim-remote-shard=<host:port> for TCP), exactly like the
- * daemon binary does, so the fleet under test runs real worker
- * processes over real sockets.
+ * The binary doubles as the shard executable (--evrsim-shard=<i>),
+ * exactly like the daemon binary does, so the fleet under test runs
+ * real worker processes over real pipes.
  */
 #include <gtest/gtest.h>
 
-#include <signal.h>
 #include <stdlib.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <map>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -56,7 +39,6 @@
 #include "driver/supervisor.hpp"
 #include "service/fleet.hpp"
 #include "service/service_protocol.hpp"
-#include "service/tcp_transport.hpp"
 #include "workloads/registry.hpp"
 
 namespace evrsim {
@@ -277,216 +259,11 @@ TEST(ChaosSoak, SweepSurvivesChaosByteIdentically)
     }
 }
 
-// --- remote (TCP) fleet legs ----------------------------------------
-
-/** Fleet config for the loopback-TCP legs: same simulation subset,
- *  lease shorter than the chaos partition window (2.5 s) so a
- *  partitioned shard demonstrably loses its lease. */
-FleetConfig
-remoteSoakFleetConfig()
-{
-    FleetConfig cfg;
-    cfg.shards = 2;
-    cfg.listen = "127.0.0.1:0";
-    cfg.shard_params_json = shardParamsJson(soakParams());
-    cfg.ping_interval_ms = 150;
-    cfg.lease_ms = 1200;
-    cfg.breaker_threshold = 2;
-    cfg.run_deadline_ms = 3000;
-    cfg.poll_ms = 25;
-    return cfg;
-}
-
-/** Fork one remote-shard child dialing @p addr (re-exec of this
- *  binary, like the pipe shards). */
-pid_t
-spawnRemoteShard(const std::string &addr)
-{
-    std::string self = selfExecutablePath();
-    std::string flag = "--evrsim-remote-shard=" + addr;
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        ::execl(self.c_str(), self.c_str(), flag.c_str(),
-                static_cast<char *>(nullptr));
-        ::_exit(127);
-    }
-    return pid;
-}
-
-bool
-waitForRegistrations(ShardFleet &fleet, std::uint64_t n, int budget_ms)
-{
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(budget_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-        if (fleet.stats().registrations >= n)
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    }
-    return false;
-}
-
-void
-reapChild(pid_t pid, int sig)
-{
-    if (pid <= 0)
-        return;
-    ::kill(pid, sig);
-    int wstatus = 0;
-    while (::waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-}
-
-TEST(RemoteFleetSoak, TcpFleetSurvivesNetworkChaosByteIdentically)
-{
-#ifdef EVRSIM_SANITIZED
-    GTEST_SKIP() << "fork + threads under sanitizers is not supported";
-#endif
-    ASSERT_FALSE(selfExecutablePath().empty());
-    ::unsetenv("EVRSIM_FAULT");
-    BenchParams params = soakParams();
-    ExperimentRunner fallback(workloads::factory(), params);
-
-    // The quiet *single-process* golden: no fleet at all. Remote
-    // execution may move runs between machines; it must never move
-    // the bytes.
-    std::map<std::string, std::string> golden;
-    for (const auto &[alias, config_name] : soakPairs()) {
-        Result<SimConfig> config =
-            configByName(config_name, params.gpuConfig());
-        ASSERT_TRUE(config.ok());
-        Result<RunResult> r =
-            fallback.trySimulate(alias, config.value());
-        ASSERT_TRUE(r.ok()) << alias << ": " << r.status().toString();
-        golden[alias + "/" + config_name] =
-            r.value().toJson(false).dump(0);
-    }
-
-    // --- Leg D: quiet TCP fleet -> golden bytes, zero remote-fleet
-    // failure counters.
-    metricsReset();
-    {
-        ShardFleet fleet(remoteSoakFleetConfig(),
-                         degradedRunner(fallback));
-        ASSERT_TRUE(fleet.start().ok());
-        std::string addr = fleet.listenAddress();
-        ASSERT_FALSE(addr.empty());
-        pid_t kid0 = spawnRemoteShard(addr);
-        pid_t kid1 = spawnRemoteShard(addr);
-        ASSERT_TRUE(waitForRegistrations(fleet, 2, 10000));
-
-        std::map<std::string, std::string> quiet =
-            runSweep(fleet, params);
-        ASSERT_EQ(quiet.size(), golden.size());
-        for (const auto &[key, bytes] : golden)
-            EXPECT_EQ(quiet.at(key), bytes) << key;
-
-        ShardFleet::Stats st = fleet.stats();
-        EXPECT_EQ(st.completed, soakPairs().size());
-        EXPECT_EQ(st.registrations, 2u);
-        EXPECT_EQ(st.fences, 0u);
-        EXPECT_EQ(st.reconnects, 0u);
-        EXPECT_EQ(st.partitions, 0u);
-        EXPECT_EQ(st.stale_epochs, 0u);
-        EXPECT_EQ(st.failovers, 0u);
-        EXPECT_EQ(st.degraded, 0u);
-        // A quiet fleet *asserts* quiet from metrics, not by absence.
-        EXPECT_EQ(counterOrZero("evrsim_fleet_fences_total"), 0.0);
-        EXPECT_EQ(counterOrZero("evrsim_fleet_reconnects_total"), 0.0);
-        EXPECT_EQ(counterOrZero("evrsim_fleet_partitions_total"), 0.0);
-        EXPECT_EQ(counterOrZero("evrsim_fleet_stale_epochs_total"),
-                  0.0);
-
-        fleet.stop();
-        reapChild(kid0, SIGTERM);
-        reapChild(kid1, SIGTERM);
-    }
-
-    // --- Leg E: the same sweep under sustained network chaos plus
-    // worker-kill9 on the remote shards.
-    metricsReset();
-    ::setenv("EVRSIM_FAULT",
-             "net-partition:0.008:21,net-delay:0.03:22,"
-             "net-reset:0.02:23,net-reconnect-storm:0.01:24,"
-             "worker-kill9:0.05:25",
-             1);
-    {
-        ShardFleet fleet(remoteSoakFleetConfig(),
-                         degradedRunner(fallback));
-        ASSERT_TRUE(fleet.start().ok());
-        std::string addr = fleet.listenAddress();
-        ASSERT_FALSE(addr.empty());
-
-        // Babysitter: remote shards are *processes* and kill9 chaos
-        // really kills them; respawn so the fleet can always refill.
-        std::mutex kids_mu;
-        std::vector<pid_t> kids = {spawnRemoteShard(addr),
-                                   spawnRemoteShard(addr)};
-        std::atomic<bool> stop_sitter{false};
-        std::thread sitter([&] {
-            while (!stop_sitter.load()) {
-                {
-                    std::lock_guard<std::mutex> lock(kids_mu);
-                    for (pid_t &kid : kids) {
-                        int wstatus = 0;
-                        if (kid > 0 &&
-                            ::waitpid(kid, &wstatus, WNOHANG) == kid)
-                            kid = spawnRemoteShard(addr);
-                    }
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-            }
-        });
-        ASSERT_TRUE(waitForRegistrations(fleet, 1, 15000));
-
-        // Soak until the remote failure machinery has demonstrably
-        // fired — a fence, a failover and a re-registration — or the
-        // time budget runs out. Every pass stays byte-identical.
-        const auto soak_deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(90);
-        int passes = 0;
-        for (;;) {
-            std::map<std::string, std::string> chaotic =
-                runSweep(fleet, params);
-            ++passes;
-            ASSERT_EQ(chaotic.size(), golden.size());
-            for (const auto &[key, bytes] : golden)
-                EXPECT_EQ(chaotic.at(key), bytes)
-                    << key << " (pass " << passes << ")";
-
-            ShardFleet::Stats st = fleet.stats();
-            if (st.fences > 0 && st.failovers > 0 &&
-                st.reconnects > 0)
-                break;
-            if (std::chrono::steady_clock::now() >= soak_deadline)
-                break;
-        }
-        fleet.stop();
-        stop_sitter.store(true);
-        sitter.join();
-        {
-            std::lock_guard<std::mutex> lock(kids_mu);
-            for (pid_t kid : kids)
-                reapChild(kid, SIGKILL);
-        }
-        ::unsetenv("EVRSIM_FAULT");
-
-        ShardFleet::Stats st = fleet.stats();
-        EXPECT_GT(st.fences, 0u) << passes << " passes";
-        EXPECT_GT(st.failovers, 0u) << passes << " passes";
-        EXPECT_GT(st.reconnects, 0u) << passes << " passes";
-        EXPECT_GT(counterOrZero("evrsim_fleet_fences_total"), 0.0);
-        EXPECT_GT(counterOrZero("evrsim_fleet_reconnects_total"), 0.0);
-    }
-}
-
 } // namespace
 } // namespace evrsim
 
 /** The binary doubles as the shard program (like evrsim-daemon):
- *  --evrsim-shard=<i> serves a pipe shard, --evrsim-remote-shard=
- *  <host:port> dials a control plane and serves a TCP shard. */
+ *  --evrsim-shard=<i> serves a shard. */
 int
 main(int argc, char **argv)
 {
@@ -497,12 +274,6 @@ main(int argc, char **argv)
         evrsim::runShardAndExit(shard_index,
                                 evrsim::workloads::factory(),
                                 evrsim::BenchParams{}, shard_params);
-    std::string remote_plane =
-        evrsim::remoteShardFlagFromArgv(argc, argv);
-    if (!remote_plane.empty())
-        evrsim::runRemoteShardAndExit(remote_plane,
-                                      evrsim::workloads::factory(),
-                                      evrsim::BenchParams{});
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }

@@ -188,6 +188,9 @@ TEST(FaultInjector, RejectsMalformedSpecsNamingTheProblem)
     const std::pair<const char *, const char *> rows[] = {
         {"bogus-site:1:1", "unknown fault site"},
         {"worker-kill:0.5:1", "unknown fault site"},
+        // The network sites left with the TCP shard transport.
+        {"net-partition:1:1", "unknown fault site"},
+        {"net-reconnect-storm:1:1", "unknown fault site"},
         {"cache-read:1", "<site>:<rate>:<seed>"},
         {"worker-kill9:0.5", "<site>:<rate>:<seed>"},
         {"cache-read:2:1", "[0, 1]"},
@@ -288,14 +291,6 @@ TEST(FaultInjector, DecisionSequencesArePinned)
          "1101000000000000000101001100100000100000110000000010101000100001"},
         {"wire-dup:0.3:1010",
          "0010100010000000000100100110011000000000001011000001100001000000"},
-        {"net-partition:0.3:1011",
-         "0001000000101100000001001010001001010110000000011000100101000000"},
-        {"net-delay:0.3:1012",
-         "0001011000101000100000110000011000100010000001000000000000010010"},
-        {"net-reset:0.3:1013",
-         "0000100001001010111110001000000000100100001000001001101101101101"},
-        {"net-reconnect-storm:0.3:1014",
-         "0000000000110101000000000000100100010000110000101000010100011100"},
     };
     for (int i = 0; i < kNumFaultSites; ++i) {
         const FaultSite site = static_cast<FaultSite>(i);

@@ -43,7 +43,6 @@
 #include "service/daemon.hpp"
 #include "service/fleet.hpp"
 #include "service/fleet_obs.hpp"
-#include "service/tcp_transport.hpp"
 #include "workloads/registry.hpp"
 
 namespace evrsim {
@@ -150,7 +149,7 @@ counterOrZero(const std::string &name,
     return v.ok() ? v.value() : 0.0;
 }
 
-/** The 15 Stats fields, as (stats-json key, metric name) pairs. */
+/** The 9 Stats fields, as (stats-json key, metric name) pairs. */
 std::vector<std::pair<std::string, std::string>>
 statKeys()
 {
@@ -158,8 +157,7 @@ statKeys()
     for (const char *k :
          {"dispatched", "completed", "failovers", "restarts",
           "breaker_opens", "degraded", "wire_errors", "ping_timeouts",
-          "stray_responses", "fences", "reconnects", "partitions",
-          "stale_epochs", "registrations", "shed_registrations"})
+          "stray_responses"})
         keys.emplace_back(k, "evrsim_fleet_" + std::string(k) +
                                  "_total");
     return keys;
@@ -513,9 +511,15 @@ TEST(FleetObsSoak, StitchedTraceAndStatusMatchMetrics)
         for (const auto &[key, bytes] : golden)
             EXPECT_EQ(traced.at(key), bytes) << key;
 
-        // Live topology while the fleet is up.
+        // Live topology while the fleet is up. The remote-shard
+        // fields and counters are gone for good.
         Json status = fleet.statusJson();
-        EXPECT_EQ(status.get("transport", Json("")).asString(), "pipe");
+        for (const char *gone : {"transport", "listen"})
+            EXPECT_EQ(status.find(gone), nullptr) << gone;
+        for (const char *gone :
+             {"fences", "reconnects", "partitions", "stale_epochs",
+              "registrations", "shed_registrations"})
+            EXPECT_EQ(status.find("stats")->find(gone), nullptr) << gone;
         const Json *shards = status.find("shards");
         ASSERT_TRUE(shards && shards->type() == Json::Type::Array);
         ASSERT_EQ(shards->size(), 2u);
@@ -528,8 +532,9 @@ TEST(FleetObsSoak, StitchedTraceAndStatusMatchMetrics)
             EXPECT_EQ(s.get("inflight", Json(-1.0)).asDouble(), 0.0);
             EXPECT_EQ(s.get("restarts", Json(-1.0)).asDouble(), 0.0);
             // Both shards have answered frames by now.
-            EXPECT_GE(s.get("lease_age_ms", Json(-1.0)).asDouble(),
+            EXPECT_GE(s.get("last_frame_age_ms", Json(-1.0)).asDouble(),
                       0.0);
+            EXPECT_EQ(s.find("epoch"), nullptr);
         }
 
         // The status counter block and the exported metrics are two
@@ -805,8 +810,7 @@ TEST(FleetObsService, StatusEndpointAndDrainedTraceFlush)
 } // namespace evrsim
 
 /** The binary doubles as the shard program (like evrsim-daemon):
- *  --evrsim-shard=<i> serves a pipe shard, --evrsim-remote-shard=
- *  <host:port> dials a control plane and serves a TCP shard. */
+ *  --evrsim-shard=<i> serves a shard. */
 int
 main(int argc, char **argv)
 {
@@ -817,12 +821,6 @@ main(int argc, char **argv)
         evrsim::runShardAndExit(shard_index,
                                 evrsim::workloads::factory(),
                                 evrsim::BenchParams{}, shard_params);
-    std::string remote_plane =
-        evrsim::remoteShardFlagFromArgv(argc, argv);
-    if (!remote_plane.empty())
-        evrsim::runRemoteShardAndExit(remote_plane,
-                                      evrsim::workloads::factory(),
-                                      evrsim::BenchParams{});
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }

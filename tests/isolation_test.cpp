@@ -609,12 +609,11 @@ TEST(CorruptCap, KeepsNewestCopiesAndCountsEvictions)
 {
     std::filesystem::path dir = freshDir("evrsim_corrupt_cap");
     BenchParams p = tinyParams(dir.string());
-    p.corrupt_keep = 1;
     SimConfig cfg = SimConfig::baseline(p.gpuConfig());
 
     std::string key;
     std::uint64_t last_evicted = 0;
-    for (int round = 0; round < 3; ++round) {
+    for (int round = 0; round < kCorruptKeep + 2; ++round) {
         ExperimentRunner runner(tinyFactory(), p);
         key = runner.jobKey("tiny-a", cfg);
         // Damage the published entry, then re-run: the load detects
@@ -625,14 +624,17 @@ TEST(CorruptCap, KeepsNewestCopiesAndCountsEvictions)
         last_evicted = runner.sweepStats().corrupt_evicted;
     }
 
-    // Three quarantines, cap 1: only the newest sequence number lives.
+    // Five quarantines, cap 3: only the newest three sequence numbers
+    // live.
     std::vector<std::string> corrupt;
     for (const auto &e : std::filesystem::directory_iterator(dir))
         if (e.path().extension() == ".corrupt")
             corrupt.push_back(e.path().filename().string());
-    ASSERT_EQ(corrupt.size(), 1u);
-    EXPECT_EQ(corrupt[0], key + ".2.corrupt");
-    EXPECT_EQ(last_evicted, 1u); // each later round evicts its predecessor
+    std::sort(corrupt.begin(), corrupt.end());
+    EXPECT_EQ(corrupt, (std::vector<std::string>{key + ".2.corrupt",
+                                                 key + ".3.corrupt",
+                                                 key + ".4.corrupt"}));
+    EXPECT_EQ(last_evicted, 1u); // each round past the cap evicts one
     std::filesystem::remove_all(dir);
 }
 
@@ -765,22 +767,18 @@ TEST(BenchParamsEnv, IsolationKnobsParse)
     unsetenv("EVRSIM_SHARDS");
     unsetenv("EVRSIM_JOB_MEM_MB");
     unsetenv("EVRSIM_RESUME");
-    unsetenv("EVRSIM_CORRUPT_KEEP");
     BenchParams def = benchParamsFromEnv();
     EXPECT_EQ(def.shards, 0);
     EXPECT_EQ(def.job_mem_mb, 0);
     EXPECT_FALSE(def.resume);
-    EXPECT_EQ(def.corrupt_keep, 3);
 
     setenv("EVRSIM_SHARDS", "2", 1);
     setenv("EVRSIM_JOB_MEM_MB", "512", 1);
     setenv("EVRSIM_RESUME", "1", 1);
-    setenv("EVRSIM_CORRUPT_KEEP", "5", 1);
     BenchParams p = benchParamsFromEnv();
     EXPECT_EQ(p.shards, 2);
     EXPECT_EQ(p.job_mem_mb, 512);
     EXPECT_TRUE(p.resume);
-    EXPECT_EQ(p.corrupt_keep, 5);
 
     setenv("EVRSIM_SHARDS", "-1", 1);
     EXPECT_EXIT(benchParamsFromEnv(), ::testing::ExitedWithCode(1),
@@ -788,7 +786,6 @@ TEST(BenchParamsEnv, IsolationKnobsParse)
     unsetenv("EVRSIM_SHARDS");
     unsetenv("EVRSIM_JOB_MEM_MB");
     unsetenv("EVRSIM_RESUME");
-    unsetenv("EVRSIM_CORRUPT_KEEP");
 }
 
 TEST(BenchParamsEnv, RetiredIsolateKnobIsFatalAndNamesItsReplacement)
@@ -804,6 +801,18 @@ TEST(BenchParamsEnv, RetiredIsolateKnobIsFatalAndNamesItsReplacement)
                     "EVRSIM_ISOLATE is retired.*EVRSIM_SHARDS");
     }
     unsetenv("EVRSIM_ISOLATE");
+}
+
+TEST(BenchParamsEnv, RetiredCorruptKeepKnobIsFatal)
+{
+    setenv("EVRSIM_CORRUPT_KEEP", "5", 1);
+    Result<BenchParams> p = benchParamsFromEnvChecked();
+    unsetenv("EVRSIM_CORRUPT_KEEP");
+    ASSERT_FALSE(p.ok());
+    EXPECT_EQ(p.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(p.status().message().find("EVRSIM_CORRUPT_KEEP is retired"),
+              std::string::npos)
+        << p.status().message();
 }
 
 // --------------------------------------------------------------- main --

@@ -832,43 +832,25 @@ TEST(ServiceKnobs, TypoedKnobFailsNamingTheVariable)
     EXPECT_EQ(defaults.value().fleet.shards, 0);
 }
 
-TEST(ServiceKnobs, FleetListenAndLeaseKnobsParse)
+TEST(ServiceKnobs, RetiredRemoteShardKnobsFailNamingShards)
 {
     BenchParams params = tinyParams("/tmp/x");
-
-    // A listen address that cannot be split into host:port fails
-    // naming the variable, not at bind time.
-    ::setenv("EVRSIM_FLEET_LISTEN", "no-port-here", 1);
-    Result<ServiceConfig> bad = serviceConfigFromEnvChecked(params);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("EVRSIM_FLEET_LISTEN"),
-              std::string::npos);
-
-    ::setenv("EVRSIM_FLEET_LISTEN", "127.0.0.1:70000", 1);
-    bad = serviceConfigFromEnvChecked(params);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("EVRSIM_FLEET_LISTEN"),
-              std::string::npos);
-
-    ::setenv("EVRSIM_FLEET_LISTEN", "127.0.0.1:0", 1);
-    ::setenv("EVRSIM_LEASE_MS", "2500", 1);
-    Result<ServiceConfig> good = serviceConfigFromEnvChecked(params);
-    ASSERT_TRUE(good.ok()) << good.status().toString();
-    EXPECT_EQ(good.value().fleet.listen, "127.0.0.1:0");
-    EXPECT_EQ(good.value().fleet.lease_ms, 2500);
-
-    ::setenv("EVRSIM_LEASE_MS", "50", 1); // below the 100 ms floor
-    bad = serviceConfigFromEnvChecked(params);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_NE(bad.status().message().find("EVRSIM_LEASE_MS"),
-              std::string::npos);
-
-    ::unsetenv("EVRSIM_FLEET_LISTEN");
-    ::unsetenv("EVRSIM_LEASE_MS");
-    Result<ServiceConfig> defaults = serviceConfigFromEnvChecked(params);
-    ASSERT_TRUE(defaults.ok());
-    EXPECT_TRUE(defaults.value().fleet.listen.empty());
-    EXPECT_EQ(defaults.value().fleet.lease_ms, 5000);
+    for (const char *knob : {"EVRSIM_FLEET_LISTEN", "EVRSIM_LEASE_MS"}) {
+        ::setenv(knob, "127.0.0.1:0", 1);
+        Result<ServiceConfig> bad = serviceConfigFromEnvChecked(params);
+        ::unsetenv(knob);
+        ASSERT_FALSE(bad.ok()) << knob;
+        EXPECT_EQ(bad.status().code(), ErrorCode::InvalidArgument);
+        const std::string &msg = bad.status().message();
+        EXPECT_NE(msg.find(std::string(knob) + " is retired"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("remote shards were removed"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("EVRSIM_SHARDS=n"), std::string::npos) << msg;
+    }
+    EXPECT_TRUE(serviceConfigFromEnvChecked(params).ok());
 }
 
 TEST(ServiceSocket, RacingDaemonsResolveToExactlyOneOwner)
