@@ -8,7 +8,10 @@
  *    full-screen quads of one render state;
  *  - the span rasterizer alone, per fragment;
  *  - SetAssocCache access cost for an MRU-line hit, a set hit (the
- *    line is resident but not the last one touched) and a miss.
+ *    line is resident but not the last one touched) and a miss;
+ *  - TileMemLog replay, ns per replayed access, for one tile's log
+ *    with every texel fetch its own entry and with same-line fetches
+ *    coalesced.
  *
  * Run: build/bench/bench_raster_span [--benchmark_filter=<regex>]
  */
@@ -18,6 +21,7 @@
 
 #include "driver/gpu_simulator.hpp"
 #include "gpu/rasterizer.hpp"
+#include "gpu/tile_mem_log.hpp"
 #include "mem/cache.hpp"
 #include "scene/camera.hpp"
 
@@ -186,6 +190,73 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess)->DenseRange(0, 2);
+
+/**
+ * The access log of one 16x16 tile: four textured primitives, each
+ * with its two parameter reads and a texel fetch per pixel in quad-walk
+ * order on the pixel's fragment unit, at 0.5, 1, 1.5 and 2 texels per
+ * pixel of a 256x256 RGBA8 texture, then the 16 Color Buffer row
+ * flushes. Same-line fetches are coalesced as the raster path logs
+ * them.
+ */
+TileMemLog
+syntheticTileLog(MemorySystem &mem)
+{
+    ShaderCore shader(mem);
+    TileMemLog log(mem.config().num_texture_caches,
+                   mem.config().texture_cache.line_bytes);
+    const int size = 16;
+    for (int layer = 0; layer < 4; ++layer) {
+        const float scale = 0.5f * static_cast<float>(layer + 1);
+        log.paramRead(AddressSpace::kParameterBase + 64 * layer, 8);
+        log.paramRead(AddressSpace::kParameterBase + 4096 + 64 * layer, 64);
+        for (int qy = 0; qy < size; qy += 2)
+            for (int qx = 0; qx < size; qx += 2)
+                for (int dy = 0; dy < 2; ++dy)
+                    for (int dx = 0; dx < 2; ++dx) {
+                        const int x = qx + dx, y = qy + dy;
+                        const auto tx = static_cast<Addr>(x * scale) + 32;
+                        const auto ty = static_cast<Addr>(y * scale) + 32;
+                        log.textureFetch(shader.unitFor(x, y),
+                                         AddressSpace::kTextureBase +
+                                             (ty * 256 + tx) * 4,
+                                         4);
+                    }
+    }
+    for (int y = 0; y < size; ++y)
+        log.framebufferWrite(AddressSpace::framebufferAddr(0, y, 608),
+                             size * 4);
+    return log;
+}
+
+/**
+ * TileMemLog::replay of one tile's log against a live MemorySystem
+ * (warm after the first iteration, as in a frame's steady state):
+ *  0 "raw"        every texel fetch its own entry;
+ *  1 "coalesced"  same-line fetches of a unit folded into one entry.
+ * ns_per_access counts logical accesses (folded repeats included), so
+ * the two rows compare directly; entries_per_access is the log's size.
+ */
+void
+BM_ReplayLog(benchmark::State &state)
+{
+    const bool coalesced = state.range(0) == 1;
+    state.SetLabel(coalesced ? "coalesced" : "raw");
+    MemorySystem mem;
+    const TileMemLog tile = syntheticTileLog(mem);
+    const TileMemLog log = coalesced ? tile : tile.uncoalesced();
+    double accesses = 0.0;
+    for (const TileMemAccess &a : log.accesses())
+        accesses += 1.0 + a.repeats;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(log.replay(mem));
+    state.counters["ns_per_access"] = benchmark::Counter(
+        accesses * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["entries_per_access"] =
+        static_cast<double>(log.accesses().size()) / accesses;
+}
+BENCHMARK(BM_ReplayLog)->DenseRange(0, 1);
 
 } // namespace
 

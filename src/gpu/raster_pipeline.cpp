@@ -4,7 +4,12 @@
  */
 #include "gpu/raster_pipeline.hpp"
 
-#include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <functional>
+#include <mutex>
+#include <optional>
 
 #include "common/crash_handler.hpp"
 #include "common/log.hpp"
@@ -632,23 +637,21 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
 }
 
 void
-RasterPipeline::replayMemLog(const TileMemLog &log, FrameStats &ts)
+RasterPipeline::renderTileDirect(int tile, const Scene &scene,
+                                 const ParameterBuffer &pb, Framebuffer &fb,
+                                 bool has_prev_frame,
+                                 const RasterHooks &hooks, FrameStats &frame)
 {
-    for (const TileMemAccess &a : log.accesses()) {
-        switch (a.kind) {
-          case TileMemAccess::Kind::ParamRead:
-            ts.raster_mem_latency +=
-                mem_.parameterRead(a.addr, a.bytes).latency;
-            break;
-          case TileMemAccess::Kind::TextureFetch:
-            ts.raster_mem_latency +=
-                mem_.textureFetch(a.unit, a.addr, a.bytes).latency;
-            break;
-          case TileMemAccess::Kind::FramebufferWrite:
-            mem_.framebufferWrite(a.addr, a.bytes);
-            break;
-        }
-    }
+    crashContextSetTile(tile);
+    // Per-tile span: the hottest category, so it honours the
+    // EVRSIM_TRACE tile/N sampling filter (a disabled or sampled-out
+    // span is one relaxed load + one branch).
+    TraceSpan tile_span(TraceCat::Tile, "tile");
+    tile_span.setValue(tile);
+    FrameStats ts;
+    renderTile(tile, scene, pb, fb, has_prev_frame, hooks, ts, nullptr);
+    ts.raster_cycles = timing_.tileCycles(ts);
+    frame.accumulate(ts);
 }
 
 void
@@ -661,67 +664,170 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
     int tiles = config_.tileCount();
     EVRSIM_ASSERT(pb.tileCount() == tiles);
 
-    if (tile_pool_ == nullptr || tile_jobs_ <= 1) {
+    FrameStats frame;
+    if (tile_pool_ == nullptr) {
         // Serial reference path: tiles issue their memory accesses
         // directly, interleaved with rendering.
-        for (int tile = 0; tile < tiles; ++tile) {
+        for (int tile = 0; tile < tiles; ++tile)
+            renderTileDirect(tile, scene, pb, fb, has_prev_frame, hooks,
+                             frame);
+        crashContextSetTile(-1);
+    } else {
+        runStreaming(scene, pb, fb, has_prev_frame, hooks, frame);
+    }
+
+    // Per-frame conservation: every tile is rendered or skipped by RE,
+    // and every depth test kills or passes its fragment.
+    EVRSIM_ASSERT(frame.tiles_total ==
+                  frame.tiles_rendered + frame.tiles_skipped_re);
+    EVRSIM_ASSERT(frame.early_z_kills <= frame.early_z_tests);
+    EVRSIM_ASSERT(frame.late_z_kills <= frame.late_z_tests);
+    stats.accumulate(frame);
+}
+
+namespace {
+
+/** Progress of one tile through the streaming claim loop. */
+enum TileState : int { kTilePending, kTileRendered, kTileFailed };
+
+/** One tile's hand-off from the thread that rendered it to the
+ *  replaying owner. */
+struct TileSlot {
+    /** Stored (release, under the owner's mutex) once stats and log,
+     *  or error, are final. */
+    std::atomic<int> state{kTilePending};
+    FrameStats stats;
+    std::optional<TileMemLog> log;
+    std::exception_ptr error;
+};
+
+} // namespace
+
+void
+RasterPipeline::runStreaming(const Scene &scene, const ParameterBuffer &pb,
+                             Framebuffer &fb, bool has_prev_frame,
+                             const RasterHooks &hooks, FrameStats &frame)
+{
+    // Tiles are claimed in order from a shared cursor and render
+    // concurrently, each recording its memory accesses in a
+    // TileMemLog. Job 0, the owner, walks the tiles in order and
+    // replays each one's log as soon as it has rendered, while later
+    // tiles are still rendering: the MemorySystem sees the serial
+    // renderer's global access stream (same cache contents, hit rates
+    // and latencies), and per-tile stats merge in tile order
+    // (raster_cycles only after the replayed latencies landed).
+    //
+    // When the owner's next tile is still unclaimed it claims and
+    // renders that tile itself, issuing its accesses directly, since
+    // every earlier tile has been replayed. While another thread is
+    // rendering it, the owner renders the first unclaimed tile into a
+    // log instead of idling, and sleeps only once every tile has been
+    // claimed. So the owner only ever waits for tiles that running
+    // threads are rendering, and on a saturated or 1-thread pool the
+    // loop is the serial path.
+    const int tiles = config_.tileCount();
+    const unsigned units = mem_.config().num_texture_caches;
+    const unsigned line_bytes = mem_.config().texture_cache.line_bytes;
+    std::vector<TileSlot> slots(static_cast<std::size_t>(tiles));
+    std::atomic<int> cursor{0};
+    /** Set by the first tile that throws: no tile after it is needed. */
+    std::atomic<bool> failed{false};
+    int failed_tile = -1; ///< lowest tile that threw (owner-written)
+    // The owner sleeps on `published` while its next tile renders;
+    // states are stored under `mu`, so none lands between the owner's
+    // locked re-check and its wait.
+    std::mutex mu;
+    std::condition_variable published;
+
+    // Claim the next tile and render it into its slot's log; false
+    // once every tile is claimed or one has failed.
+    auto render_next = [&] {
+        if (failed.load(std::memory_order_relaxed))
+            return false;
+        const int tile = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (tile >= tiles)
+            return false;
+        TileSlot &slot = slots[static_cast<std::size_t>(tile)];
+        int state = kTileRendered;
+        try {
             crashContextSetTile(tile);
-            // Per-tile span: the hottest category, so it honours the
-            // EVRSIM_TRACE tile/N sampling filter (a disabled or
-            // sampled-out span is one relaxed load + one branch).
             TraceSpan tile_span(TraceCat::Tile, "tile");
             tile_span.setValue(tile);
-            FrameStats ts;
-            renderTile(tile, scene, pb, fb, has_prev_frame, hooks, ts,
-                       nullptr);
-            ts.raster_cycles = timing_.tileCycles(ts);
-            stats.accumulate(ts);
+            slot.log.emplace(units, line_bytes);
+            renderTile(tile, scene, pb, fb, has_prev_frame, hooks,
+                       slot.stats, &*slot.log);
+        } catch (...) {
+            slot.error = std::current_exception();
+            failed.store(true, std::memory_order_relaxed);
+            state = kTileFailed;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            slot.state.store(state, std::memory_order_release);
+        }
+        published.notify_one();
+        return true;
+    };
+
+    auto render_claimed = [&] {
+        while (render_next()) {
         }
         crashContextSetTile(-1);
-        return;
-    }
+    };
 
-    // Tile-parallel path. Phase 1: render tiles concurrently — the
-    // compute is pure per tile (disjoint framebuffer rects, per-tile
-    // hook state), with each tile recording the ordered memory accesses
-    // it would have issued. Contiguous chunks keep some locality; a few
-    // chunks per worker lets the pool load-balance uneven tiles.
-    std::vector<FrameStats> tile_stats(static_cast<std::size_t>(tiles));
-    std::vector<TileMemLog> logs(static_cast<std::size_t>(tiles));
-
-    int chunks = std::min(tiles, tile_jobs_ * 4);
-    int chunk_size = (tiles + chunks - 1) / chunks;
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(static_cast<std::size_t>(chunks));
-    for (int begin = 0; begin < tiles; begin += chunk_size) {
-        int end = std::min(begin + chunk_size, tiles);
-        jobs.emplace_back([this, begin, end, &scene, &pb, &fb, has_prev_frame,
-                           &hooks, &tile_stats, &logs] {
-            for (int tile = begin; tile < end; ++tile) {
-                crashContextSetTile(tile);
-                TraceSpan tile_span(TraceCat::Tile, "tile");
-                tile_span.setValue(tile);
-                renderTile(tile, scene, pb, fb, has_prev_frame, hooks,
-                           tile_stats[static_cast<std::size_t>(tile)],
-                           &logs[static_cast<std::size_t>(tile)]);
+    auto replay_in_order = [&] {
+        for (int tile = 0; tile < tiles; ++tile) {
+            TileSlot &slot = slots[static_cast<std::size_t>(tile)];
+            int unclaimed = tile;
+            if (cursor.compare_exchange_strong(unclaimed, tile + 1,
+                                               std::memory_order_relaxed)) {
+                try {
+                    renderTileDirect(tile, scene, pb, fb, has_prev_frame,
+                                     hooks, frame);
+                } catch (...) {
+                    slot.error = std::current_exception();
+                    failed.store(true, std::memory_order_relaxed);
+                    failed_tile = tile;
+                    break;
+                }
+                continue;
             }
-            crashContextSetTile(-1);
-        });
-    }
+            int state = slot.state.load(std::memory_order_acquire);
+            while (state == kTilePending && render_next())
+                state = slot.state.load(std::memory_order_acquire);
+            if (state == kTilePending) {
+                std::unique_lock<std::mutex> lock(mu);
+                published.wait(lock, [&] {
+                    state = slot.state.load(std::memory_order_acquire);
+                    return state != kTilePending;
+                });
+            }
+            if (state == kTileFailed) {
+                failed_tile = tile;
+                break;
+            }
+            FrameStats &ts = slot.stats;
+            ts.raster_mem_latency += slot.log->replay(mem_);
+            slot.log.reset(); // bounds live logs to the rendering window
+            ts.raster_cycles = timing_.tileCycles(ts);
+            frame.accumulate(ts);
+        }
+        crashContextSetTile(-1);
+    };
+
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(static_cast<std::size_t>(tile_jobs_));
+    jobs.emplace_back(replay_in_order);
+    for (int i = 1; i < tile_jobs_; ++i)
+        jobs.emplace_back(render_claimed);
     tile_pool_->runBatch(std::move(jobs));
     crashContextSetTile(-1);
 
-    // Phase 2: replay every tile's access log serially in tile order.
-    // The MemorySystem sees exactly the serial renderer's global access
-    // stream, so cache contents, hit rates and latencies all match;
-    // per-tile stats then merge in tile order (raster_cycles only after
-    // the replayed latencies landed).
-    for (int tile = 0; tile < tiles; ++tile) {
-        FrameStats &ts = tile_stats[static_cast<std::size_t>(tile)];
-        replayMemLog(logs[static_cast<std::size_t>(tile)], ts);
-        ts.raster_cycles = timing_.tileCycles(ts);
-        stats.accumulate(ts);
-    }
+    // Every tile before failed_tile rendered cleanly, so its error is
+    // the lowest-index one, whichever threads ran which tiles.
+    if (failed_tile >= 0)
+        std::rethrow_exception(
+            slots[static_cast<std::size_t>(failed_tile)].error);
 }
 
 } // namespace evrsim

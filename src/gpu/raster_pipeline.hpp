@@ -71,15 +71,17 @@ class RasterPipeline
 
     /**
      * Enable tile-parallel rendering (EVRSIM_TILE_JOBS): tiles are
-     * computed concurrently on @p pool via JobPool::runBatch, each
-     * recording its memory accesses in a TileMemLog, then the logs are
-     * replayed serially in tile order against the MemorySystem — so
-     * stats, cache behavior and pixels stay byte-identical to the
-     * serial path (see DESIGN.md section 12).
+     * claimed in order and rendered concurrently on @p pool via
+     * JobPool::runBatch, each recording its memory accesses in a
+     * TileMemLog, while the batch owner replays every finished prefix
+     * of tiles against the MemorySystem in tile order — so stats,
+     * cache behavior and pixels stay byte-identical to the serial
+     * path (see DESIGN.md section 12).
      *
      * @param pool      shared pool to run tile jobs on (null or
      *                  tile_jobs <= 1 restores the serial path)
-     * @param tile_jobs parallelism the tile batch is sized for
+     * @param tile_jobs threads the tile batch is sized for, the
+     *                  replaying owner included
      */
     void
     setTileExecution(JobPool *pool, int tile_jobs)
@@ -118,11 +120,28 @@ class RasterPipeline
                       FrameStats *charge, TileMemLog *log,
                       RasterScratch &scratch) const;
 
+    /**
+     * Render (or skip) @p tile with its memory accesses issued directly
+     * (every earlier tile's accesses must already have reached mem_),
+     * then charge its timing and merge its stats into @p frame.
+     */
+    void renderTileDirect(int tile, const Scene &scene,
+                          const ParameterBuffer &pb, Framebuffer &fb,
+                          bool has_prev_frame, const RasterHooks &hooks,
+                          FrameStats &frame);
+
+    /**
+     * The tile-parallel frame: the streaming claim loop that renders
+     * tiles on tile_pool_ and replays their logs in tile order as they
+     * finish, merging stats into @p frame. Rethrows the lowest-index
+     * tile's exception once every tile job has stopped.
+     */
+    void runStreaming(const Scene &scene, const ParameterBuffer &pb,
+                      Framebuffer &fb, bool has_prev_frame,
+                      const RasterHooks &hooks, FrameStats &frame);
+
     /** Tile pixel rectangle, clipped to the screen for edge tiles. */
     RectI tileRect(int tile) const;
-
-    /** Replay one tile's recorded accesses against the MemorySystem. */
-    void replayMemLog(const TileMemLog &log, FrameStats &tile_stats);
 
     const GpuConfig &config_;
     MemorySystem &mem_;

@@ -117,6 +117,25 @@ class SetAssocCache
         return result;
     }
 
+    /**
+     * @p n more reads of the line the previous access touched, which
+     * must hold @p addr: exactly what @p n calls of access(addr, ...,
+     * read) would do, since each is a hit on the MRU line (reads += n,
+     * the LRU clock advances by n and stamps that line, no miss, no
+     * traffic below this level).
+     *
+     * @return the n hits' total latency
+     */
+    Cycles
+    repeatRead(Addr addr, std::uint64_t n)
+    {
+        EVRSIM_ASSERT((addr >> line_shift_) == mru_line_no_);
+        stats_.reads += n;
+        lru_clock_ += n;
+        lines_[mru_index_].lru = lru_clock_;
+        return n * config_.hit_latency;
+    }
+
     /** Invalidate all lines, writing back dirty ones. */
     void flush(TrafficClass cls);
 

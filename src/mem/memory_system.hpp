@@ -94,6 +94,20 @@ class MemorySystem
                                              TrafficClass::Texture);
     }
 
+    /**
+     * @p n more texture fetches by @p unit of the line its previous
+     * fetch touched (@p addr lies in it): the n MRU hits of
+     * SetAssocCache::repeatRead. Exact in any global order, because a
+     * unit's texture cache is private and read-only, with nothing
+     * below it invalidating its lines.
+     */
+    Cycles
+    textureRepeat(unsigned unit, Addr addr, std::uint64_t n)
+    {
+        EVRSIM_ASSERT(unit < texture_caches_.size());
+        return texture_caches_[unit]->repeatRead(addr, n);
+    }
+
     /** Streaming Color Buffer flush (tile -> framebuffer). */
     AccessResult
     framebufferWrite(Addr addr, unsigned size)

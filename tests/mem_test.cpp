@@ -403,6 +403,50 @@ TEST(Cache, MruFilterMatchesFilterlessReference)
     EXPECT_GT(cache.stats().writebacks, 0u);
 }
 
+// repeatRead(addr, n) is n reads of the MRU line: the same CacheStats
+// and latency as n single accesses, and the same LRU state, so later
+// conflicting misses pick the same victims (the dirty other way first,
+// with its writeback) and the same lines stay resident.
+TEST(Cache, RepeatReadEqualsSingleMruAccesses)
+{
+    const CacheConfig l1{"l1", 1024, 64, 2, 3};
+    const Addr set_stride = 1024 / 2; // same set, next tag
+    const Addr a = 0x4000 + 8, b = a + set_stride, c = a + 2 * set_stride;
+    for (std::uint64_t n : {1ull, 2ull, 7ull, 1000ull}) {
+        DramModel dram, ref_dram;
+        SetAssocCache cache(l1, &dram);
+        SetAssocCache ref(l1, &ref_dram);
+        Cycles got = 0, want = 0;
+        for (SetAssocCache *cc : {&cache, &ref}) {
+            Cycles &sum = cc == &cache ? got : want;
+            sum += cc->access(a, 4, false, TrafficClass::Texture).latency;
+            sum += cc->access(b, 4, true, TrafficClass::Texture).latency;
+            sum += cc->access(a + 4, 4, false, TrafficClass::Texture).latency;
+        }
+        got += cache.repeatRead(a + 12, n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            want += ref.access(a + 12, 4, false, TrafficClass::Texture)
+                        .latency;
+        EXPECT_EQ(got, want) << n;
+        expectSameStats(cache.stats(), ref.stats());
+
+        // c conflicts: the LRU way (b, dirty) is the victim in both and
+        // a stays resident; b's refill then evicts c, not a.
+        for (Addr probe : {c, a, b, a}) {
+            AccessResult g = cache.access(probe, 4, false,
+                                          TrafficClass::Texture);
+            AccessResult w = ref.access(probe, 4, false,
+                                        TrafficClass::Texture);
+            EXPECT_EQ(g.hit, w.hit) << n << " probe " << probe;
+            EXPECT_EQ(g.latency, w.latency) << n << " probe " << probe;
+        }
+        expectSameStats(cache.stats(), ref.stats());
+        EXPECT_EQ(cache.stats().writebacks, 1u);
+        EXPECT_EQ(dram.stats().accesses, ref_dram.stats().accesses);
+        EXPECT_EQ(dram.stats().totalBytes(), ref_dram.stats().totalBytes());
+    }
+}
+
 // ------------------------------------------------------- MemorySystem --
 
 TEST(MemorySystem, RoutesTrafficToConfiguredCaches)

@@ -4,15 +4,25 @@
  * facade: clears, depth-test semantics (early and late), painter's
  * algorithm for NWOZ primitives, alpha blending, shader discard, the
  * Figure 8 oracle mode, per-tile flush accounting and ground-truth
- * visibility statistics — plus the tile-parallel/SIMD bit-identity
- * property over the full workload registry.
+ * visibility statistics — plus TileMemLog fetch coalescing, tile-job
+ * failure handling and the tile-parallel bit-identity property over
+ * every config.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "common/job_pool.hpp"
+#include "common/rng.hpp"
 #include "driver/run_result.hpp"
+#include "gpu/raster_pipeline.hpp"
+#include "gpu/tile_mem_log.hpp"
 #include "support.hpp"
 #include "workloads/registry.hpp"
 
@@ -345,6 +355,212 @@ TEST_F(RasterTest, TimingProducesNonZeroCycles)
 }
 
 // ---------------------------------------------------------------------------
+// TileMemLog texel-fetch coalescing (DESIGN.md section 12).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** A MemorySystem's counters as canonical JSON, for exact comparison. */
+std::string
+memStatsJson(const MemorySystem &mem)
+{
+    FrameStats s;
+    s.mem = mem.stats();
+    return frameStatsToJson(s).dump(2);
+}
+
+/**
+ * Records a fetch stream into a TileMemLog and issues the same stream
+ * one access at a time against a reference MemorySystem.
+ */
+struct LoggedStream {
+    MemorySystem direct;
+    Cycles direct_latency = 0;
+    TileMemLog log{direct.config().num_texture_caches,
+                   direct.config().texture_cache.line_bytes};
+
+    void
+    fetch(unsigned unit, Addr addr)
+    {
+        log.textureFetch(unit, addr, 4);
+        direct_latency += direct.textureFetch(unit, addr, 4).latency;
+    }
+
+    void
+    param(Addr addr)
+    {
+        log.paramRead(addr, 8);
+        direct_latency += direct.parameterRead(addr, 8).latency;
+    }
+
+    /** Replay @p replayed into a fresh hierarchy; it must match the
+     *  direct stream's counters and latency sum. */
+    void
+    expectReplayMatches(const TileMemLog &replayed) const
+    {
+        MemorySystem mem;
+        EXPECT_EQ(replayed.replay(mem), direct_latency);
+        EXPECT_EQ(memStatsJson(mem), memStatsJson(direct));
+    }
+};
+
+} // namespace
+
+// A unit's fetch folds into its previous entry across other units'
+// fetches and parameter reads, but not once the same unit touched
+// another line in between; both forms replay to the per-fetch stream.
+TEST(TileMemLog, CoalescesSameLineFetchesPerUnit)
+{
+    const Addr base = AddressSpace::kTextureBase;
+    LoggedStream st;
+    st.fetch(0, base);            // entry 0: unit 0, line 0
+    st.fetch(1, base + 0x1000);   // entry 1: unit 1
+    st.fetch(0, base + 4);        // other unit in between: folds into 0
+    st.param(AddressSpace::kParameterBase);
+    st.fetch(0, base + 60);       // parameter read in between: folds
+    st.fetch(0, base + 64);       // entry 3: unit 0, next line
+    st.fetch(0, base + 8);        // entry 4: line 0 again, must not fold
+    st.fetch(1, base + 0x1010);   // folds into entry 1
+    st.fetch(2, base);            // entry 5: another unit, same line
+
+    const std::vector<TileMemAccess> &log = st.log.accesses();
+    ASSERT_EQ(log.size(), 6u);
+    EXPECT_EQ(log[0].repeats, 2u);
+    EXPECT_EQ(log[1].repeats, 1u);
+    EXPECT_EQ(log[2].kind, TileMemAccess::Kind::ParamRead);
+    EXPECT_EQ(log[3].repeats, 0u);
+    EXPECT_EQ(log[4].repeats, 0u);
+    EXPECT_EQ(log[4].addr, base + 8);
+    EXPECT_EQ(log[5].unit, 2u);
+    EXPECT_EQ(st.log.uncoalesced().accesses().size(), 9u);
+
+    st.expectReplayMatches(st.log);
+    st.expectReplayMatches(st.log.uncoalesced());
+}
+
+// Randomized interleavings of four units over a few hot lines (so
+// folds, conflict misses and L2 traffic all occur): the coalesced log
+// replays to the same MemorySystemStats and latency sum as the
+// per-fetch stream.
+TEST(TileMemLog, CoalescedReplayMatchesPerFetchStream)
+{
+    Rng rng(90001);
+    for (int round = 0; round < 20; ++round) {
+        LoggedStream st;
+        Addr last[4] = {};
+        for (int i = 0; i < 4000; ++i) {
+            const unsigned unit = static_cast<unsigned>(rng.nextBelow(4));
+            const std::uint64_t pick = rng.nextBelow(100);
+            Addr addr;
+            if (pick < 60 && last[unit] != 0)
+                addr = (last[unit] & ~Addr{63}) + 4 * rng.nextBelow(16);
+            else if (pick < 95)
+                addr = AddressSpace::kTextureBase +
+                       4 * rng.nextBelow(64 * 1024);
+            else
+                addr = 0;
+            if (addr == 0) {
+                st.param(AddressSpace::kParameterBase +
+                         8 * rng.nextBelow(4096));
+                continue;
+            }
+            last[unit] = addr;
+            st.fetch(unit, addr);
+        }
+        EXPECT_LT(st.log.accesses().size(), 3000u);
+        st.expectReplayMatches(st.log);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Tile-parallel failure handling.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** A visibility tracker whose tileStart throws for chosen tiles. */
+class ThrowingTracker final : public TileVisibilityTracker
+{
+  public:
+    explicit ThrowingTracker(std::vector<int> tiles)
+        : tiles_(std::move(tiles))
+    {
+    }
+
+    void
+    tileStart(int tile, int, int, FrameStats &) override
+    {
+        if (std::find(tiles_.begin(), tiles_.end(), tile) != tiles_.end())
+            throw std::runtime_error("tile " + std::to_string(tile));
+    }
+    void onOpaqueWrites(int, const std::uint32_t *, int, std::uint16_t,
+                        bool, FrameStats &) override {}
+    void tileEnd(int, const float *, int, FrameStats &) override {}
+    void tileSkipped(int) override {}
+
+  private:
+    std::vector<int> tiles_;
+};
+
+} // namespace
+
+// A tile that throws on a 4-job tile batch must not leave the replaying
+// owner waiting for it (without the failure hand-off this test hangs
+// until the ctest timeout): run() rethrows the lowest-index tile's
+// error, and the pool and pipeline render the next frame normally.
+TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
+{
+    GpuConfig gpu = tinyGpu(320, 192);
+    SimConfig config = SimConfig::baseline(gpu);
+    std::unique_ptr<Workload> workload = workloads::factory()("300", 320,
+                                                              192);
+    ASSERT_TRUE(workload);
+    GpuSimulator sim(config);
+    workload->setup(sim);
+    const Scene scene = workload->frame(0);
+    sim.renderFrame(scene); // bins the frame into sim's Parameter Buffer
+
+    MemorySystem mem(config.gpu.mem);
+    ShaderCore shader(mem);
+    TimingModel timing(config.gpu);
+    RasterPipeline raster(config.gpu, mem, shader, timing);
+    JobPool pool(4);
+    raster.setTileExecution(&pool, 4);
+    Framebuffer fb(gpu.screen_width, gpu.screen_height);
+    const int tiles = gpu.tileCount();
+
+    for (int k : {0, 1, 101, tiles - 8, tiles - 1}) {
+        for (int repeat = 0; repeat < 5; ++repeat) {
+            ThrowingTracker tracker({std::min(k + 7, tiles - 1), k});
+            RasterHooks hooks;
+            hooks.tracker = &tracker;
+            FrameStats stats;
+            try {
+                raster.run(scene, sim.parameterBuffer(), fb, false, hooks,
+                           stats);
+                ADD_FAILURE() << "tile " << k << " did not throw";
+            } catch (const std::runtime_error &e) {
+                EXPECT_EQ(std::string(e.what()),
+                          "tile " + std::to_string(k));
+            }
+        }
+    }
+
+    ThrowingTracker none({});
+    RasterHooks hooks;
+    hooks.tracker = &none;
+    FrameStats stats;
+    raster.run(scene, sim.parameterBuffer(), fb, true, hooks, stats);
+    EXPECT_EQ(stats.tiles_total, static_cast<std::uint64_t>(tiles));
+    EXPECT_EQ(stats.tiles_rendered, static_cast<std::uint64_t>(tiles));
+
+    std::atomic<int> ran{0};
+    std::vector<std::function<void()>> jobs(8, [&] { ++ran; });
+    pool.runBatch(std::move(jobs));
+    EXPECT_EQ(ran.load(), 8);
+}
+
+// ---------------------------------------------------------------------------
 // Tile-parallel bit-identity property (DESIGN.md section 12).
 // ---------------------------------------------------------------------------
 
@@ -352,12 +568,12 @@ namespace {
 
 /**
  * Simulate one (workload, config) run and return its RunResult JSON
- * without host-timing fields. @p reference selects the serial leg;
- * otherwise tiles render on a 4-worker pool.
+ * without host-timing fields. With @p tile_jobs > 1 tiles render on
+ * @p pool (null: a pool the simulator owns); 1 is the serial leg.
  */
 std::string
 runIdentityLeg(const std::string &alias, const SimConfig &config,
-               bool reference)
+               JobPool *pool, int tile_jobs)
 {
     std::unique_ptr<Workload> workload =
         workloads::factory()(alias, 608, 384);
@@ -366,12 +582,10 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
         return {};
     }
     GpuSimulator sim(config);
-    if (!reference)
-        sim.setTileExecution(nullptr, 4);
+    sim.setTileExecution(pool, tile_jobs);
     workload->setup(sim);
-    sim.renderFrame(workload->frame(0)); // warm-up (FVP / signatures)
-    sim.resetTotals();
-    for (int f = 1; f <= 2; ++f)
+    // Frame 1 predicts and skips from frame 0's FVP and signatures.
+    for (int f = 0; f < 2; ++f)
         sim.renderFrame(workload->frame(f));
 
     RunResult r;
@@ -386,26 +600,61 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
     return r.toJson(false).dump(2);
 }
 
+/** Every SimConfig the simulator offers. */
+std::vector<SimConfig>
+allConfigs(const GpuConfig &gpu)
+{
+    return {SimConfig::baseline(gpu),       SimConfig::renderingElimination(gpu),
+            SimConfig::evr(gpu),            SimConfig::evrFilterOnly(gpu),
+            SimConfig::evrReorderOnly(gpu), SimConfig::oracleZ(gpu),
+            SimConfig::zPrepass(gpu)};
+}
+
+/** The six 3D workloads plus two 2D games (one with popups). */
+std::vector<std::string>
+identityAliases()
+{
+    std::vector<std::string> aliases = workloads::aliases3D();
+    aliases.push_back("hay");
+    aliases.push_back("wmw");
+    return aliases;
+}
+
 } // namespace
 
-// Every Table III workload, under both the baseline and the EVR
-// configuration, rendered with EVRSIM_TILE_JOBS=4 must produce a
+// Every config of the six 3D workloads and two 2D games must produce a
 // RunResult JSON — pixels, every stat counter, energy, image CRC —
-// byte-identical to serial tiles. This is the determinism contract of
-// the tile-parallel design: tile compute is pure and memory accesses
-// replay serially in tile order. (tests/golden_stats_test.cpp pins the
-// serial leg to checked-in results.)
-TEST(TileParallelIdentity, AllWorkloadsMatchScalarSerialByteForByte)
+// byte-identical to serial tiles when rendered with EVRSIM_TILE_JOBS=4
+// on a pool of its own, and when each config's simulation is a job of
+// an outer batch on a 2-thread pool that its tile batch then shares
+// (the EVRSIM_JOBS shape: tile jobs queue behind whole simulations, so
+// owners render many tiles themselves while others are stolen). This
+// is the determinism contract of the tile-parallel design: tile
+// compute is pure and memory accesses replay in tile order.
+// (tests/golden_stats_test.cpp pins the serial leg to checked-in
+// results.)
+TEST(TileParallelIdentity, AllConfigsMatchSerialByteForByte)
 {
     GpuConfig gpu;
     gpu.screen_width = 608;
     gpu.screen_height = 384;
-    for (const std::string &alias : workloads::allAliases()) {
-        for (const SimConfig &config :
-             {SimConfig::baseline(gpu), SimConfig::evr(gpu)}) {
-            std::string ref = runIdentityLeg(alias, config, true);
-            std::string fast = runIdentityLeg(alias, config, false);
-            EXPECT_EQ(ref, fast) << alias << "/" << config.name;
+    const std::vector<SimConfig> configs = allConfigs(gpu);
+    JobPool shared(2);
+    for (const std::string &alias : identityAliases()) {
+        std::vector<std::string> nested(configs.size());
+        std::vector<std::function<void()>> sims;
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            sims.emplace_back([&, i] {
+                nested[i] = runIdentityLeg(alias, configs[i], &shared, 4);
+            });
+        shared.runBatch(std::move(sims));
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const std::string ref =
+                runIdentityLeg(alias, configs[i], nullptr, 1);
+            EXPECT_EQ(ref, runIdentityLeg(alias, configs[i], nullptr, 4))
+                << alias << "/" << configs[i].name << " (own pool)";
+            EXPECT_EQ(ref, nested[i])
+                << alias << "/" << configs[i].name << " (shared pool)";
         }
     }
 }
