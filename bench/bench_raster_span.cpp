@@ -202,7 +202,7 @@ BENCHMARK(BM_CacheAccess)->DenseRange(0, 2);
 TileMemLog
 syntheticTileLog(MemorySystem &mem)
 {
-    ShaderCore shader(mem);
+    ShaderCore shader(mem.config());
     TileMemLog log(mem.config().num_texture_caches,
                    mem.config().texture_cache.line_bytes);
     const int size = 16;

@@ -402,8 +402,10 @@ class ExperimentRunner
  * sim_wall_ms. v3: entries wrapped in a {schema, payload_crc32,
  * payload} envelope so damage is detected by checksum, not by luck.
  * v4: validation/degradation counters joined the persisted stats.
+ * v5: preloaded-depth configs (oracle-z, z-prepass) resolve depth
+ * ties first-wins, as baseline does.
  */
-constexpr int kResultCacheVersion = 4;
+constexpr int kResultCacheVersion = 5;
 
 /** Max simulation attempts per run when failures are transient. */
 constexpr int kJobMaxAttempts = 3;

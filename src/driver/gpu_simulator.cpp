@@ -15,7 +15,7 @@ GpuSimulator::GpuSimulator(const SimConfig &config,
                            const TimingParams &timing_params)
     : config_(config),
       mem_(config.gpu.mem),
-      shader_(mem_),
+      shader_(mem_.config()),
       timing_(config_.gpu, timing_params),
       energy_(energy_params),
       geometry_(config_.gpu, mem_),

@@ -33,6 +33,9 @@ namespace {
  */
 struct TileScratch {
     std::vector<float> depth;
+    /** Preloaded depth: display-list position that set each pixel's
+     *  final depth (kNoZWinner where none did). */
+    std::vector<std::uint32_t> zwin;
     std::vector<Rgba8> color;
     std::vector<int> owner;
     std::vector<char> contributed;
@@ -41,9 +44,13 @@ struct TileScratch {
     /** One span's opaque writes, batched for the visibility tracker. */
     std::vector<std::uint32_t> opaque_pixels;
     RasterScratch raster;
+    /** Access log of the tile this thread renders and replays at once. */
+    TileMemLog log;
 };
 
 thread_local TileScratch t_scratch;
+
+constexpr std::uint32_t kNoZWinner = ~std::uint32_t{0};
 
 /** Where a primitive's depth test sits (Early needs a shader that
  *  cannot discard; Late runs after shading). */
@@ -59,7 +66,7 @@ struct SpanSpec {
     static constexpr FragmentProgram kProgram = Prog;
     static constexpr ZMode kZ = Z;
     static constexpr bool kWrite = Write; ///< depth write on pass
-    static constexpr bool kLeq = Leq;     ///< pass on equal depth
+    static constexpr bool kLeq = Leq;     ///< preloaded depth: first-wins tie
     static constexpr bool kBlend = Blend; ///< BlendMode::Alpha
     static constexpr bool kTrack = Track; ///< visibility tracker present
     static constexpr bool kTextured =
@@ -87,6 +94,7 @@ struct SpanSpec {
 struct PrimContext {
     // Tile buffers and geometry.
     float *depth;
+    const std::uint32_t *zwin; ///< preloaded depth's winners (kLeq only)
     Rgba8 *color;
     int *owner;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> *blend_journal;
@@ -113,16 +121,22 @@ struct PrimCounts {
     std::uint64_t shaded = 0;
     std::uint64_t discarded = 0;
     std::uint64_t blended = 0;
-    Cycles latency = 0;
 };
 
-/** Depth test (and write) of one fragment; false = killed. */
+/**
+ * Depth test (and write) of the fragment at tile pixel @p li; false =
+ * killed. Against preloaded final depths a Z-writer passes on equality
+ * only if it set that depth in the prepass, so ties keep the
+ * submission-order winner (the first), as without a preload.
+ */
 template <class S>
 inline bool
-depthTest(float z, float &stored, PrimCounts &n)
+depthTest(float z, std::size_t li, const PrimContext &c, PrimCounts &n)
 {
     ++n.z_tests;
-    const bool pass = S::kLeq ? z <= stored : z < stored;
+    float &stored = c.depth[li];
+    const bool pass =
+        z < stored || (S::kLeq && z == stored && c.zwin[li] == c.pos);
     if (!pass) {
         ++n.z_kills;
         return false;
@@ -150,7 +164,7 @@ shadeSpan(const FragmentSpan &sp, const PrimContext &c, PrimCounts &n)
             static_cast<std::size_t>(sp.y[k] - c.y0) * c.w +
             static_cast<std::size_t>(sp.x[k] - c.x0);
         if constexpr (S::kZ == ZMode::Early) {
-            if (!depthTest<S>(sp.depth[k], c.depth[li], n))
+            if (!depthTest<S>(sp.depth[k], li, c, n))
                 continue;
         }
 
@@ -161,9 +175,8 @@ shadeSpan(const FragmentSpan &sp, const PrimContext &c, PrimCounts &n)
         if constexpr (S::kTextured) {
             int tx, ty;
             c.tex->toTexel(uv.x, uv.y, tx, ty);
-            n.latency += c.shader->textureFetch(
-                c.shader->unitFor(sp.x[k], sp.y[k]),
-                c.tex->texelAddrAt(tx, ty), c.log);
+            c.log->textureFetch(c.shader->unitFor(sp.x[k], sp.y[k]),
+                                c.tex->texelAddrAt(tx, ty), 4);
             t = c.tex->texelAt(tx, ty);
         }
         const Vec4 color = {(S::attrs() & kSpanRgb) ? sp.r[k] : 0.0f,
@@ -179,7 +192,7 @@ shadeSpan(const FragmentSpan &sp, const PrimContext &c, PrimCounts &n)
         if constexpr (S::kZ == ZMode::Late) {
             // Late Depth Test (shader may have discarded fragments, so
             // the Z Buffer could not be updated early).
-            if (!depthTest<S>(sp.depth[k], c.depth[li], n))
+            if (!depthTest<S>(sp.depth[k], li, c, n))
                 continue;
         }
 
@@ -237,7 +250,6 @@ renderPrimitive(const ShadedPrimitive &prim, const RectI &rect,
         n.shaded * ShaderCore::fragmentInstrs(S::kProgram);
     ts.texture_fetches +=
         n.shaded * ShaderCore::fragmentTexFetches(S::kProgram);
-    ts.raster_mem_latency += n.latency;
     ts.fragments_discarded_shader += n.discarded;
     ts.blend_ops += n.blended;
     // Opaque writes touch the Color Buffer once; blends read and write.
@@ -267,8 +279,8 @@ dispatchPrimitive(const ShadedPrimitive &prim, const RectI &rect,
 {
     const RenderState &state = prim.state;
     const bool write = state.depth_write;
-    // Preloaded final depths (oracle or Z-Prepass): Z-writing
-    // primitives must pass on equality or the surviving fragment kills
+    // Preloaded final depths (oracle or Z-Prepass): the Z-writer that
+    // set a pixel's final depth must pass on equality or it kills
     // itself.
     const bool leq = preloaded_z && write;
     ShaderCore::withProgram(state.program, [&](auto prog) {
@@ -325,10 +337,12 @@ RasterPipeline::depthPrepass(const RectI &rect, const Scene &scene,
                              const ParameterBuffer &pb,
                              const std::vector<DisplayListEntry> &order,
                              float clear_depth, std::vector<float> &depth,
-                             FrameStats *charge, TileMemLog *log,
+                             std::vector<std::uint32_t> &zwin,
+                             FrameStats *charge, TileMemLog &log,
                              RasterScratch &scratch) const
 {
     depth.assign(static_cast<std::size_t>(rect.area()), clear_depth);
+    zwin.assign(depth.size(), kNoZWinner);
     const int w = rect.width();
 
     // With charge == null this is Figure 8's idealization: it runs
@@ -338,8 +352,8 @@ RasterPipeline::depthPrepass(const RectI &rect, const Scene &scene,
     FrameStats uncharged;
     FrameStats &ts = charge ? *charge : uncharged;
 
-    for (const DisplayListEntry &e : order) {
-        const ShadedPrimitive &prim = pb.prim(e.prim);
+    for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        const ShadedPrimitive &prim = pb.prim(order[pos].prim);
         const RenderState &state = prim.state;
         if (!state.depth_write)
             continue;
@@ -391,6 +405,7 @@ RasterPipeline::depthPrepass(const RectI &rect, const Scene &scene,
                 if (charge)
                     ++ts.depth_buffer_accesses;
                 depth[li] = sp.depth[k];
+                zwin[li] = static_cast<std::uint32_t>(pos);
             }
         };
         Rasterizer::rasterizeSpans(prim, rect, attrs, ts, scratch,
@@ -402,7 +417,7 @@ void
 RasterPipeline::renderTile(int tile, const Scene &scene,
                            const ParameterBuffer &pb, Framebuffer &fb,
                            bool has_prev_frame, const RasterHooks &hooks,
-                           FrameStats &ts, TileMemLog *log)
+                           FrameStats &ts, TileMemLog &log)
 {
     ++ts.tiles_total;
 
@@ -458,14 +473,8 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     unsigned entry_bytes = DisplayListEntry::kBaseBytes;
     if (hooks.tracker)
         entry_bytes += DisplayListEntry::kLayerBytes;
-    for (Addr addr : pb.entryAddrs(tile)) {
-        if (log) {
-            log->paramRead(addr, entry_bytes);
-        } else {
-            AccessResult r = mem_.parameterRead(addr, entry_bytes);
-            ts.raster_mem_latency += r.latency;
-        }
-    }
+    for (Addr addr : pb.entryAddrs(tile))
+        log.paramRead(addr, entry_bytes);
 
     // On-chip tile buffers, from the thread's reusable scratch (every
     // one fully re-initialized here).
@@ -475,7 +484,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     std::vector<float> &depth = t_scratch.depth;
     if (hooks.oracle_z || hooks.z_prepass) {
         depthPrepass(rect, scene, pb, order, scene.clear_depth, depth,
-                     hooks.z_prepass ? &ts : nullptr, log,
+                     t_scratch.zwin, hooks.z_prepass ? &ts : nullptr, log,
                      t_scratch.raster);
     } else {
         depth.assign(npix, scene.clear_depth);
@@ -502,6 +511,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     t_scratch.opaque_pixels.resize(2 * static_cast<std::size_t>(w + 2));
     PrimContext ctx{};
     ctx.depth = depth.data();
+    ctx.zwin = t_scratch.zwin.data();
     ctx.color = color.data();
     ctx.owner = owner.data();
     ctx.blend_journal = &blend_journal;
@@ -511,7 +521,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     ctx.w = w;
     ctx.tile = tile;
     ctx.shader = &shader_;
-    ctx.log = log;
+    ctx.log = &log;
     ctx.tracker = hooks.tracker;
     ctx.ts = &ts;
     const bool preloaded_z = hooks.oracle_z || hooks.z_prepass;
@@ -520,13 +530,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
         const DisplayListEntry &e = order[pos];
         const ShadedPrimitive &prim = pb.prim(e.prim);
 
-        if (log) {
-            log->paramRead(prim.pb_addr, ShadedPrimitive::kAttrBytes);
-        } else {
-            AccessResult r = mem_.parameterRead(
-                prim.pb_addr, ShadedPrimitive::kAttrBytes);
-            ts.raster_mem_latency += r.latency;
-        }
+        log.paramRead(prim.pb_addr, ShadedPrimitive::kAttrBytes);
         ++ts.prim_tile_rasterized;
 
         const RenderState &state = prim.state;
@@ -614,10 +618,7 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
     for (int y = rect.y0; y < rect.y1; ++y) {
         Addr row_addr = AddressSpace::framebufferAddr(rect.x0, y,
                                                       config_.screen_width);
-        if (log)
-            log->framebufferWrite(row_addr, static_cast<unsigned>(w) * 4);
-        else
-            mem_.framebufferWrite(row_addr, static_cast<unsigned>(w) * 4);
+        log.framebufferWrite(row_addr, static_cast<unsigned>(w) * 4);
     }
     ts.tile_flush_bytes += npix * 4;
 
@@ -637,10 +638,11 @@ RasterPipeline::renderTile(int tile, const Scene &scene,
 }
 
 void
-RasterPipeline::renderTileDirect(int tile, const Scene &scene,
-                                 const ParameterBuffer &pb, Framebuffer &fb,
-                                 bool has_prev_frame,
-                                 const RasterHooks &hooks, FrameStats &frame)
+RasterPipeline::renderAndReplayTile(int tile, const Scene &scene,
+                                    const ParameterBuffer &pb,
+                                    Framebuffer &fb, bool has_prev_frame,
+                                    const RasterHooks &hooks,
+                                    FrameStats &frame)
 {
     crashContextSetTile(tile);
     // Per-tile span: the hottest category, so it honours the
@@ -648,8 +650,12 @@ RasterPipeline::renderTileDirect(int tile, const Scene &scene,
     // span is one relaxed load + one branch).
     TraceSpan tile_span(TraceCat::Tile, "tile");
     tile_span.setValue(tile);
+    TileMemLog &log = t_scratch.log;
+    log.reset(mem_.config().num_texture_caches,
+              mem_.config().texture_cache.line_bytes);
     FrameStats ts;
-    renderTile(tile, scene, pb, fb, has_prev_frame, hooks, ts, nullptr);
+    renderTile(tile, scene, pb, fb, has_prev_frame, hooks, ts, log);
+    ts.raster_mem_latency += log.replay(mem_);
     ts.raster_cycles = timing_.tileCycles(ts);
     frame.accumulate(ts);
 }
@@ -666,11 +672,10 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
 
     FrameStats frame;
     if (tile_pool_ == nullptr) {
-        // Serial reference path: tiles issue their memory accesses
-        // directly, interleaved with rendering.
+        // Serial path: each tile's log replays as soon as it rendered.
         for (int tile = 0; tile < tiles; ++tile)
-            renderTileDirect(tile, scene, pb, fb, has_prev_frame, hooks,
-                             frame);
+            renderAndReplayTile(tile, scene, pb, fb, has_prev_frame, hooks,
+                                frame);
         crashContextSetTile(-1);
     } else {
         runStreaming(scene, pb, fb, has_prev_frame, hooks, frame);
@@ -717,8 +722,8 @@ RasterPipeline::runStreaming(const Scene &scene, const ParameterBuffer &pb,
     // and latencies), and per-tile stats merge in tile order
     // (raster_cycles only after the replayed latencies landed).
     //
-    // When the owner's next tile is still unclaimed it claims and
-    // renders that tile itself, issuing its accesses directly, since
+    // When the owner's next tile is still unclaimed it claims it,
+    // renders it into its thread's log and replays it at once, since
     // every earlier tile has been replayed. While another thread is
     // rendering it, the owner renders the first unclaimed tile into a
     // log instead of idling, and sleeps only once every tile has been
@@ -755,7 +760,7 @@ RasterPipeline::runStreaming(const Scene &scene, const ParameterBuffer &pb,
             tile_span.setValue(tile);
             slot.log.emplace(units, line_bytes);
             renderTile(tile, scene, pb, fb, has_prev_frame, hooks,
-                       slot.stats, &*slot.log);
+                       slot.stats, *slot.log);
         } catch (...) {
             slot.error = std::current_exception();
             failed.store(true, std::memory_order_relaxed);
@@ -782,8 +787,8 @@ RasterPipeline::runStreaming(const Scene &scene, const ParameterBuffer &pb,
             if (cursor.compare_exchange_strong(unclaimed, tile + 1,
                                                std::memory_order_relaxed)) {
                 try {
-                    renderTileDirect(tile, scene, pb, fb, has_prev_frame,
-                                     hooks, frame);
+                    renderAndReplayTile(tile, scene, pb, fb,
+                                        has_prev_frame, hooks, frame);
                 } catch (...) {
                     slot.error = std::current_exception();
                     failed.store(true, std::memory_order_relaxed);

@@ -72,11 +72,11 @@ class RasterPipeline
     /**
      * Enable tile-parallel rendering (EVRSIM_TILE_JOBS): tiles are
      * claimed in order and rendered concurrently on @p pool via
-     * JobPool::runBatch, each recording its memory accesses in a
-     * TileMemLog, while the batch owner replays every finished prefix
-     * of tiles against the MemorySystem in tile order — so stats,
-     * cache behavior and pixels stay byte-identical to the serial
-     * path (see DESIGN.md section 12).
+     * JobPool::runBatch, each into a TileMemLog of its own, while the
+     * batch owner replays every finished prefix of tiles against the
+     * MemorySystem in tile order. Serial tiles record and replay the
+     * same logs one tile at a time, so stats, cache behavior and pixels
+     * are byte-identical either way (see DESIGN.md section 12).
      *
      * @param pool      shared pool to run tile jobs on (null or
      *                  tile_jobs <= 1 restores the serial path)
@@ -92,21 +92,21 @@ class RasterPipeline
 
   private:
     /**
-     * Render (or skip) one tile, accumulating into @p tile_stats.
-     *
-     * @param log when non-null the tile's memory accesses are recorded
-     *            there (in issue order) instead of touching mem_;
-     *            latency stats are then charged at replay
+     * Render (or skip) one tile, accumulating into @p tile_stats. Pure
+     * with respect to mem_: the tile's memory accesses are recorded in
+     * @p log in issue order, and their latency is charged when the log
+     * is replayed.
      */
     void renderTile(int tile, const Scene &scene, const ParameterBuffer &pb,
                     Framebuffer &fb, bool has_prev_frame,
                     const RasterHooks &hooks, FrameStats &tile_stats,
-                    TileMemLog *log);
+                    TileMemLog &log);
 
     /**
      * Depth prepass: compute the tile's final depth values by running
      * every Z-writing primitive depth-only (including shader-discard
-     * effects).
+     * effects). @p zwin receives, per pixel, the display-list position
+     * that set its final depth, so the main pass keeps first-wins ties.
      *
      * @param charge if non-null, the prepass's rasterization, depth
      *               tests and discard-shader work are charged there
@@ -117,18 +117,20 @@ class RasterPipeline
                       const ParameterBuffer &pb,
                       const std::vector<DisplayListEntry> &order,
                       float clear_depth, std::vector<float> &depth,
-                      FrameStats *charge, TileMemLog *log,
-                      RasterScratch &scratch) const;
+                      std::vector<std::uint32_t> &zwin, FrameStats *charge,
+                      TileMemLog &log, RasterScratch &scratch) const;
 
     /**
-     * Render (or skip) @p tile with its memory accesses issued directly
-     * (every earlier tile's accesses must already have reached mem_),
-     * then charge its timing and merge its stats into @p frame.
+     * Render (or skip) @p tile into the calling thread's reusable log
+     * and replay it at once (every earlier tile must already have been
+     * replayed), then charge its timing and merge its stats into
+     * @p frame. Serves every serial tile and the streaming owner's
+     * unclaimed ones.
      */
-    void renderTileDirect(int tile, const Scene &scene,
-                          const ParameterBuffer &pb, Framebuffer &fb,
-                          bool has_prev_frame, const RasterHooks &hooks,
-                          FrameStats &frame);
+    void renderAndReplayTile(int tile, const Scene &scene,
+                             const ParameterBuffer &pb, Framebuffer &fb,
+                             bool has_prev_frame, const RasterHooks &hooks,
+                             FrameStats &frame);
 
     /**
      * The tile-parallel frame: the streaming claim loop that renders

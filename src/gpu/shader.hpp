@@ -6,8 +6,9 @@
  * workloads are built from flat-shaded, textured and procedural
  * materials). Each program has a functional evaluation (producing the
  * color) and a cost (ALU instructions, texture fetches) used by the
- * timing and energy models. Texture fetches go through the fragment
- * processor's texture cache, so shading cost depends on real locality.
+ * timing and energy models. Texture fetches are recorded in the tile's
+ * TileMemLog, whose replay drives the fragment processor's texture
+ * cache, so shading cost depends on real locality.
  */
 #ifndef EVRSIM_GPU_SHADER_HPP
 #define EVRSIM_GPU_SHADER_HPP
@@ -38,10 +39,19 @@ struct FragmentShadeResult {
 class ShaderCore
 {
   public:
-    explicit ShaderCore(MemorySystem &mem);
+    /** @param mem the hierarchy whose texture caches fetches target */
+    explicit ShaderCore(const MemorySystemConfig &mem)
+        : num_units_(mem.num_texture_caches)
+    {
+        EVRSIM_ASSERT((num_units_ & (num_units_ - 1)) == 0);
+    }
 
     /** Bind this frame's texture table (owned by the scene/workload). */
-    void bindTextures(const std::vector<const Texture *> *textures);
+    void
+    bindTextures(const std::vector<const Texture *> *textures)
+    {
+        textures_ = textures;
+    }
 
     /** ALU instructions of the standard transform vertex shader. */
     static constexpr unsigned kVertexShaderInstrs = 20;
@@ -160,15 +170,13 @@ class ShaderCore
      * @param px,py  screen pixel (selects the fragment processor / texture
      *               cache and thus the locality the cache observes)
      * @param stats  instruction/texture counters are charged here
-     * @param log    when non-null, the texture fetch is recorded there
-     *               instead of touching the MemorySystem (its latency is
-     *               charged later, when the log is replayed in tile
-     *               order); all pure counters are charged as usual
+     * @param log    the texture fetch is recorded here; its latency is
+     *               charged when the tile's log is replayed
      */
     FragmentShadeResult
     shadeFragment(const RenderState &state, const Vec4 &color,
                   const Vec2 &uv, int px, int py, FrameStats &stats,
-                  TileMemLog *log = nullptr)
+                  TileMemLog &log)
     {
         stats.fragment_shader_instrs += fragmentInstrs(state.program);
         Vec4 t;
@@ -178,8 +186,7 @@ class ShaderCore
             // the simulated fetch address and the color lookup.
             int tx, ty;
             tex->toTexel(uv.x, uv.y, tx, ty);
-            stats.raster_mem_latency += textureFetch(
-                unitFor(px, py), tex->texelAddrAt(tx, ty), log);
+            log.textureFetch(unitFor(px, py), tex->texelAddrAt(tx, ty), 4);
             ++stats.texture_fetches;
             t = tex->texelAt(tx, ty);
         }
@@ -239,23 +246,7 @@ class ShaderCore
                (num_units_ - 1);
     }
 
-    /**
-     * One 4-byte texel fetch through fragment unit @p unit's texture
-     * cache. Returns its latency; with a @p log the fetch is recorded
-     * instead and its latency charged at replay (0 is returned).
-     */
-    Cycles
-    textureFetch(unsigned unit, Addr addr, TileMemLog *log)
-    {
-        if (log) {
-            log->textureFetch(unit, addr, 4);
-            return 0;
-        }
-        return mem_.textureFetch(unit, addr, 4).latency;
-    }
-
   private:
-    MemorySystem &mem_;
     const std::vector<const Texture *> *textures_ = nullptr;
     unsigned num_units_;
 };

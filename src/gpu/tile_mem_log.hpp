@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-tile memory-access log for tile-parallel rasterization.
+ * Per-tile memory-access log: the one way a rendered tile's accesses
+ * reach the simulated memory hierarchy, serial or tile-parallel.
  *
  * The simulated memory hierarchy is a single stateful machine: the
  * latency of every access depends on the exact global order of all
@@ -55,21 +56,39 @@ struct TileMemAccess {
 static_assert(sizeof(TileMemAccess) == 16,
               "the repeat count lives in what was padding");
 
-/** Ordered access log of one tile's render. */
+/**
+ * Ordered access log of one tile's render: the only way a rendering
+ * tile reaches the MemorySystem. Serial tiles replay it as soon as the
+ * tile has rendered; tile-parallel ones in tile order as they finish.
+ */
 class TileMemLog
 {
   public:
+    /** An empty log that accepts no fetch until reset(). */
+    TileMemLog() = default;
+
+    /** See reset(). */
+    TileMemLog(unsigned texture_units, unsigned texture_line_bytes)
+    {
+        reset(texture_units, texture_line_bytes);
+    }
+
     /**
+     * Empty the log for a new tile, keeping its buffer's capacity.
+     *
      * @param texture_units      fragment units (texture caches) whose
      *                           fetches may be logged
      * @param texture_line_bytes texture-cache line size, the unit of
      *                           fetch coalescing
      */
-    TileMemLog(unsigned texture_units, unsigned texture_line_bytes)
-        : last_fetch_(texture_units, kNoEntry)
+    void
+    reset(unsigned texture_units, unsigned texture_line_bytes)
     {
         EVRSIM_ASSERT(texture_line_bytes != 0 &&
                       (texture_line_bytes & (texture_line_bytes - 1)) == 0);
+        accesses_.clear();
+        last_fetch_.assign(texture_units, kNoEntry);
+        line_shift_ = 0;
         while ((1u << line_shift_) < texture_line_bytes)
             ++line_shift_;
     }

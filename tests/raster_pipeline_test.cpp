@@ -521,7 +521,7 @@ TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
     sim.renderFrame(scene); // bins the frame into sim's Parameter Buffer
 
     MemorySystem mem(config.gpu.mem);
-    ShaderCore shader(mem);
+    ShaderCore shader(mem.config());
     TimingModel timing(config.gpu);
     RasterPipeline raster(config.gpu, mem, shader, timing);
     JobPool pool(4);
@@ -567,11 +567,11 @@ TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
 namespace {
 
 /**
- * Simulate one (workload, config) run and return its RunResult JSON
- * without host-timing fields. With @p tile_jobs > 1 tiles render on
- * @p pool (null: a pool the simulator owns); 1 is the serial leg.
+ * Simulate one (workload, config) run and return its RunResult, without
+ * host-timing fields. With @p tile_jobs > 1 tiles render on @p pool
+ * (null: a pool the simulator owns); 1 is the serial leg.
  */
-std::string
+RunResult
 runIdentityLeg(const std::string &alias, const SimConfig &config,
                JobPool *pool, int tile_jobs)
 {
@@ -597,6 +597,13 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
     r.totals = sim.totals();
     r.energy = sim.energyOf(sim.totals());
     r.image_crc = sim.framebuffer().contentCrc();
+    return r;
+}
+
+/** The RunResult JSON the identity legs compare. */
+std::string
+identityJson(const RunResult &r)
+{
     return r.toJson(false).dump(2);
 }
 
@@ -631,6 +638,10 @@ identityAliases()
 // owners render many tiles themselves while others are stolen). This
 // is the determinism contract of the tile-parallel design: tile
 // compute is pure and memory accesses replay in tile order.
+// Every config must also render baseline's image: the techniques only
+// remove work whose result is never seen (on "300", frames 0-1 tie two
+// Z-writers at a pixel's final depth, which the preloaded-depth configs
+// must resolve first-wins like baseline).
 // (tests/golden_stats_test.cpp pins the serial leg to checked-in
 // results.)
 TEST(TileParallelIdentity, AllConfigsMatchSerialByteForByte)
@@ -645,16 +656,24 @@ TEST(TileParallelIdentity, AllConfigsMatchSerialByteForByte)
         std::vector<std::function<void()>> sims;
         for (std::size_t i = 0; i < configs.size(); ++i)
             sims.emplace_back([&, i] {
-                nested[i] = runIdentityLeg(alias, configs[i], &shared, 4);
+                nested[i] = identityJson(
+                    runIdentityLeg(alias, configs[i], &shared, 4));
             });
         shared.runBatch(std::move(sims));
+        std::uint32_t baseline_crc = 0;
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            const std::string ref =
+            const RunResult serial =
                 runIdentityLeg(alias, configs[i], nullptr, 1);
-            EXPECT_EQ(ref, runIdentityLeg(alias, configs[i], nullptr, 4))
+            const std::string ref = identityJson(serial);
+            EXPECT_EQ(ref, identityJson(runIdentityLeg(alias, configs[i],
+                                                       nullptr, 4)))
                 << alias << "/" << configs[i].name << " (own pool)";
             EXPECT_EQ(ref, nested[i])
                 << alias << "/" << configs[i].name << " (shared pool)";
+            if (i == 0) // baseline
+                baseline_crc = serial.image_crc;
+            EXPECT_EQ(serial.image_crc, baseline_crc)
+                << alias << "/" << configs[i].name << " image vs baseline";
         }
     }
 }

@@ -120,6 +120,18 @@ TEST(TimingModel, FlushAddsOnTopOfBottleneck)
 
 // --------------------------------------------------------- ShaderCore --
 
+namespace {
+
+/** An empty tile log sized for @p mem's texture caches. */
+TileMemLog
+tileLogFor(const MemorySystem &mem)
+{
+    return TileMemLog(mem.config().num_texture_caches,
+                      mem.config().texture_cache.line_bytes);
+}
+
+} // namespace
+
 TEST(ShaderCore, ProgramCostsAreOrdered)
 {
     // Procedural is the ALU-heavy program; Flat the cheapest.
@@ -136,23 +148,26 @@ TEST(ShaderCore, ProgramCostsAreOrdered)
 TEST(ShaderCore, FlatPassesInterpolatedColor)
 {
     MemorySystem mem;
-    ShaderCore core(mem);
+    ShaderCore core(mem.config());
+    TileMemLog log = tileLogFor(mem);
     FrameStats stats;
     RenderState rs;
     rs.program = FragmentProgram::Flat;
     auto out = core.shadeFragment(rs, {0.25f, 0.5f, 0.75f, 1.0f}, {0, 0},
-                                  3, 4, stats);
+                                  3, 4, stats, log);
     EXPECT_FALSE(out.discarded);
     EXPECT_EQ(out.color, (Vec4{0.25f, 0.5f, 0.75f, 1.0f}));
     EXPECT_EQ(stats.fragment_shader_instrs,
               ShaderCore::fragmentInstrs(FragmentProgram::Flat));
     EXPECT_EQ(stats.texture_fetches, 0u);
+    EXPECT_TRUE(log.accesses().empty());
 }
 
 TEST(ShaderCore, TexturedSamplesAndCountsFetch)
 {
     MemorySystem mem;
-    ShaderCore core(mem);
+    ShaderCore core(mem.config());
+    TileMemLog log = tileLogFor(mem);
     Texture tex(TextureKind::Solid, 32, {0.2f, 0.4f, 0.6f, 1.0f},
                 {0, 0, 0, 0});
     tex.setBase(mem.addressSpace().allocTexture(tex.byteSize()));
@@ -164,18 +179,22 @@ TEST(ShaderCore, TexturedSamplesAndCountsFetch)
     rs.program = FragmentProgram::Textured;
     rs.texture = 0;
     auto out = core.shadeFragment(rs, {1, 1, 1, 0.5f}, {0.3f, 0.7f}, 0, 0,
-                                  stats);
+                                  stats, log);
     EXPECT_NEAR(out.color.x, 0.2f, 1e-6f);
     // Vertex alpha carries through for translucent textured sprites.
     EXPECT_NEAR(out.color.w, 0.5f, 1e-6f);
     EXPECT_EQ(stats.texture_fetches, 1u);
+    // The fetch reaches the texture cache when the log replays.
+    EXPECT_EQ(mem.stats().texture_caches.accesses(), 0u);
+    log.replay(mem);
     EXPECT_GT(mem.stats().texture_caches.accesses(), 0u);
 }
 
 TEST(ShaderCore, QuadsMapToDistinctTextureCaches)
 {
     MemorySystem mem;
-    ShaderCore core(mem);
+    ShaderCore core(mem.config());
+    TileMemLog log = tileLogFor(mem);
     Texture tex(TextureKind::Solid, 32, {1, 1, 1, 1}, {0, 0, 0, 0});
     tex.setBase(mem.addressSpace().allocTexture(tex.byteSize()));
     std::vector<const Texture *> textures{&tex};
@@ -186,30 +205,37 @@ TEST(ShaderCore, QuadsMapToDistinctTextureCaches)
     rs.texture = 0;
     FrameStats stats;
     // Fragments of the same 2x2 quad share a unit: same line -> 1 miss.
-    core.shadeFragment(rs, {1, 1, 1, 1}, {0.5f, 0.5f}, 0, 0, stats);
-    core.shadeFragment(rs, {1, 1, 1, 1}, {0.5f, 0.5f}, 1, 1, stats);
+    core.shadeFragment(rs, {1, 1, 1, 1}, {0.5f, 0.5f}, 0, 0, stats, log);
+    core.shadeFragment(rs, {1, 1, 1, 1}, {0.5f, 0.5f}, 1, 1, stats, log);
+    log.replay(mem);
     EXPECT_EQ(mem.stats().texture_caches.misses(), 1u);
     // A different quad maps to a different (cold) cache.
-    core.shadeFragment(rs, {1, 1, 1, 1}, {0.5f, 0.5f}, 2, 0, stats);
+    log = tileLogFor(mem);
+    core.shadeFragment(rs, {1, 1, 1, 1}, {0.5f, 0.5f}, 2, 0, stats, log);
+    log.replay(mem);
     EXPECT_EQ(mem.stats().texture_caches.misses(), 2u);
 }
 
 TEST(ShaderCore, ProceduralIsDeterministic)
 {
     MemorySystem mem;
-    ShaderCore core(mem);
+    ShaderCore core(mem.config());
+    TileMemLog log = tileLogFor(mem);
     FrameStats stats;
     RenderState rs;
     rs.program = FragmentProgram::Procedural;
-    auto a = core.shadeFragment(rs, {1, 1, 1, 1}, {0.3f, 0.8f}, 0, 0, stats);
-    auto b = core.shadeFragment(rs, {1, 1, 1, 1}, {0.3f, 0.8f}, 5, 9, stats);
+    auto a = core.shadeFragment(rs, {1, 1, 1, 1}, {0.3f, 0.8f}, 0, 0, stats,
+                                log);
+    auto b = core.shadeFragment(rs, {1, 1, 1, 1}, {0.3f, 0.8f}, 5, 9, stats,
+                                log);
     EXPECT_EQ(a.color, b.color); // depends on uv only, not pixel position
 }
 
 TEST(ShaderCore, DiscardThresholdAtHalfAlpha)
 {
     MemorySystem mem;
-    ShaderCore core(mem);
+    ShaderCore core(mem.config());
+    TileMemLog log = tileLogFor(mem);
     Texture opaque(TextureKind::Solid, 32, {1, 1, 1, 1}, {0, 0, 0, 0});
     opaque.setBase(mem.addressSpace().allocTexture(opaque.byteSize()));
     std::vector<const Texture *> textures{&opaque};
@@ -221,9 +247,10 @@ TEST(ShaderCore, DiscardThresholdAtHalfAlpha)
     FrameStats stats;
     // Texture alpha 1 * vertex alpha 0.4 < 0.5 -> discarded.
     auto killed =
-        core.shadeFragment(rs, {1, 1, 1, 0.4f}, {0, 0}, 0, 0, stats);
+        core.shadeFragment(rs, {1, 1, 1, 0.4f}, {0, 0}, 0, 0, stats, log);
     EXPECT_TRUE(killed.discarded);
-    auto kept = core.shadeFragment(rs, {1, 1, 1, 0.6f}, {0, 0}, 0, 0, stats);
+    auto kept =
+        core.shadeFragment(rs, {1, 1, 1, 0.6f}, {0, 0}, 0, 0, stats, log);
     EXPECT_FALSE(kept.discarded);
     EXPECT_EQ(stats.fragments_discarded_shader, 1u);
 }
