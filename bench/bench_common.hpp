@@ -3,8 +3,8 @@
  * Shared plumbing for the per-figure bench binaries.
  *
  * Every binary resolves the same environment-driven parameters
- * (EVRSIM_FULL / EVRSIM_FRAMES / EVRSIM_NO_CACHE / EVRSIM_CACHE_DIR /
- * EVRSIM_JOBS), builds an ExperimentRunner over the Table III workload
+ * (EVRSIM_FULL / EVRSIM_FRAMES / EVRSIM_CACHE_DIR / EVRSIM_JOBS /
+ * EVRSIM_OBS), builds an ExperimentRunner over the Table III workload
  * registry, and shares simulation results through the on-disk cache, so
  * running all benches simulates each (workload, config) pair exactly
  * once.
@@ -27,6 +27,7 @@
 #define EVRSIM_BENCH_BENCH_COMMON_HPP
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,10 +109,10 @@ struct BenchContext {
         printSweepSummary(runner);
         printFailureReport(outcome);
 
-        // Observability artifacts: summary.json next to the journal (or
-        // at EVRSIM_SUMMARY), metrics.json/metrics.prom in the metrics
-        // dir, and the trace file (also flushed at exit; flushing here
-        // too makes the sweep's spans durable before the tables print).
+        // Observability artifacts: summary.json and metrics.json/
+        // metrics.prom in the telemetry dir, and the trace file (also
+        // flushed at exit; flushing here too makes the sweep's spans
+        // durable before the tables print).
         std::string summary = summaryPath();
         if (!summary.empty())
             if (Status s = writeSweepSummaryJson(runner, outcome, summary);
@@ -126,17 +127,14 @@ struct BenchContext {
                 warn("could not write trace: %s", s.message().c_str());
     }
 
-    /** Where summary.json goes; empty = disabled. */
+    /** summary.json in the telemetry dir; empty = disabled. */
     std::string
     summaryPath() const
     {
-        if (!params.write_summary)
+        std::string dir = params.obsDir();
+        if (!params.write_summary || dir.empty())
             return {};
-        if (!params.summary_path.empty())
-            return params.summary_path;
-        if (!params.use_cache)
-            return {};
-        return params.cache_dir + "/summary.json";
+        return (std::filesystem::path(dir) / "summary.json").string();
     }
 
     /** True when every declared run for @p alias succeeded. */

@@ -26,7 +26,8 @@
  *     merged Chrome trace whose shard spans stitch under the dispatch
  *     spans by shared trace ids, and the exported
  *     metrics.json/metrics.prom artifacts self-parse with the fleet
- *     counters and the per-shard folded series present.
+ *     counters present and no shard-labeled series (shards record no
+ *     metrics; the daemon records every run it gets back).
  *
  * Flags: --clients=N (default 64), --requests=M per client in the cold
  * phase (default 2). The ctest entry runs a scaled-down configuration;
@@ -92,7 +93,7 @@ loadParams(const std::string &cache_dir)
     p.log_level = LogLevel::Quiet;
     // Enables the per-run evrsim_runs_total{outcome} counters the
     // single-flight verification below reads.
-    p.metrics_dir = cache_dir;
+    p.obs_dir = cache_dir;
     return p;
 }
 
@@ -426,8 +427,7 @@ main(int argc, char **argv)
                   "fleet: quiet run touched no failure machinery");
         }
 
-        // Aggregated metrics artifacts before teardown: the merged
-        // registry (daemon counters + per-shard folded series) must
+        // Metrics artifacts before teardown: the daemon's registry must
         // export as self-parsing metrics.json/metrics.prom.
         if (Status s = fleet_svc.runner().writeMetricsArtifacts(); !s.ok())
             fatal("fleet: %s", s.message().c_str());
@@ -480,8 +480,8 @@ main(int argc, char **argv)
                   "span by trace id");
         }
 
-        // Aggregated metrics artifacts self-parse and carry both the
-        // control plane's counters and the shard-folded series.
+        // The metrics artifacts self-parse, carry the control plane's
+        // counters, and hold no shard-labeled copies.
         Json mjson = parseJsonFile(cache3 + "/metrics.json");
         const Json *metrics = mjson.find("metrics");
         bool saw_fleet = false, saw_shard_label = false;
@@ -499,10 +499,9 @@ main(int argc, char **argv)
         check(metrics && metrics->type() == Json::Type::Array,
               "fleet: metrics.json exists and parses");
         check(saw_fleet,
-              "fleet: merged metrics carry the fleet counters");
-        check(saw_shard_label,
-              "fleet: merged metrics carry shard-labeled folded "
-              "series");
+              "fleet: metrics carry the fleet counters");
+        check(!saw_shard_label,
+              "fleet: metrics carry no shard-labeled series");
         std::ifstream prom(cache3 + "/metrics.prom");
         std::string prom_text((std::istreambuf_iterator<char>(prom)),
                               std::istreambuf_iterator<char>());

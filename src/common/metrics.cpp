@@ -161,7 +161,7 @@ appendEscaped(std::string &out, const std::string &s)
 /** Prometheus label-value escaping. The text exposition format defines
  *  exactly three escapes inside quoted label values — backslash,
  *  double-quote and newline; everything else passes through verbatim.
- *  Centralized here so hostile workload/config/shard labels can never
+ *  Centralized here so hostile workload/config labels can never
  *  tear a quoted value open or smuggle a line break into the output. */
 std::string
 promEscapeLabelValue(const std::string &s)
@@ -273,36 +273,6 @@ metricsHistogramObserve(const std::string &name, double value,
     ++inst->counts[b];
     inst->sum += value;
     ++inst->count;
-}
-
-void
-metricsHistogramMergeDelta(const std::string &name,
-                           const MetricLabels &labels,
-                           const std::vector<double> &bounds,
-                           const std::vector<std::uint64_t> &count_deltas,
-                           double sum_delta, std::uint64_t count_delta)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    // A name never seen locally adopts the shipped bucket ladder.
-    if (r.series.find(name) == r.series.end() &&
-        r.custom_bounds.find(name) == r.custom_bounds.end())
-        r.custom_bounds[name] = bounds;
-    Instance *inst = instance(r, name, Kind::Histogram, labels);
-    if (!inst)
-        return; // sticky-kind conflict, already counted
-    if (inst->bounds != bounds ||
-        count_deltas.size() != inst->counts.size()) {
-        // Incompatible ladders cannot be merged bucket-for-bucket;
-        // dropping the sample and counting it beats corrupting the
-        // series, same contract as a kind mismatch.
-        ++r.type_conflicts;
-        return;
-    }
-    for (std::size_t b = 0; b < count_deltas.size(); ++b)
-        inst->counts[b] += count_deltas[b];
-    inst->sum += sum_delta;
-    inst->count += count_delta;
 }
 
 void

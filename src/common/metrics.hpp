@@ -8,14 +8,14 @@
  * registry gives them a machine-readable home: benches record per-run
  * totals and sweep-level aggregates here, and the experiment layer
  * exports one `metrics.json` (plus a Prometheus-style `metrics.prom`
- * text file) per sweep next to the journal, so `BENCH_*.json`
+ * text file) per sweep into the EVRSIM_OBS directory, so `BENCH_*.json`
  * trajectories and dashboards can consume them mechanically.
  *
  * Threading: every operation takes one registry mutex. Metrics are
  * recorded at per-run granularity (a few dozen samples per simulation),
  * never inside pixel loops, so contention is irrelevant; simplicity and
  * correctness win. Recording is gated by the experiment layer
- * (EVRSIM_METRICS), so the default path costs nothing but the
+ * (EVRSIM_OBS=dir), so the default path costs nothing but the
  * enabled-check.
  *
  * Identity: a metric instance is (name, sorted label set). Re-recording
@@ -62,29 +62,14 @@ void metricsHistogramObserve(const std::string &name, double value,
 void metricsHistogramDefine(const std::string &name,
                             const std::vector<double> &upper_bounds);
 
-/**
- * Merge pre-aggregated histogram data — per-bucket count deltas
- * (including the +Inf overflow slot), a sum delta and a count delta —
- * into the instance (name, labels). A name never seen locally adopts
- * @p bounds as its ladder; a later merge whose bounds disagree (or a
- * sticky-kind conflict) drops the sample and counts a type conflict.
- * The fleet control plane uses this to fold shard histogram snapshots
- * into the merged registry without replaying observations.
- */
-void metricsHistogramMergeDelta(
-    const std::string &name, const MetricLabels &labels,
-    const std::vector<double> &bounds,
-    const std::vector<std::uint64_t> &count_deltas, double sum_delta,
-    std::uint64_t count_delta);
-
 /** Drop every recorded metric (tests; batch boundaries). */
 void metricsReset();
 
 /** Number of distinct metric instances currently recorded. */
 std::size_t metricsInstanceCount();
 
-/** Samples dropped so far because a name was re-used with another type
- *  (or an incompatible histogram ladder was merged). */
+/** Samples dropped so far because a name was re-used with another
+ *  type. */
 std::uint64_t metricsTypeConflicts();
 
 /**

@@ -42,26 +42,31 @@ validationFromEnvChecked()
 {
     ValidationConfig cfg;
 
-    if (const char *raw = std::getenv("EVRSIM_VALIDATE")) {
-        std::string v = raw;
-        if (v == "off")
-            cfg.mode = ValidateMode::Off;
-        else if (v == "permissive")
-            cfg.mode = ValidateMode::Permissive;
-        else if (v == "strict")
-            cfg.mode = ValidateMode::Strict;
-        else
-            return Status::invalidArgument(
-                "EVRSIM_VALIDATE must be off, permissive or strict "
-                "(got '" + v + "')");
-    }
-
-    if (const char *raw = std::getenv("EVRSIM_VALIDATE_SAMPLE")) {
-        Result<double> rate = parseDoubleStrict(raw);
+    if (Status s = rejectRetiredKnob("EVRSIM_VALIDATE_SAMPLE",
+                                     "set EVRSIM_VALIDATE=mode:rate");
+        !s.ok())
+        return s;
+    const char *raw = std::getenv("EVRSIM_VALIDATE");
+    if (raw == nullptr)
+        return cfg;
+    std::string v = raw;
+    std::string mode = v.substr(0, v.find(':'));
+    if (mode == "off")
+        cfg.mode = ValidateMode::Off;
+    else if (mode == "permissive")
+        cfg.mode = ValidateMode::Permissive;
+    else if (mode == "strict")
+        cfg.mode = ValidateMode::Strict;
+    else
+        return Status::invalidArgument(
+            "EVRSIM_VALIDATE must be off, permissive or strict, with an "
+            "optional :rate (got '" + v + "')");
+    if (mode.size() < v.size()) {
+        Result<double> rate = parseDoubleStrict(v.substr(mode.size() + 1));
         if (!rate.ok() || rate.value() < 0.0 || rate.value() > 1.0)
             return Status::invalidArgument(
-                "EVRSIM_VALIDATE_SAMPLE must be a number in [0, 1] "
-                "(got '" + std::string(raw) + "')");
+                "EVRSIM_VALIDATE's :rate must be a number in [0, 1] "
+                "(got '" + v + "')");
         cfg.tile_sample_rate = rate.value();
     }
 

@@ -18,8 +18,9 @@
  *               (and therefore the run) into a failing Status — the mode
  *               the `invariants` ctest label runs under.
  *
- * EVRSIM_VALIDATE_SAMPLE tunes the expensive end-of-tile image-identity
- * check: the fraction of tiles (deterministically sampled per frame)
+ * An optional `:rate` suffix (EVRSIM_VALIDATE=permissive:0.25) tunes
+ * the expensive end-of-tile image-identity check (default 0.0625): the
+ * fraction of tiles (deterministically sampled per frame)
  * re-rendered through the reference raster path and compared
  * bit-for-bit. 1 = every tile, 0 = identity checking off; the cheap
  * structural checks (binning containment, Algorithm 1 list composition,
@@ -72,9 +73,9 @@ struct ValidationConfig {
 };
 
 /**
- * Resolve the validation policy from EVRSIM_VALIDATE /
- * EVRSIM_VALIDATE_SAMPLE. Unset means off; a malformed value is
- * InvalidArgument naming the variable, never silently ignored.
+ * Resolve the validation policy from EVRSIM_VALIDATE=mode[:rate]. Unset
+ * means off; a malformed value is InvalidArgument naming the variable,
+ * never silently ignored, and so is the retired EVRSIM_VALIDATE_SAMPLE.
  */
 Result<ValidationConfig> validationFromEnvChecked();
 

@@ -168,15 +168,11 @@ class SweepHeartbeat
     std::thread thread_; ///< last member: starts after state is ready
 };
 
-} // namespace
-
 /**
  * Per-run metrics adoption: every FrameStats counter (and the nested
  * memory sub-object), labeled by (workload, config), plus the run's
  * energy total. Field names track run_result.cpp's serialization table
  * automatically — a counter added there shows up here unprompted.
- * Public so the fleet shard serve loop records the same series its
- * control plane aggregates.
  */
 void
 recordRunMetrics(const std::string &alias, const std::string &config,
@@ -205,6 +201,8 @@ recordRunMetrics(const std::string &alias, const std::string &config,
     }
 }
 
+} // namespace
+
 GpuConfig
 BenchParams::gpuConfig() const
 {
@@ -220,12 +218,32 @@ BenchParams::resolvedJobs() const
     return jobs > 0 ? jobs : JobPool::defaultThreads();
 }
 
+std::string
+BenchParams::obsDir() const
+{
+    if (!obs_dir.empty())
+        return obs_dir;
+    return use_cache ? cache_dir : std::string();
+}
+
 Result<BenchParams>
 benchParamsFromEnvChecked()
 {
     BenchParams p;
-    if (const char *full = std::getenv("EVRSIM_FULL");
-        full && full[0] == '1') {
+    // A 0|1 switch accepts exactly "0" or "1": "true" or "10" is a typo,
+    // not a silent no-op or a silent yes.
+    int choice = 0;
+    bool present = false;
+    auto readSwitch = [&](const char *name, bool &out) -> Status {
+        Status s = readChoiceKnob(name, {"0", "1"}, choice, present);
+        if (s.ok() && present)
+            out = choice == 1;
+        return s;
+    };
+    bool full = false;
+    if (Status s = readSwitch("EVRSIM_FULL", full); !s.ok())
+        return s;
+    if (full) {
         p.width = 1196;
         p.height = 768;
         p.frames = 60;
@@ -233,7 +251,6 @@ benchParamsFromEnvChecked()
 
     // Strictly validated numeric knobs: name, range, destination.
     long long v = 0;
-    bool present = false;
     if (Status s = readIntKnob("EVRSIM_WARMUP", 0, 1000000, v, present);
         !s.ok())
         return s;
@@ -281,8 +298,20 @@ benchParamsFromEnvChecked()
                 " quarantined copies per entry are always kept");
         !s.ok())
         return s;
+    if (Status s = rejectRetiredKnob("EVRSIM_NO_CACHE",
+                                     "set EVRSIM_CACHE_DIR=off");
+        !s.ok())
+        return s;
+    for (const char *retired : {"EVRSIM_METRICS", "EVRSIM_SUMMARY",
+                                "EVRSIM_HEARTBEAT_MS",
+                                "EVRSIM_FLEET_EVENTS"})
+        if (Status s = rejectRetiredKnob(
+                retired, "set EVRSIM_OBS=dir to put every telemetry file "
+                         "and metrics.json/metrics.prom in dir, or "
+                         "EVRSIM_OBS=0 for none");
+            !s.ok())
+            return s;
 
-    int choice = 0;
     if (Status s = readChoiceKnob("EVRSIM_LOG",
                                   {"quiet", "normal", "verbose"}, choice,
                                   present);
@@ -290,43 +319,40 @@ benchParamsFromEnvChecked()
         return s;
     if (present)
         p.log_level = static_cast<LogLevel>(choice);
-
-    if (Status s = readIntKnob("EVRSIM_HEARTBEAT_MS", 0, 86400000, v,
-                               present);
-        !s.ok())
+    if (Status s = readSwitch("EVRSIM_RESUME", p.resume); !s.ok())
         return s;
-    if (present)
-        p.heartbeat_ms = static_cast<int>(v);
-    if (const char *res = std::getenv("EVRSIM_RESUME"); res && res[0] == '1')
-        p.resume = true;
 
     Result<ValidationConfig> val = validationFromEnvChecked();
     if (!val.ok())
         return val.status();
     p.validation = val.value();
 
-    if (const char *nc = std::getenv("EVRSIM_NO_CACHE"); nc && nc[0] == '1')
-        p.use_cache = false;
-    if (const char *dir = std::getenv("EVRSIM_CACHE_DIR"))
-        p.cache_dir = dir;
-    else
-        p.cache_dir = ".bench_cache";
-
-    // Placement knobs resolved after cache_dir so "1" can mean "next to
-    // the journal".
-    if (const char *m = std::getenv("EVRSIM_METRICS")) {
-        std::string where = m;
-        if (where == "1")
-            p.metrics_dir = p.cache_dir;
-        else if (where != "0" && !where.empty())
-            p.metrics_dir = where;
-    }
-    if (const char *sm = std::getenv("EVRSIM_SUMMARY")) {
-        std::string where = sm;
-        if (where == "0" || where.empty())
-            p.write_summary = false;
-        else if (where != "1")
-            p.summary_path = where;
+    // An empty directory knob would root files at "" (the cwd) or, once
+    // joined with "/", at the filesystem root: reject it.
+    auto readDirKnob = [](const char *name, std::string &out) -> Status {
+        const char *raw = std::getenv(name);
+        if (raw == nullptr)
+            return {};
+        if (*raw == '\0')
+            return Status::invalidArgument(std::string(name) +
+                                           " is set but empty");
+        out = raw;
+        return {};
+    };
+    std::string cache_dir;
+    if (Status s = readDirKnob("EVRSIM_CACHE_DIR", cache_dir); !s.ok())
+        return s;
+    // With the cache off, the journal still lives in the default dir,
+    // for EVRSIM_RESUME=1 without a cache.
+    p.use_cache = cache_dir != "off";
+    p.cache_dir =
+        cache_dir.empty() || !p.use_cache ? ".bench_cache" : cache_dir;
+    if (Status s = readDirKnob("EVRSIM_OBS", p.obs_dir); !s.ok())
+        return s;
+    if (p.obs_dir == "0") {
+        p.obs_dir.clear();
+        p.write_summary = false;
+        p.heartbeat_ms = 0;
     }
     return p;
 }
@@ -355,8 +381,8 @@ ExperimentRunner::ExperimentRunner(WorkloadFactory factory,
     EVRSIM_ASSERT(factory_ != nullptr);
 
     // The sweep journal lives alongside the cache; it also engages with
-    // EVRSIM_NO_CACHE when a resume is explicitly requested, because the
-    // journal (not the cache) is what resume replays.
+    // EVRSIM_CACHE_DIR=off when a resume is explicitly requested,
+    // because the journal (not the cache) is what resume replays.
     if (!params_.use_cache && !params_.resume)
         return;
     std::error_code ec;
@@ -815,7 +841,7 @@ ExperimentRunner::runMemoized(const std::string &alias,
                               const SimConfig &config)
 {
     std::string key = cachePath(alias, config);
-    const bool metrics_on = !params_.metrics_dir.empty();
+    const bool metrics_on = !params_.obs_dir.empty();
 
     std::shared_ptr<MemoEntry> entry;
     {
@@ -1031,10 +1057,7 @@ ExperimentRunner::sweepStats() const
 std::string
 ExperimentRunner::heartbeatPath() const
 {
-    std::string dir = !params_.metrics_dir.empty()
-                          ? params_.metrics_dir
-                          : (params_.use_cache ? params_.cache_dir
-                                               : std::string());
+    std::string dir = params_.obsDir();
     if (dir.empty())
         return {};
     std::error_code ec;
@@ -1045,7 +1068,7 @@ ExperimentRunner::heartbeatPath() const
 Status
 ExperimentRunner::writeMetricsArtifacts()
 {
-    if (params_.metrics_dir.empty())
+    if (params_.obs_dir.empty())
         return {};
 
     // Sweep-level aggregates as gauges, refreshed at export time so the
@@ -1086,8 +1109,8 @@ ExperimentRunner::writeMetricsArtifacts()
                     static_cast<double>(params_.resolvedJobs()));
 
     std::error_code ec;
-    std::filesystem::create_directories(params_.metrics_dir, ec);
-    std::filesystem::path dir(params_.metrics_dir);
+    std::filesystem::path dir(params_.obsDir());
+    std::filesystem::create_directories(dir, ec);
     if (Status st = metricsWriteJson((dir / "metrics.json").string());
         !st.ok())
         return st;

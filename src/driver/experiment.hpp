@@ -55,7 +55,7 @@ struct BenchParams {
      *  effective; measuring from a cold start would bias every
      *  comparison by the first frame's mandatory full render. */
     int warmup = 2;
-    bool use_cache = true; ///< EVRSIM_NO_CACHE=1 disables
+    bool use_cache = true; ///< EVRSIM_CACHE_DIR=off disables
     std::string cache_dir; ///< EVRSIM_CACHE_DIR overrides
     /** Scheduler width for runAll(); 0 = hardware_concurrency,
      *  1 = serial (EVRSIM_JOBS). */
@@ -84,26 +84,30 @@ struct BenchParams {
      *  an interrupted sweep re-executes only unfinished jobs. */
     bool resume = false;
     /** Ingestion validation + invariant auditing applied to every run
-     *  whose SimConfig does not carry its own (EVRSIM_VALIDATE /
-     *  EVRSIM_VALIDATE_SAMPLE). */
+     *  whose SimConfig does not carry its own (EVRSIM_VALIDATE). */
     ValidationConfig validation;
     /** Console verbosity (EVRSIM_LOG: quiet | normal | verbose). */
     LogLevel log_level = LogLevel::Normal;
-    /** Directory receiving metrics.json/metrics.prom after a sweep
-     *  (EVRSIM_METRICS: unset or 0 = disabled, 1 = the cache dir,
-     *  anything else = that directory). Empty = metrics disabled, so
-     *  the default path records nothing. */
-    std::string metrics_dir;
-    /** Live sweep telemetry cadence in milliseconds (EVRSIM_HEARTBEAT_MS;
-     *  0 disables the heartbeat thread entirely). Each tick prints a
-     *  status line and appends a record to heartbeat.jsonl next to the
-     *  journal (or in metrics_dir when not caching). */
+    /** Telemetry directory (EVRSIM_OBS=dir). Set: every telemetry
+     *  file goes in it and per-run metrics are recorded and exported
+     *  as metrics.json/metrics.prom. Empty: the files go next to the
+     *  cache and metrics are off. See obsDir(). */
+    std::string obs_dir;
+    /** Live sweep telemetry cadence in milliseconds (0 disables the
+     *  heartbeat thread entirely; EVRSIM_OBS=0 sets 0). Each tick
+     *  prints a status line and appends a record to heartbeat.jsonl
+     *  in obsDir(). */
     int heartbeat_ms = 2000;
-    /** Emit the sweep throughput summary as a summary.json artifact
-     *  (EVRSIM_SUMMARY: 0 = off, 1/unset = default placement next to
-     *  the journal, anything else = that path). */
+    /** Write the sweep's telemetry files: a bench's summary.json and
+     *  the daemon's events.jsonl, both in obsDir() (EVRSIM_OBS=0
+     *  clears it). */
     bool write_summary = true;
-    std::string summary_path; ///< empty = <cache_dir>/summary.json
+
+    /** The one place that decides where telemetry files land: obs_dir
+     *  when set, otherwise the cache dir while the cache is on; empty
+     *  means no directory (files that need one are not written, and a
+     *  trace file falls back to the working directory). */
+    std::string obsDir() const;
 
     /** GpuConfig for these parameters (Table II otherwise). */
     GpuConfig gpuConfig() const;
@@ -114,10 +118,10 @@ struct BenchParams {
 
 /**
  * Resolve bench parameters from the environment:
- *   EVRSIM_FULL=1           paper-scale run (1196x768, 60 frames)
+ *   EVRSIM_FULL=0|1         1 = paper-scale run (1196x768, 60 frames)
  *   EVRSIM_FRAMES=n         override the frame count
- *   EVRSIM_NO_CACHE=1       ignore and do not write the result cache
- *   EVRSIM_CACHE_DIR        cache location (default: <repo>/.bench_cache)
+ *   EVRSIM_CACHE_DIR=dir    cache location (default: .bench_cache);
+ *                           `off` ignores and does not write the cache
  *   EVRSIM_JOBS=n           scheduler workers (default:
  *                           hardware_concurrency; 1 = serial path)
  *   EVRSIM_TILE_JOBS=n      tile-parallel rasterization inside each
@@ -129,37 +133,31 @@ struct BenchParams {
  *   EVRSIM_SHARDS=n         run every attempt on n shard processes
  *                           (default 0 = in-process)
  *   EVRSIM_JOB_MEM_MB=n     per-shard RLIMIT_AS in MiB (0 = unlimited)
- *   EVRSIM_RESUME=1         resume an interrupted sweep from the journal
- *   EVRSIM_VALIDATE=mode    off | permissive | strict (see validate.hpp)
- *   EVRSIM_VALIDATE_SAMPLE=r image-identity audit tile sample rate
+ *   EVRSIM_RESUME=0|1       1 = resume an interrupted sweep from the
+ *                           journal
+ *   EVRSIM_VALIDATE=mode[:rate] off | permissive | strict, with the
+ *                           image-identity tile sample rate
+ *                           (see validate.hpp)
  *   EVRSIM_LOG=level        quiet | normal | verbose console verbosity
- *   EVRSIM_METRICS=where    0 = off, 1 = cache dir, else a directory:
- *                           write metrics.json/metrics.prom per sweep
- *   EVRSIM_HEARTBEAT_MS=n   live telemetry cadence (0 = off)
- *   EVRSIM_SUMMARY=where    0 = off, 1 = next to the journal, else a
- *                           path: write summary.json per sweep
+ *   EVRSIM_OBS=where        telemetry: unset = summary, heartbeat and
+ *                           events next to the cache, metrics off;
+ *                           0 = no telemetry file and no heartbeat;
+ *                           a directory = every telemetry file there,
+ *                           plus metrics.json/metrics.prom
  *
  * Numeric knobs are validated strictly: a value that is not entirely a
  * number in the accepted range is InvalidArgument naming the variable,
- * never silently parsed as 0. The retired EVRSIM_ISOLATE is
- * InvalidArgument naming EVRSIM_SHARDS, its replacement, and the
- * retired EVRSIM_CORRUPT_KEEP is InvalidArgument (kCorruptKeep is
- * fixed).
+ * never silently parsed as 0; the 0|1 switches accept exactly 0 or 1,
+ * and an empty EVRSIM_CACHE_DIR or EVRSIM_OBS is rejected. Retired
+ * knobs (EVRSIM_ISOLATE, EVRSIM_CORRUPT_KEEP, EVRSIM_NO_CACHE,
+ * EVRSIM_METRICS, EVRSIM_SUMMARY, EVRSIM_HEARTBEAT_MS,
+ * EVRSIM_FLEET_EVENTS, EVRSIM_VALIDATE_SAMPLE) are InvalidArgument
+ * naming their replacement.
  */
 Result<BenchParams> benchParamsFromEnvChecked();
 
 /** benchParamsFromEnvChecked() that exits(1) on invalid knobs. */
 BenchParams benchParamsFromEnv();
-
-/**
- * Record one simulated run into the metrics registry: runs/frames/
- * energy counters plus every FrameStats field, labeled by (workload,
- * config), and the wall-time histogram. The experiment runner calls
- * this for its own simulations; fleet shards call it directly so the
- * control plane can aggregate the same series fleet-wide.
- */
-void recordRunMetrics(const std::string &alias, const std::string &config,
-                      const RunResult &result, double wall_ms);
 
 /** One declared simulation of a batch: (workload alias, configuration). */
 struct RunRequest {
@@ -317,11 +315,12 @@ class ExperimentRunner
      * Export the metrics registry (per-run counters recorded while
      * simulating, plus sweep-level `evrsim_sweep_*` gauges refreshed
      * from sweepStats() at call time) as metrics.json and metrics.prom
-     * in params().metrics_dir. No-op (Ok) when metrics are disabled.
+     * in params().obs_dir. No-op (Ok) when metrics are disabled.
      */
     Status writeMetricsArtifacts();
 
-    /** Where the heartbeat file goes; empty = no file (stderr only). */
+    /** heartbeat.jsonl in params().obsDir(); empty = no file (stderr
+     *  only). */
     std::string heartbeatPath() const;
 
     /** Injection state (tests assert on draw/failure counts). */

@@ -4,7 +4,7 @@
  *
  * A paper-scale sweep is hours of accumulated simulation; a SIGKILL or
  * power loss minutes before the end used to cost everything the result
- * cache had not yet absorbed (and with EVRSIM_NO_CACHE, everything).
+ * cache had not yet absorbed (and with EVRSIM_CACHE_DIR=off, everything).
  * The journal makes sweep progress itself durable: the runner appends
  * one fsync'd record when a job starts and one when it reaches a
  * terminal state (finished with its full RunResult, failed, or

@@ -65,7 +65,9 @@ serviceConfigFromEnvChecked(const BenchParams &params)
         sock && *sock != '\0')
         cfg.socket_path = sock;
     else if (!params.cache_dir.empty())
-        cfg.socket_path = params.cache_dir + "/evrsim.sock";
+        cfg.socket_path =
+            (std::filesystem::path(params.cache_dir) / "evrsim.sock")
+                .string();
     else
         cfg.socket_path = "evrsim.sock";
 
@@ -88,16 +90,12 @@ serviceConfigFromEnvChecked(const BenchParams &params)
                          "to run n local shard processes");
             !s.ok())
             return s;
-    // Lifecycle-event persistence: defaults next to the journals,
-    // EVRSIM_FLEET_EVENTS=0 disables, anything else is an explicit
-    // path. The in-memory ring serves `status` either way.
-    if (const char *ev = std::getenv("EVRSIM_FLEET_EVENTS");
-        ev && *ev != '\0') {
-        if (std::string(ev) != "0")
-            cfg.fleet.events_path = ev;
-    } else if (!params.cache_dir.empty()) {
-        cfg.fleet.events_path = params.cache_dir + "/events.jsonl";
-    }
+    // Lifecycle-event persistence goes in the telemetry dir (off with
+    // EVRSIM_OBS=0); the in-memory ring serves `status` either way.
+    if (std::string dir = params.obsDir();
+        params.write_summary && !dir.empty())
+        cfg.fleet.events_path =
+            (std::filesystem::path(dir) / "events.jsonl").string();
     return cfg;
 }
 
@@ -163,7 +161,8 @@ SweepService::requestJournalPath() const
 {
     if (params_.cache_dir.empty())
         return {};
-    return params_.cache_dir + "/service.journal";
+    return (std::filesystem::path(params_.cache_dir) / "service.journal")
+        .string();
 }
 
 Status

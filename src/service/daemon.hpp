@@ -84,10 +84,9 @@ struct ServiceConfig {
  *   EVRSIM_CLIENT_QUOTA=n     per-client bound, runs (default 64)
  * and the fleet from the bench params (fleetConfigFromParams():
  * BenchParams::shards is EVRSIM_SHARDS; the daemon binary defaults it
- * to cores/4, min 1), plus
- *   EVRSIM_FLEET_EVENTS=path  fleet lifecycle event JSONL (default
- *                             <cache_dir>/events.jsonl; 0 disables
- *                             persistence — the ring stays on)
+ * to cores/4, min 1), with the fleet lifecycle event JSONL at
+ * <params.obsDir()>/events.jsonl (none under EVRSIM_OBS=0 or without
+ * a telemetry dir; the in-memory ring stays on).
  * The retired EVRSIM_FLEET_LISTEN and EVRSIM_LEASE_MS (remote shards)
  * are InvalidArgument naming EVRSIM_SHARDS.
  */

@@ -20,6 +20,7 @@
  */
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -65,17 +66,16 @@ main(int argc, char **argv)
 
     // Arm the tracer for the daemon itself (shards arm their own on
     // their exec paths above). A default output path is
-    // rooted next to the journals; an explicit EVRSIM_TRACE=...:path
+    // rooted in the telemetry dir; an explicit EVRSIM_TRACE=...:path
     // is honored as given.
     if (Result<TraceConfig> tc = traceConfigFromEnv(); !tc.ok()) {
         fatal("%s", tc.status().message().c_str());
     } else if (tc.value().enabled()) {
         TraceConfig tcfg = tc.value();
-        std::string obs_dir = params.metrics_dir.empty()
-                                  ? params.cache_dir
-                                  : params.metrics_dir;
+        std::string obs_dir = params.obsDir();
         if (tcfg.path == TraceConfig().path && !obs_dir.empty())
-            tcfg.path = obs_dir + "/" + tcfg.path;
+            tcfg.path =
+                (std::filesystem::path(obs_dir) / tcfg.path).string();
         traceConfigure(tcfg);
     }
 

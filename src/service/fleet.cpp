@@ -72,7 +72,7 @@ writeFramedLine(int fd, Json payload, FaultInjector *faults)
 }
 
 /** The "obs_dir" field of a shardParamsJson() document (the caller's
- *  metrics-or-cache directory); empty when absent or unparseable. */
+ *  BenchParams::obsDir()); empty when absent or unparseable. */
 std::string
 shardObsDir(const std::string &params_json)
 {
@@ -89,8 +89,9 @@ shardObsDir(const std::string &params_json)
 std::string
 shardSpillPath(const std::string &obs_dir, int slot)
 {
-    std::string name = "shard-" + std::to_string(slot) + ".trace.json";
-    return obs_dir.empty() ? name : obs_dir + "/" + name;
+    return (std::filesystem::path(obs_dir) /
+            ("shard-" + std::to_string(slot) + ".trace.json"))
+        .string();
 }
 
 } // namespace
@@ -394,10 +395,6 @@ ShardFleet::awaitExec(Shard &s)
 void
 ShardFleet::shardUp(Shard &s)
 {
-    // A fresh incarnation's counters start from zero: forget the old
-    // snapshot so its metrics accumulate instead of being seen as an
-    // already-reported prefix.
-    folder_.onShardUp(s.index);
     bool first;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -646,11 +643,6 @@ ShardFleet::handleFrame(Shard &s, const Json &msg)
     const Json *type = msg.find("type");
     if (!type || type->type() != Json::Type::String)
         return;
-    // Shards piggyback their metrics-registry snapshot on pong and
-    // result frames; folding on both means a killed shard's last
-    // counters (shipped with its final result) are never lost.
-    if (const Json *mx = msg.find("mx"))
-        folder_.fold(slot, *mx);
     if (type->asString() == "pong") {
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -1197,15 +1189,10 @@ shardParamsJson(const BenchParams &params)
     v.set("sample", params.validation.tile_sample_rate);
     v.set("seed", params.validation.seed);
     j.set("validation", std::move(v));
-    // Observability home for the shard process: its trace file and
-    // metrics snapshots are rooted here so they never orphan in the
-    // shard's cwd. Prefers the metrics dir, falls back to the cache
-    // dir; empty means "no durable home" (cwd-relative fallback).
-    j.set("obs_dir", params.metrics_dir.empty() ? params.cache_dir
-                                                : params.metrics_dir);
-    // Shards record per-run metrics (and ship registry snapshots) only
-    // when the caller exports them.
-    j.set("metrics", !params.metrics_dir.empty());
+    // Observability home for the shard process: its trace spill file
+    // is rooted here so it never orphans in some other directory;
+    // empty means the shard's cwd.
+    j.set("obs_dir", params.obsDir());
     return j.dump(0);
 }
 
@@ -1272,9 +1259,8 @@ namespace {
  * Turn this process into shard @p slot: overlay @p params_json (when
  * non-empty) onto @p params; force the bare-attempt policy (no cache,
  * journal, fleet or telemetry artifacts; one job); cap the address
- * space at job_mem_mb (RLIMIT_AS); record metrics for snapshot
- * shipping when the caller exports metrics; and, when EVRSIM_TRACE is
- * set, spill the trace to <obs_dir>/shard-<slot>.trace.json.
+ * space at job_mem_mb (RLIMIT_AS); and, when EVRSIM_TRACE is set,
+ * spill the trace to <obs_dir>/shard-<slot>.trace.json.
  * InvalidArgument when the document does not parse.
  */
 Status
@@ -1284,23 +1270,16 @@ prepareShardProcess(int slot, const std::string &params_json,
     if (!params_json.empty())
         if (Status s = applyShardParams(params_json, params); !s.ok())
             return s;
-    // The caller owns the cache, the journals and the retry policy; a
-    // shard is a stream of bare attempts, so its death never loses
-    // durable state. It never writes telemetry artifacts either: the
-    // metrics dir below is purely the "record per-run metrics for
-    // snapshot shipping" flag (the gate shardExecuteRun uses), and the
-    // snapshots ride pong/result frames to the control plane.
-    const std::string obs_dir = shardObsDir(params_json);
-    Result<Json> doc = Json::tryParse(params_json);
-    const Json *metrics = doc.ok() ? doc.value().find("metrics") : nullptr;
+    // The caller owns the cache, the journals, the retry policy and the
+    // metrics: a shard is a stream of bare attempts, so its death never
+    // loses durable state, and the caller records every RunResult it
+    // gets back. The only file a shard writes is its trace spill.
     params.use_cache = false;
     params.resume = false;
     params.shards = 0;
     params.jobs = 1;
     params.heartbeat_ms = 0;
-    params.metrics_dir.clear();
-    if (metrics && metrics->type() == Json::Type::Bool && metrics->asBool())
-        params.metrics_dir = obs_dir;
+    params.obs_dir.clear();
     params.write_summary = false;
     setLogLevel(params.log_level);
 
@@ -1325,22 +1304,10 @@ prepareShardProcess(int slot, const std::string &params_json,
         return tc.status();
     if (tc.value().enabled()) {
         TraceConfig cfg = tc.value();
-        cfg.path = shardSpillPath(obs_dir, slot);
+        cfg.path = shardSpillPath(shardObsDir(params_json), slot);
         traceConfigure(cfg);
     }
     return {};
-}
-
-/** Attach the shard's metrics-registry snapshot to an outbound frame
- *  as "mx" (no-op while the registry is empty). */
-void
-attachShardMetricsSnapshot(Json &payload)
-{
-    if (metricsInstanceCount() == 0)
-        return;
-    Result<Json> doc = Json::tryParse(metricsToJson());
-    if (doc.ok())
-        payload.set("mx", std::move(doc.value()));
 }
 
 /** One run request as a shard receives it. */
@@ -1406,8 +1373,7 @@ shardAttempt(ExperimentRunner &runner, const BenchParams &params,
  * runner.jobKey() of the rebuilt config (version skew) is answered
  * InvalidArgument. The run executes under run.ctx inside a
  * worker-category "shard-run" span; the events it recorded ship as
- * "trace" (timestamps rebased to the run start) and the metrics
- * snapshot as "mx".
+ * "trace" (timestamps rebased to the run start).
  */
 Json
 shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
@@ -1432,8 +1398,6 @@ shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
         traceContextSet(run.ctx);
         t0 = traceNowNs();
     }
-    const bool metrics_on = !params.metrics_dir.empty();
-    auto wall_start = std::chrono::steady_clock::now();
     Result<RunResult> attempt = Status::internal("not run");
     {
         TraceSpan span(TraceCat::Worker, "shard-run");
@@ -1443,16 +1407,6 @@ shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
             span.setValue(static_cast<std::int64_t>(run.seq));
         }
         attempt = shardAttempt(runner, params, run);
-    }
-    if (metrics_on) {
-        double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall_start)
-                             .count();
-        metricsCounterAdd("evrsim_runs_total", 1,
-                          {{"outcome", attempt.ok() ? "ok" : "failed"}});
-        if (attempt.ok())
-            recordRunMetrics(run.workload, run.config, attempt.value(),
-                             wall_ms);
     }
 
     Json payload = Json::object();
@@ -1470,7 +1424,6 @@ shardExecuteRun(ExperimentRunner &runner, const BenchParams &params,
         payload.set("trace", traceEventsToWire(traceCollect(t0)));
         traceContextClear();
     }
-    attachShardMetricsSnapshot(payload);
     return payload;
 }
 
@@ -1536,11 +1489,6 @@ runShardAndExit(int shard_index, WorkloadFactory factory,
             Json pong = Json::object();
             pong.set("type", "pong");
             pong.set("seq", msg.value().get("seq", Json(0)));
-            // Piggyback the registry snapshot on every pong so the
-            // control plane's aggregate stays fresh between runs and
-            // a later kill cannot lose more than one ping interval
-            // of counters.
-            attachShardMetricsSnapshot(pong);
             respond(std::move(pong));
         } else if (type == "run") {
             {

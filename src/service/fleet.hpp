@@ -108,7 +108,8 @@ struct FleetConfig {
     int poll_ms = 50; ///< monitor/reader wakeup cadence
     /** JSONL mirror of the fleet lifecycle event ring (restart,
      *  breaker transitions, failover, registration); empty disables
-     *  persistence (the in-memory ring stays on). EVRSIM_FLEET_EVENTS. */
+     *  persistence (the in-memory ring stays on). The daemon puts it
+     *  at <BenchParams::obsDir()>/events.jsonl. */
     std::string events_path;
 };
 
@@ -367,8 +368,7 @@ class ShardFleet
     DegradedRunFn degraded_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
-    ShardMetricsFolder folder_; ///< shard snapshot aggregation
-    FleetEventRing events_;     ///< lifecycle event ring (+ JSONL)
+    FleetEventRing events_; ///< lifecycle event ring (+ JSONL)
 
     mutable std::mutex mu_; ///< shard health + stats
     /** Signalled (under mu_) when a shard comes up, goes down or goes

@@ -1,15 +1,12 @@
 /**
  * @file
- * Fleet observability implementation: trace-event wire form, shard
- * metrics snapshot folding, and the fleet lifecycle event ring.
+ * Fleet observability implementation: trace-event wire form and the
+ * fleet lifecycle event ring.
  */
 #include "service/fleet_obs.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-
-#include "common/metrics.hpp"
 
 namespace evrsim {
 
@@ -37,39 +34,6 @@ shippedEventToWire(const TraceShippedEvent &e)
     if (e.trace_id != 0)
         j.set("g", traceIdHex(e.trace_id));
     return j;
-}
-
-std::string
-foldKey(int slot, const std::string &name, const Json &labels)
-{
-    std::string key = std::to_string(slot);
-    key += '\x1d';
-    key += name;
-    key += '\x1d';
-    if (labels.type() == Json::Type::Object) {
-        for (const auto &kv : labels.members()) {
-            key += kv.first;
-            key += '\x1f';
-            if (kv.second.type() == Json::Type::String)
-                key += kv.second.asString();
-            key += '\x1e';
-        }
-    }
-    return key;
-}
-
-MetricLabels
-shardLabels(int slot, const Json &labels)
-{
-    MetricLabels out;
-    if (labels.type() == Json::Type::Object) {
-        for (const auto &kv : labels.members()) {
-            if (kv.second.type() == Json::Type::String)
-                out[kv.first] = kv.second.asString();
-        }
-    }
-    out["shard"] = std::to_string(slot);
-    return out;
 }
 
 } // namespace
@@ -124,133 +88,6 @@ traceEventsFromWire(const Json &wire)
         out.push_back(std::move(e));
     }
     return out;
-}
-
-void
-ShardMetricsFolder::onShardUp(int slot)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string prefix = std::to_string(slot) + '\x1d';
-    for (auto it = last_.lower_bound(prefix); it != last_.end();) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        it = last_.erase(it);
-    }
-    last_conflicts_.erase(slot);
-}
-
-void
-ShardMetricsFolder::fold(int slot, const Json &snapshot)
-{
-    if (snapshot.type() != Json::Type::Object)
-        return;
-    const Json *metrics = snapshot.find("metrics");
-    if (!metrics || metrics->type() != Json::Type::Array)
-        return;
-
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < metrics->size(); ++i) {
-        const Json &m = metrics->at(i);
-        const Json *name = m.find("name");
-        const Json *type = m.find("type");
-        if (!name || name->type() != Json::Type::String || !type ||
-            type->type() != Json::Type::String)
-            continue;
-        const Json labels = m.get("labels", Json::object());
-        const std::string &kind = type->asString();
-        std::string key = foldKey(slot, name->asString(), labels);
-        MetricLabels folded = shardLabels(slot, labels);
-
-        if (kind == "counter" || kind == "gauge") {
-            const Json *value = m.find("value");
-            if (!value || value->type() != Json::Type::Number)
-                continue;
-            double v = value->asDouble();
-            if (kind == "gauge") {
-                metricsGaugeSet(name->asString(), v, folded);
-                continue;
-            }
-            LastSeen &last = last_[key];
-            // A value below the last snapshot means the shard's
-            // registry reset under us (shouldn't happen between
-            // onShardUp calls, but fold conservatively): the whole new
-            // value is the delta.
-            double delta = v >= last.value ? v - last.value : v;
-            last.value = v;
-            if (delta > 0)
-                metricsCounterAdd(name->asString(), delta, folded);
-            continue;
-        }
-
-        if (kind != "histogram")
-            continue;
-        const Json *buckets = m.find("buckets");
-        const Json *sum = m.find("sum");
-        const Json *count = m.find("count");
-        if (!buckets || buckets->type() != Json::Type::Array || !sum ||
-            sum->type() != Json::Type::Number || !count ||
-            count->type() != Json::Type::Number)
-            continue;
-        std::vector<double> bounds;
-        std::vector<std::uint64_t> counts;
-        bool ok = true;
-        for (std::size_t b = 0; b < buckets->size(); ++b) {
-            const Json &bucket = buckets->at(b);
-            const Json *le = bucket.find("le");
-            const Json *c = bucket.find("count");
-            if (!le || !c || c->type() != Json::Type::Number) {
-                ok = false;
-                break;
-            }
-            if (le->type() == Json::Type::Number)
-                bounds.push_back(le->asDouble());
-            else if (b + 1 != buckets->size()) {
-                ok = false; // "+Inf" only valid as the last bucket
-                break;
-            }
-            counts.push_back(c->asU64());
-        }
-        if (!ok || counts.empty())
-            continue;
-        LastSeen &last = last_[key];
-        std::uint64_t total = count->asU64();
-        bool reset = last.counts.size() != counts.size() ||
-                     total < last.count;
-        std::vector<std::uint64_t> deltas(counts.size(), 0);
-        for (std::size_t b = 0; b < counts.size(); ++b) {
-            std::uint64_t prev = reset ? 0 : last.counts[b];
-            deltas[b] = counts[b] >= prev ? counts[b] - prev : counts[b];
-        }
-        double sum_delta = reset || sum->asDouble() < last.sum
-                               ? sum->asDouble()
-                               : sum->asDouble() - last.sum;
-        std::uint64_t count_delta =
-            reset ? total : total - last.count;
-        last.value = 0;
-        last.counts = counts;
-        last.sum = sum->asDouble();
-        last.count = total;
-        if (count_delta > 0)
-            metricsHistogramMergeDelta(name->asString(), folded, bounds,
-                                       deltas, sum_delta, count_delta);
-    }
-
-    // The shard's own dropped-sample tally surfaces as a per-shard
-    // counter so merge-time conflicts are visible fleet-wide.
-    const Json *conflicts = snapshot.find("type_conflicts");
-    if (conflicts && conflicts->type() == Json::Type::Number) {
-        std::uint64_t v = conflicts->asU64();
-        std::uint64_t last = last_conflicts_.count(slot)
-                                 ? last_conflicts_[slot]
-                                 : 0;
-        std::uint64_t delta = v >= last ? v - last : v;
-        last_conflicts_[slot] = v;
-        if (delta > 0)
-            metricsCounterAdd(
-                "evrsim_shard_type_conflicts_total",
-                static_cast<double>(delta),
-                {{"shard", std::to_string(slot)}});
-    }
 }
 
 FleetEventRing::FleetEventRing(std::size_t capacity)

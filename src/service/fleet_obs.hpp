@@ -1,23 +1,22 @@
 /**
  * @file
  * Fleet-wide observability plumbing: the pieces that turn per-process
- * traces and metrics into one stitched, fleet-level view.
+ * traces and lifecycle events into one fleet-level view.
  *
  *  - Trace shipping: TraceShippedEvent <-> compact JSON wire form, so
  *    a shard can attach one run's spans to its result frame and the
  *    control plane can adopt them into the merged Chrome trace
- *    (common/trace.hpp traceCollect / traceIngestRemote).
- *  - ShardMetricsFolder: folds shard metrics-registry snapshots
- *    (metricsToJson() documents piggybacked on pong and result frames)
- *    into the local registry under a shard="<slot>" label. Counters
- *    and histograms fold as deltas against the last snapshot seen from
- *    that shard incarnation, so a restarted shard's counters
- *    accumulate in the aggregate instead of double-counting or
- *    resetting; gauges overwrite.
+ *    (common/trace.hpp traceCollect / traceIngestRemote). Shard-side
+ *    timing is only visible this way.
  *  - FleetEventRing: a bounded ring of structured fleet lifecycle
  *    events (restart, breaker open/close, failover,
  *    registration), optionally persisted as JSONL, surfaced by the
  *    daemon's `status` endpoint.
+ *
+ * There is no shard metrics plane: shards record no metrics. The
+ * control plane's ExperimentRunner records every RunResult a shard
+ * returns, so its registry already covers the whole fleet, and
+ * ShardFleet::statusJson() gives the per-shard view.
  *
  * This header lives in service/ (not common/) because it speaks
  * driver/json.hpp, which common/ must not depend on.
@@ -27,7 +26,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -45,43 +43,6 @@ Json traceEventsToWire(const std::vector<TraceShippedEvent> &events);
 
 /** Parse the wire form back; malformed entries are skipped. */
 std::vector<TraceShippedEvent> traceEventsFromWire(const Json &wire);
-
-/**
- * Fold shard metrics-registry snapshots into the local registry.
- * Thread-safe; the fleet calls fold() from transport reader threads
- * and onShardUp() from the monitor/maintenance paths.
- */
-class ShardMetricsFolder
-{
-  public:
-    /**
-     * A new incarnation of @p slot is up: forget its last-seen
-     * snapshot so the fresh process's counters fold in from zero
-     * (accumulating on top of what previous incarnations contributed).
-     */
-    void onShardUp(int slot);
-
-    /**
-     * Fold one metricsToJson() document from @p slot into the local
-     * registry, adding a shard="<slot>" label to every series.
-     * Documents that do not look like a snapshot are ignored.
-     */
-    void fold(int slot, const Json &snapshot);
-
-  private:
-    struct LastSeen {
-        double value = 0;
-        std::vector<std::uint64_t> counts;
-        double sum = 0;
-        std::uint64_t count = 0;
-    };
-
-    std::mutex mu_;
-    /** (slot, name, labels) -> last folded snapshot values. */
-    std::map<std::string, LastSeen> last_;
-    /** slot -> last folded top-level type_conflicts value. */
-    std::map<int, std::uint64_t> last_conflicts_;
-};
 
 /** One structured fleet lifecycle event. */
 struct FleetEvent {

@@ -1,19 +1,22 @@
 /**
  * @file
  * Fleet-wide observability tests (DESIGN.md §16): cross-process trace
- * stitching, shard metrics aggregation, the lifecycle event ring, and
- * the live introspection surface.
+ * stitching, fleet metrics, the lifecycle event ring, and the live
+ * introspection surface.
  *
- * Unit layers first (wire round-trip, snapshot folding, Prometheus
- * escaping, the bounded event ring), then two process-level legs:
+ * Unit layers first (wire round-trip, Prometheus escaping, the bounded
+ * event ring), then two process-level legs:
  *
- *  A. A real two-shard pipe fleet swept quiet, then under chaos. The
- *     traced sweep must be byte-identical to the untraced golden run,
- *     the merged Chrome trace must contain shard spans nested inside
- *     the control plane's dispatch spans under shared trace ids, and
- *     statusJson()'s stats block must equal the exported
- *     evrsim_fleet_* counters number-for-number — including after the
- *     fleet has demonstrably restarted shards and opened breakers.
+ *  A. A real two-shard pipe fleet swept quiet, then under chaos. A
+ *     metrics-on sweep through the fleet must export the same per-run
+ *     series as the same sweep in-process, with no shard-labeled
+ *     copies. The traced sweep must be byte-identical to the untraced
+ *     golden run, the merged Chrome trace must contain shard spans
+ *     nested inside the control plane's dispatch spans under shared
+ *     trace ids, and statusJson()'s stats block must equal the
+ *     exported evrsim_fleet_* counters number-for-number — including
+ *     after the fleet has demonstrably restarted shards and opened
+ *     breakers.
  *  B. A full SweepService drain: the daemon's `status` endpoint
  *     answers over the socket, and a drained daemon leaves one
  *     parseable merged trace with the per-shard spill files cleaned
@@ -163,6 +166,34 @@ statKeys()
     return keys;
 }
 
+/** The per-run series of a metricsToJson() document (evrsim_stat_*,
+ *  evrsim_frames_simulated_total, evrsim_runs_total), keyed by name
+ *  and labels; @p shard_labeled counts series with a shard label. */
+std::map<std::string, double>
+perRunSeries(const std::string &doc_text, int &shard_labeled)
+{
+    std::map<std::string, double> out;
+    shard_labeled = 0;
+    Result<Json> doc = Json::tryParse(doc_text);
+    EXPECT_TRUE(doc.ok()) << doc.status().toString();
+    if (!doc.ok())
+        return out;
+    const Json &metrics = doc.value().at("metrics");
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        const Json &m = metrics.at(i);
+        const Json &labels = m.at("labels");
+        if (labels.find("shard"))
+            ++shard_labeled;
+        std::string name = m.get("name", Json("")).asString();
+        if (name.rfind("evrsim_stat_", 0) != 0 &&
+            name != "evrsim_frames_simulated_total" &&
+            name != "evrsim_runs_total")
+            continue;
+        out[name + labels.dump(0)] = m.get("value", Json(-1.0)).asDouble();
+    }
+    return out;
+}
+
 /** True when every stats-json field equals its exported counter. */
 bool
 statsMatchMetrics(const Json &stats, std::string *why)
@@ -178,54 +209,6 @@ statsMatchMetrics(const Json &stats, std::string *why)
         }
     }
     return true;
-}
-
-/** Build a {"metrics":[...]} shard snapshot with one counter/gauge. */
-Json
-scalarSnapshot(const std::string &name, const char *type, double value,
-               const std::map<std::string, std::string> &labels = {})
-{
-    Json labels_j = Json::object();
-    for (const auto &kv : labels)
-        labels_j.set(kv.first, kv.second);
-    Json m = Json::object();
-    m.set("name", name);
-    m.set("type", type);
-    m.set("labels", std::move(labels_j));
-    m.set("value", value);
-    Json arr = Json::array();
-    arr.push(std::move(m));
-    Json snap = Json::object();
-    snap.set("metrics", std::move(arr));
-    return snap;
-}
-
-/** Snapshot with one histogram: bounds [1, +Inf]. */
-Json
-histogramSnapshot(const std::string &name, std::uint64_t le1,
-                  std::uint64_t inf, double sum, std::uint64_t count)
-{
-    Json b0 = Json::object();
-    b0.set("le", 1.0);
-    b0.set("count", le1);
-    Json b1 = Json::object();
-    b1.set("le", "+Inf");
-    b1.set("count", inf);
-    Json buckets = Json::array();
-    buckets.push(std::move(b0));
-    buckets.push(std::move(b1));
-    Json m = Json::object();
-    m.set("name", name);
-    m.set("type", "histogram");
-    m.set("labels", Json::object());
-    m.set("buckets", std::move(buckets));
-    m.set("sum", sum);
-    m.set("count", count);
-    Json arr = Json::array();
-    arr.push(std::move(m));
-    Json snap = Json::object();
-    snap.set("metrics", std::move(arr));
-    return snap;
 }
 
 // --- Prometheus escaping (the hostile-label regression) -------------
@@ -333,80 +316,6 @@ TEST(TraceWire, IdHexRoundTripIsStrict)
     EXPECT_EQ(traceIdParse(""), 0u);
 }
 
-// --- shard metrics folding ------------------------------------------
-
-TEST(ShardMetricsFolder, CounterDeltasAccumulateAcrossRestart)
-{
-    metricsReset();
-    ShardMetricsFolder folder;
-    const std::string name = "evrsim_runs_total";
-    const MetricLabels folded = {{"shard", "3"}};
-
-    folder.fold(3, scalarSnapshot(name, "counter", 5.0));
-    EXPECT_EQ(counterOrZero(name, folded), 5.0);
-    folder.fold(3, scalarSnapshot(name, "counter", 8.0));
-    EXPECT_EQ(counterOrZero(name, folded), 8.0);
-    folder.fold(3, scalarSnapshot(name, "counter", 8.0)); // idempotent
-    EXPECT_EQ(counterOrZero(name, folded), 8.0);
-
-    // A restarted shard's counters start over at zero; the fold must
-    // accumulate across the incarnation boundary, never regress.
-    folder.onShardUp(3);
-    folder.fold(3, scalarSnapshot(name, "counter", 2.0));
-    EXPECT_EQ(counterOrZero(name, folded), 10.0);
-
-    // Another slot folds into its own labeled instance.
-    folder.fold(1, scalarSnapshot(name, "counter", 4.0));
-    EXPECT_EQ(counterOrZero(name, {{"shard", "1"}}), 4.0);
-    EXPECT_EQ(counterOrZero(name, folded), 10.0);
-}
-
-TEST(ShardMetricsFolder, GaugesOverwriteAndConflictsStick)
-{
-    metricsReset();
-    ShardMetricsFolder folder;
-
-    folder.fold(0, scalarSnapshot("evrsim_depth", "gauge", 4.0));
-    EXPECT_EQ(counterOrZero("evrsim_depth", {{"shard", "0"}}), 4.0);
-    folder.fold(0, scalarSnapshot("evrsim_depth", "gauge", 2.0));
-    EXPECT_EQ(counterOrZero("evrsim_depth", {{"shard", "0"}}), 2.0);
-
-    // Sticky types: a shard shipping the same name as a different
-    // type is a dropped sample and a visible conflict, not a silent
-    // re-type of the local series.
-    metricsCounterAdd("evrsim_mixed_total", 1.0);
-    std::uint64_t before = metricsTypeConflicts();
-    folder.fold(2, scalarSnapshot("evrsim_mixed_total", "gauge", 9.0));
-    EXPECT_GT(metricsTypeConflicts(), before);
-    EXPECT_EQ(counterOrZero("evrsim_mixed_total"), 1.0);
-}
-
-TEST(ShardMetricsFolder, HistogramFoldAndShardConflictTally)
-{
-    metricsReset();
-    ShardMetricsFolder folder;
-    const std::string name = "evrsim_run_wall_ms";
-
-    folder.fold(1, histogramSnapshot(name, 2, 3, 7.0, 5));
-    // metricsValue returns a histogram's sum.
-    EXPECT_EQ(counterOrZero(name, {{"shard", "1"}}), 7.0);
-    folder.fold(1, histogramSnapshot(name, 3, 4, 9.0, 7)); // delta 2
-    EXPECT_EQ(counterOrZero(name, {{"shard", "1"}}), 9.0);
-
-    // The shard's own type_conflicts tally surfaces per-shard.
-    Json snap = histogramSnapshot(name, 3, 4, 9.0, 7);
-    snap.set("type_conflicts", 2.0);
-    folder.fold(1, snap);
-    EXPECT_EQ(counterOrZero("evrsim_shard_type_conflicts_total",
-                            {{"shard", "1"}}),
-              2.0);
-    snap.set("type_conflicts", 5.0);
-    folder.fold(1, snap);
-    EXPECT_EQ(counterOrZero("evrsim_shard_type_conflicts_total",
-                            {{"shard", "1"}}),
-              5.0);
-}
-
 // --- the lifecycle event ring ---------------------------------------
 
 TEST(FleetEventRing, BoundedRingPersistsJsonl)
@@ -490,6 +399,54 @@ TEST(FleetObsSoak, StitchedTraceAndStatusMatchMetrics)
         fleet.stop();
     }
     ASSERT_EQ(golden.size(), obsPairs().size());
+
+    // --- Leg A2: metrics on, the same sweep through a runner on the
+    // fleet and in-process. Shards record no metrics; the runner
+    // records every RunResult a shard returns, so no series carries a
+    // shard label and the per-run series equal the in-process sweep's
+    // number for number.
+    {
+        BenchParams mparams = params;
+        mparams.obs_dir = dir;
+        std::vector<RunRequest> reqs;
+        for (const auto &[alias, config_name] : obsPairs())
+            reqs.push_back(
+                {alias, configByName(config_name, mparams.gpuConfig())
+                            .value()});
+        metricsReset();
+        {
+            ShardFleet fleet(obsFleetConfig(mparams),
+                             degradedRunner(fallback));
+            ASSERT_TRUE(fleet.start().ok());
+            ExperimentRunner runner(workloads::factory(), mparams,
+                                    FaultPlan{});
+            runner.setWorkerLauncher(
+                [&fleet](const std::string &alias,
+                         const SimConfig &config,
+                         const std::string &key) {
+                    return fleet.execute(alias, config, key);
+                });
+            ASSERT_TRUE(runner.runAllChecked(reqs).ok());
+            EXPECT_EQ(fleet.stats().completed, reqs.size());
+            fleet.stop();
+        }
+        int fleet_shard_labeled = 0;
+        std::map<std::string, double> on_fleet =
+            perRunSeries(metricsToJson(), fleet_shard_labeled);
+        metricsReset();
+        {
+            ExperimentRunner runner(workloads::factory(), mparams,
+                                    FaultPlan{});
+            ASSERT_TRUE(runner.runAllChecked(reqs).ok());
+        }
+        int local_shard_labeled = 0;
+        std::map<std::string, double> in_process =
+            perRunSeries(metricsToJson(), local_shard_labeled);
+        EXPECT_EQ(fleet_shard_labeled, 0);
+        EXPECT_EQ(local_shard_labeled, 0);
+        EXPECT_FALSE(in_process.empty());
+        EXPECT_EQ(on_fleet, in_process);
+    }
 
     // --- Leg B: the same sweep fully traced. Observability must not
     // change a single result byte (the paper's figures depend on it).
@@ -700,6 +657,9 @@ TEST(FleetObsService, StatusEndpointAndDrainedTraceFlush)
     ::unsetenv("EVRSIM_FAULT");
     std::string dir = freshDir("svc");
     BenchParams params = obsParams(dir);
+    // The shards spill their traces into the telemetry dir, where the
+    // drain must clean them up.
+    params.obs_dir = dir;
 
     std::string trace_path = dir + "/svc_trace.json";
     ::setenv("EVRSIM_TRACE", "driver,worker", 1); // shard children

@@ -27,6 +27,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -813,6 +814,109 @@ TEST(BenchParamsEnv, RetiredCorruptKeepKnobIsFatal)
     EXPECT_NE(p.status().message().find("EVRSIM_CORRUPT_KEEP is retired"),
               std::string::npos)
         << p.status().message();
+}
+
+TEST(BenchParamsEnv, EmptyDirectoryKnobsAreRejectedNamingTheKnob)
+{
+    // An empty EVRSIM_CACHE_DIR used to root summary.json at
+    // "" + "/summary.json", the filesystem root.
+    for (const char *knob : {"EVRSIM_CACHE_DIR", "EVRSIM_OBS"}) {
+        setenv(knob, "", 1);
+        Result<BenchParams> p = benchParamsFromEnvChecked();
+        unsetenv(knob);
+        ASSERT_FALSE(p.ok()) << knob;
+        EXPECT_EQ(p.status().code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(p.status().message().find(knob), std::string::npos)
+            << p.status().message();
+    }
+}
+
+TEST(BenchParamsEnv, CacheDirOffAndObsPlaceEveryTelemetryFile)
+{
+    unsetenv("EVRSIM_CACHE_DIR");
+    unsetenv("EVRSIM_OBS");
+    BenchParams def = benchParamsFromEnv();
+    EXPECT_TRUE(def.use_cache);
+    EXPECT_EQ(def.cache_dir, ".bench_cache");
+    EXPECT_TRUE(def.obs_dir.empty()); // metrics off
+    EXPECT_EQ(def.obsDir(), ".bench_cache");
+    EXPECT_TRUE(def.write_summary);
+    EXPECT_EQ(def.heartbeat_ms, 2000);
+
+    setenv("EVRSIM_CACHE_DIR", "off", 1);
+    BenchParams off = benchParamsFromEnv();
+    EXPECT_FALSE(off.use_cache);
+    EXPECT_EQ(off.obsDir(), ""); // no cache, no telemetry dir
+
+    setenv("EVRSIM_OBS", "/tmp/obs", 1);
+    BenchParams obs = benchParamsFromEnv();
+    EXPECT_FALSE(obs.use_cache);
+    EXPECT_EQ(obs.obs_dir, "/tmp/obs"); // metrics on
+    EXPECT_EQ(obs.obsDir(), "/tmp/obs");
+    EXPECT_TRUE(obs.write_summary);
+    EXPECT_EQ(obs.heartbeat_ms, 2000);
+    unsetenv("EVRSIM_CACHE_DIR");
+
+    setenv("EVRSIM_OBS", "0", 1);
+    BenchParams none = benchParamsFromEnv();
+    EXPECT_TRUE(none.obs_dir.empty());
+    EXPECT_FALSE(none.write_summary);
+    EXPECT_EQ(none.heartbeat_ms, 0);
+    unsetenv("EVRSIM_OBS");
+}
+
+TEST(BenchParamsEnv, SwitchesAcceptExactlyZeroOrOne)
+{
+    for (const char *knob : {"EVRSIM_RESUME", "EVRSIM_FULL"}) {
+        // EVRSIM_RESUME=true used to not resume, EVRSIM_FULL=10 used
+        // to switch paper scale on.
+        for (const char *bad : {"true", "10", "yes", ""}) {
+            setenv(knob, bad, 1);
+            Result<BenchParams> p = benchParamsFromEnvChecked();
+            ASSERT_FALSE(p.ok()) << knob << "=" << bad;
+            EXPECT_NE(p.status().message().find(knob), std::string::npos)
+                << p.status().message();
+        }
+        unsetenv(knob);
+    }
+    setenv("EVRSIM_RESUME", "1", 1);
+    setenv("EVRSIM_FULL", "1", 1);
+    BenchParams on = benchParamsFromEnv();
+    EXPECT_TRUE(on.resume);
+    EXPECT_EQ(on.width, 1196);
+    EXPECT_EQ(on.frames, 60);
+    setenv("EVRSIM_RESUME", "0", 1);
+    setenv("EVRSIM_FULL", "0", 1);
+    BenchParams off = benchParamsFromEnv();
+    EXPECT_FALSE(off.resume);
+    EXPECT_EQ(off.width, BenchParams{}.width);
+    EXPECT_EQ(off.frames, BenchParams{}.frames);
+    unsetenv("EVRSIM_RESUME");
+    unsetenv("EVRSIM_FULL");
+}
+
+TEST(BenchParamsEnv, RetiredTelemetryAndCacheKnobsNameTheirReplacement)
+{
+    const std::pair<const char *, const char *> retired[] = {
+        {"EVRSIM_METRICS", "EVRSIM_OBS=dir"},
+        {"EVRSIM_SUMMARY", "EVRSIM_OBS=dir"},
+        {"EVRSIM_HEARTBEAT_MS", "EVRSIM_OBS=dir"},
+        {"EVRSIM_FLEET_EVENTS", "EVRSIM_OBS=dir"},
+        {"EVRSIM_NO_CACHE", "EVRSIM_CACHE_DIR=off"},
+        {"EVRSIM_VALIDATE_SAMPLE", "EVRSIM_VALIDATE=mode:rate"},
+    };
+    for (const auto &[knob, replacement] : retired) {
+        setenv(knob, "1", 1);
+        Result<BenchParams> p = benchParamsFromEnvChecked();
+        unsetenv(knob);
+        ASSERT_FALSE(p.ok()) << knob;
+        EXPECT_EQ(p.status().code(), ErrorCode::InvalidArgument);
+        const std::string &msg = p.status().message();
+        EXPECT_NE(msg.find(std::string(knob) + " is retired"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(replacement), std::string::npos) << msg;
+    }
 }
 
 // --------------------------------------------------------------- main --

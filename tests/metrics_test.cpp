@@ -180,7 +180,7 @@ TEST_F(MetricsTest, EscapesHostileLabelValues)
 }
 
 /**
- * End to end: a sweep with EVRSIM_METRICS-style recording exports a
+ * End to end: a sweep with EVRSIM_OBS=dir-style recording exports a
  * metrics.json whose totals equal the runner's printed accounting.
  */
 TEST_F(MetricsTest, SweepArtifactTotalsMatchSweepStats)
@@ -198,7 +198,7 @@ TEST_F(MetricsTest, SweepArtifactTotalsMatchSweepStats)
     params.use_cache = false;
     params.jobs = 2;
     params.heartbeat_ms = 0;
-    params.metrics_dir = dir.string();
+    params.obs_dir = dir.string();
     ExperimentRunner runner(workloads::factory(), params);
 
     std::vector<RunRequest> reqs;

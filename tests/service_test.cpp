@@ -832,6 +832,28 @@ TEST(ServiceKnobs, TypoedKnobFailsNamingTheVariable)
     EXPECT_EQ(defaults.value().fleet.shards, 0);
 }
 
+TEST(ServiceKnobs, EventsFileLandsInTheTelemetryDir)
+{
+    BenchParams params = tinyParams("/tmp/x");
+    params.write_summary = true;
+    Result<ServiceConfig> next_to_cache =
+        serviceConfigFromEnvChecked(params);
+    ASSERT_TRUE(next_to_cache.ok());
+    EXPECT_EQ(next_to_cache.value().fleet.events_path,
+              "/tmp/x/events.jsonl");
+
+    params.obs_dir = "/tmp/obs";
+    Result<ServiceConfig> in_obs = serviceConfigFromEnvChecked(params);
+    ASSERT_TRUE(in_obs.ok());
+    EXPECT_EQ(in_obs.value().fleet.events_path, "/tmp/obs/events.jsonl");
+
+    // EVRSIM_OBS=0 clears write_summary: no events file.
+    params.write_summary = false;
+    Result<ServiceConfig> none = serviceConfigFromEnvChecked(params);
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(none.value().fleet.events_path, "");
+}
+
 TEST(ServiceKnobs, RetiredRemoteShardKnobsFailNamingShards)
 {
     BenchParams params = tinyParams("/tmp/x");

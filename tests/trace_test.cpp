@@ -345,7 +345,7 @@ TEST_F(TraceTest, SmokeSweepProducesAllObservabilityArtifacts)
     traceConfigure(cfg);
 
     BenchParams params = smokeParams(2);
-    params.metrics_dir = dir.string();
+    params.obs_dir = dir.string();
     params.heartbeat_ms = 25;
     ExperimentRunner runner(workloads::factory(), params);
 
