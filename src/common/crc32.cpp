@@ -8,17 +8,17 @@
  *
  *  - update() consumes 8 bytes per step with a slice-by-8 table fan-in
  *    (same polynomial division, just restructured XOR order);
- *  - combine() memoizes the zero-padding operator per block length. The
- *    operator is a pure function of len_b, and the simulator combines
- *    millions of blocks drawn from a handful of attribute sizes, so the
- *    expensive matrix-exponentiation runs once per distinct length and
- *    every later combine is a single 32-bit matrix-vector product.
+ *  - combine() keeps the zero-padding operator of recent block lengths
+ *    as byte tables, per thread. The operator is a pure function of
+ *    len_b, and the simulator combines millions of blocks drawn from a
+ *    handful of attribute sizes, so the matrix exponentiation runs once
+ *    per length per thread, and every later combine is four table
+ *    lookups with no lock.
  */
 #include "common/crc32.hpp"
 
 #include <array>
-#include <mutex>
-#include <unordered_map>
+#include <bit>
 
 namespace evrsim {
 
@@ -140,19 +140,55 @@ buildZeroOperator(std::uint64_t len)
     return out;
 }
 
-/** Memoized zero operators keyed by block length. Guarded by a mutex:
- *  lookups are two orders of magnitude cheaper than one matrix build,
- *  and concurrent tile workers may combine during parallel raster. */
-const ZeroOperator &
-zeroOperatorFor(std::uint64_t len)
+/**
+ * The zero operator of one block length as four byte tables. The
+ * operator is linear over GF(2), so applying it to a CRC splits by
+ * byte: M * c = T0[c & 255] ^ T1[(c >> 8) & 255] ^ T2[(c >> 16) & 255]
+ * ^ T3[c >> 24], with Tk[b] = M * (b << 8k). Exactly the matrix-vector
+ * product, in four lookups.
+ */
+struct ZeroTables {
+    std::uint64_t len = 0; ///< 0: empty slot (combine never asks for it)
+    std::array<std::array<std::uint32_t, 256>, 4> t{};
+};
+
+void
+buildZeroTables(ZeroTables &z, std::uint64_t len)
 {
-    static std::mutex mu;
-    static std::unordered_map<std::uint64_t, ZeroOperator> cache;
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(len);
-    if (it == cache.end())
-        it = cache.emplace(len, buildZeroOperator(len)).first;
-    return it->second;
+    const ZeroOperator op = buildZeroOperator(len);
+    for (int k = 0; k < 4; ++k) {
+        std::array<std::uint32_t, 256> &tk = z.t[static_cast<std::size_t>(k)];
+        tk[0] = 0;
+        // Tk[b] = Tk[b without its lowest set bit] ^ column of that bit.
+        for (unsigned b = 1; b < 256; ++b)
+            tk[b] = tk[b & (b - 1)] ^ op.mat[static_cast<std::size_t>(
+                                          8 * k + std::countr_zero(b))];
+    }
+    z.len = len;
+}
+
+/** Per-thread tables of the last few block lengths. The simulator
+ *  combines blocks of a handful of attribute sizes, so a 4-slot cache
+ *  hits almost always; owning it per thread keeps every combine free
+ *  of locks and shared writes. Built once per length per thread. */
+struct ZeroTableCache {
+    std::array<ZeroTables, 4> slot;
+    unsigned victim = 0; ///< round-robin replacement
+};
+
+thread_local ZeroTableCache t_zero_tables;
+
+const ZeroTables &
+zeroTablesFor(std::uint64_t len)
+{
+    ZeroTableCache &c = t_zero_tables;
+    for (const ZeroTables &z : c.slot)
+        if (z.len == len)
+            return z;
+    ZeroTables &z = c.slot[c.victim];
+    c.victim = (c.victim + 1) % c.slot.size();
+    buildZeroTables(z, len);
+    return z;
 }
 
 } // namespace
@@ -196,8 +232,9 @@ Crc32::combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b)
     // Degenerate case: appending an empty block changes nothing.
     if (len_b == 0)
         return crc_a;
-    const ZeroOperator &op = zeroOperatorFor(len_b);
-    return gf2MatrixTimes(op.mat.data(), crc_a) ^ crc_b;
+    const ZeroTables &z = zeroTablesFor(len_b);
+    return z.t[0][crc_a & 0xffu] ^ z.t[1][(crc_a >> 8) & 0xffu] ^
+           z.t[2][(crc_a >> 16) & 0xffu] ^ z.t[3][crc_a >> 24] ^ crc_b;
 }
 
 } // namespace evrsim

@@ -201,7 +201,7 @@ promSanitizeLabelName(const std::string &s)
         out += ok ? c : '_';
     }
     if (out.empty())
-        out = "_";
+        out += '_';
     return out;
 }
 

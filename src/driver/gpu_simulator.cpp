@@ -48,6 +48,7 @@ GpuSimulator::setTileExecution(JobPool *pool, int tile_jobs)
 {
     if (tile_jobs <= 1) {
         raster_.setTileExecution(nullptr, 1);
+        geometry_.setExecution(nullptr, 1);
         owned_tile_pool_.reset();
         return;
     }
@@ -58,6 +59,7 @@ GpuSimulator::setTileExecution(JobPool *pool, int tile_jobs)
         pool = owned_tile_pool_.get();
     }
     raster_.setTileExecution(pool, tile_jobs);
+    geometry_.setExecution(pool, tile_jobs);
 }
 
 void
@@ -88,9 +90,9 @@ GpuSimulator::renderFrameImpl(const Scene &scene, FrameStats stats)
     // Frame + stage spans (simulation altitude): tracing reads state,
     // never writes it, so an enabled tracer cannot perturb results.
     // The geometry span covers binning too: this is a tile-based
-    // renderer whose geometry pipeline bins each primitive as it
-    // processes it (single interleaved pass), so there is no separate
-    // binning phase to delimit.
+    // renderer whose geometry pipeline bins each chunk of primitives as
+    // it commits it (interleaved with the shading of later chunks), so
+    // there is no separate binning phase to delimit.
     TraceSpan frame_span(TraceCat::Frame, "frame");
     frame_span.setValue(frames_rendered_);
 

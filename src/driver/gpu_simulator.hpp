@@ -69,10 +69,13 @@ class GpuSimulator
     FrameStats renderFrame(const Scene &scene);
 
     /**
-     * Enable tile-parallel rasterization (EVRSIM_TILE_JOBS): tiles are
-     * rendered concurrently and their memory-access logs replayed in
-     * tile order, keeping every result byte-identical to the serial
-     * path (see RasterPipeline::setTileExecution).
+     * Enable parallelism inside the simulation (EVRSIM_TILE_JOBS):
+     * tiles are rendered concurrently and their memory-access logs
+     * replayed in tile order, and the geometry pass's per-primitive
+     * stage runs in chunks committed in submission order, keeping every
+     * result byte-identical to the serial path (see
+     * RasterPipeline::setTileExecution and
+     * GeometryPipeline::setExecution).
      *
      * @param pool      pool to run tile jobs on; pass null to let the
      *                  simulator own a pool of @p tile_jobs workers

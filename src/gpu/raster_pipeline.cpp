@@ -4,15 +4,11 @@
  */
 #include "gpu/raster_pipeline.hpp"
 
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <optional>
 
 #include "common/crash_handler.hpp"
 #include "common/log.hpp"
+#include "common/ordered_stream.hpp"
 #include "common/trace.hpp"
 #include "gpu/invariant_auditor.hpp"
 #include "gpu/rasterizer.hpp"
@@ -49,6 +45,14 @@ struct TileScratch {
 };
 
 thread_local TileScratch t_scratch;
+
+/** Names @p tile in this thread's crash context for the scope. */
+struct CrashTileScope {
+    explicit CrashTileScope(int tile) { crashContextSetTile(tile); }
+    ~CrashTileScope() { crashContextSetTile(-1); }
+    CrashTileScope(const CrashTileScope &) = delete;
+    CrashTileScope &operator=(const CrashTileScope &) = delete;
+};
 
 constexpr std::uint32_t kNoZWinner = ~std::uint32_t{0};
 
@@ -644,7 +648,7 @@ RasterPipeline::renderAndReplayTile(int tile, const Scene &scene,
                                     const RasterHooks &hooks,
                                     FrameStats &frame)
 {
-    crashContextSetTile(tile);
+    CrashTileScope crash_tile(tile);
     // Per-tile span: the hottest category, so it honours the
     // EVRSIM_TRACE tile/N sampling filter (a disabled or sampled-out
     // span is one relaxed load + one branch).
@@ -676,7 +680,6 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
         for (int tile = 0; tile < tiles; ++tile)
             renderAndReplayTile(tile, scene, pb, fb, has_prev_frame, hooks,
                                 frame);
-        crashContextSetTile(-1);
     } else {
         runStreaming(scene, pb, fb, has_prev_frame, hooks, frame);
     }
@@ -690,149 +693,53 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
     stats.accumulate(frame);
 }
 
-namespace {
-
-/** Progress of one tile through the streaming claim loop. */
-enum TileState : int { kTilePending, kTileRendered, kTileFailed };
-
-/** One tile's hand-off from the thread that rendered it to the
- *  replaying owner. */
-struct TileSlot {
-    /** Stored (release, under the owner's mutex) once stats and log,
-     *  or error, are final. */
-    std::atomic<int> state{kTilePending};
-    FrameStats stats;
-    std::optional<TileMemLog> log;
-    std::exception_ptr error;
-};
-
-} // namespace
-
 void
 RasterPipeline::runStreaming(const Scene &scene, const ParameterBuffer &pb,
                              Framebuffer &fb, bool has_prev_frame,
                              const RasterHooks &hooks, FrameStats &frame)
 {
-    // Tiles are claimed in order from a shared cursor and render
-    // concurrently, each recording its memory accesses in a
-    // TileMemLog. Job 0, the owner, walks the tiles in order and
-    // replays each one's log as soon as it has rendered, while later
-    // tiles are still rendering: the MemorySystem sees the serial
-    // renderer's global access stream (same cache contents, hit rates
-    // and latencies), and per-tile stats merge in tile order
-    // (raster_cycles only after the replayed latencies landed).
-    //
-    // When the owner's next tile is still unclaimed it claims it,
-    // renders it into its thread's log and replays it at once, since
-    // every earlier tile has been replayed. While another thread is
-    // rendering it, the owner renders the first unclaimed tile into a
-    // log instead of idling, and sleeps only once every tile has been
-    // claimed. So the owner only ever waits for tiles that running
-    // threads are rendering, and on a saturated or 1-thread pool the
-    // loop is the serial path.
+    // Tiles render concurrently on the ordered stream, each recording
+    // its memory accesses in a TileMemLog of its own. The owner replays
+    // each tile's log as soon as that tile and every earlier one have
+    // rendered, while later tiles are still rendering: the MemorySystem
+    // sees the serial renderer's global access stream (same cache
+    // contents, hit rates and latencies), and per-tile stats merge in
+    // tile order (raster_cycles only after the replayed latencies
+    // landed). An unclaimed next tile renders into the owner thread's
+    // log and replays at once, as on the serial path. The window is
+    // the whole frame: a log lives from its render to its replay.
+    struct TileSlot {
+        FrameStats stats;
+        std::optional<TileMemLog> log;
+    };
     const int tiles = config_.tileCount();
     const unsigned units = mem_.config().num_texture_caches;
     const unsigned line_bytes = mem_.config().texture_cache.line_bytes;
     std::vector<TileSlot> slots(static_cast<std::size_t>(tiles));
-    std::atomic<int> cursor{0};
-    /** Set by the first tile that throws: no tile after it is needed. */
-    std::atomic<bool> failed{false};
-    int failed_tile = -1; ///< lowest tile that threw (owner-written)
-    // The owner sleeps on `published` while its next tile renders;
-    // states are stored under `mu`, so none lands between the owner's
-    // locked re-check and its wait.
-    std::mutex mu;
-    std::condition_variable published;
 
-    // Claim the next tile and render it into its slot's log; false
-    // once every tile is claimed or one has failed.
-    auto render_next = [&] {
-        if (failed.load(std::memory_order_relaxed))
-            return false;
-        const int tile = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (tile >= tiles)
-            return false;
+    OrderedStreamSteps steps;
+    steps.produce = [&](int tile) {
         TileSlot &slot = slots[static_cast<std::size_t>(tile)];
-        int state = kTileRendered;
-        try {
-            crashContextSetTile(tile);
-            TraceSpan tile_span(TraceCat::Tile, "tile");
-            tile_span.setValue(tile);
-            slot.log.emplace(units, line_bytes);
-            renderTile(tile, scene, pb, fb, has_prev_frame, hooks,
-                       slot.stats, *slot.log);
-        } catch (...) {
-            slot.error = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-            state = kTileFailed;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            slot.state.store(state, std::memory_order_release);
-        }
-        published.notify_one();
-        return true;
+        CrashTileScope crash_tile(tile);
+        TraceSpan tile_span(TraceCat::Tile, "tile");
+        tile_span.setValue(tile);
+        slot.log.emplace(units, line_bytes);
+        renderTile(tile, scene, pb, fb, has_prev_frame, hooks, slot.stats,
+                   *slot.log);
     };
-
-    auto render_claimed = [&] {
-        while (render_next()) {
-        }
-        crashContextSetTile(-1);
+    steps.consume = [&](int tile) {
+        TileSlot &slot = slots[static_cast<std::size_t>(tile)];
+        FrameStats &ts = slot.stats;
+        ts.raster_mem_latency += slot.log->replay(mem_);
+        slot.log.reset(); // bounds live logs to the rendering window
+        ts.raster_cycles = timing_.tileCycles(ts);
+        frame.accumulate(ts);
     };
-
-    auto replay_in_order = [&] {
-        for (int tile = 0; tile < tiles; ++tile) {
-            TileSlot &slot = slots[static_cast<std::size_t>(tile)];
-            int unclaimed = tile;
-            if (cursor.compare_exchange_strong(unclaimed, tile + 1,
-                                               std::memory_order_relaxed)) {
-                try {
-                    renderAndReplayTile(tile, scene, pb, fb,
-                                        has_prev_frame, hooks, frame);
-                } catch (...) {
-                    slot.error = std::current_exception();
-                    failed.store(true, std::memory_order_relaxed);
-                    failed_tile = tile;
-                    break;
-                }
-                continue;
-            }
-            int state = slot.state.load(std::memory_order_acquire);
-            while (state == kTilePending && render_next())
-                state = slot.state.load(std::memory_order_acquire);
-            if (state == kTilePending) {
-                std::unique_lock<std::mutex> lock(mu);
-                published.wait(lock, [&] {
-                    state = slot.state.load(std::memory_order_acquire);
-                    return state != kTilePending;
-                });
-            }
-            if (state == kTileFailed) {
-                failed_tile = tile;
-                break;
-            }
-            FrameStats &ts = slot.stats;
-            ts.raster_mem_latency += slot.log->replay(mem_);
-            slot.log.reset(); // bounds live logs to the rendering window
-            ts.raster_cycles = timing_.tileCycles(ts);
-            frame.accumulate(ts);
-        }
-        crashContextSetTile(-1);
+    steps.produce_and_consume = [&](int tile) {
+        renderAndReplayTile(tile, scene, pb, fb, has_prev_frame, hooks,
+                            frame);
     };
-
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(static_cast<std::size_t>(tile_jobs_));
-    jobs.emplace_back(replay_in_order);
-    for (int i = 1; i < tile_jobs_; ++i)
-        jobs.emplace_back(render_claimed);
-    tile_pool_->runBatch(std::move(jobs));
-    crashContextSetTile(-1);
-
-    // Every tile before failed_tile rendered cleanly, so its error is
-    // the lowest-index one, whichever threads ran which tiles.
-    if (failed_tile >= 0)
-        std::rethrow_exception(
-            slots[static_cast<std::size_t>(failed_tile)].error);
+    runOrderedStream(*tile_pool_, tile_jobs_, tiles, tiles, steps);
 }
 
 } // namespace evrsim

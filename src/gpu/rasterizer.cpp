@@ -28,6 +28,46 @@ RasterScratch::ensure(std::size_t width)
 namespace {
 
 /**
+ * The perspective-correct lanes of a span: color (@p Rgb), alpha
+ * (@p Alpha) and UV (@p Uv) all divide by the same b0*i0 + b1*i1 +
+ * b2*i2, so one reciprocal per fragment serves them all.
+ */
+template <bool Rgb, bool Alpha, bool Uv>
+void
+perspectiveSpan(const ShadedVertex &v0, const ShadedVertex &v1,
+                const ShadedVertex &v2, int n, const float *__restrict b0,
+                const float *__restrict b1, const float *__restrict b2,
+                float *__restrict r, float *__restrict g,
+                float *__restrict b, float *__restrict a,
+                float *__restrict u, float *__restrict v)
+{
+    const float i0 = v0.inv_w, i1 = v1.inv_w, i2 = v2.inv_w;
+    const float r0 = v0.color.x, r1 = v1.color.x, r2 = v2.color.x;
+    const float g0 = v0.color.y, g1 = v1.color.y, g2 = v2.color.y;
+    const float c0 = v0.color.z, c1 = v1.color.z, c2 = v2.color.z;
+    const float a0 = v0.color.w, a1 = v1.color.w, a2 = v2.color.w;
+    const float u0 = v0.uv.x * i0, u1 = v1.uv.x * i1, u2 = v2.uv.x * i2;
+    const float t0 = v0.uv.y * i0, t1 = v1.uv.y * i1, t2 = v2.uv.y * i2;
+    for (int k = 0; k < n; ++k) {
+        const float p0 = b0[k] * i0;
+        const float p1 = b1[k] * i1;
+        const float p2 = b2[k] * i2;
+        const float rw = 1.0f / (p0 + p1 + p2);
+        if constexpr (Rgb) {
+            r[k] = (r0 * p0 + r1 * p1 + r2 * p2) * rw;
+            g[k] = (g0 * p0 + g1 * p1 + g2 * p2) * rw;
+            b[k] = (c0 * p0 + c1 * p1 + c2 * p2) * rw;
+        }
+        if constexpr (Alpha)
+            a[k] = (a0 * p0 + a1 * p1 + a2 * p2) * rw;
+        if constexpr (Uv) {
+            u[k] = (u0 * b0[k] + u1 * b1[k] + u2 * b2[k]) * rw;
+            v[k] = (t0 * b0[k] + t1 * b1[k] + t2 * b2[k]) * rw;
+        }
+    }
+}
+
+/**
  * Interpolate the @p attrs lanes of a span from its barycentrics.
  * Each lane evaluates Rasterizer::interpolate's expression trees in the
  * same order (no reassociation; the build does not contract to FMA), so
@@ -46,43 +86,29 @@ interpolateSpan(const ShadedVertex &v0, const ShadedVertex &v1,
     // arrays, which lets the compiler vectorize them without aliasing
     // checks.
     const float d0 = v0.depth, d1 = v1.depth, d2 = v2.depth;
-    const float i0 = v0.inv_w, i1 = v1.inv_w, i2 = v2.inv_w;
     if (attrs & kSpanDepth) {
         for (int k = 0; k < n; ++k)
             depth[k] = b0[k] * d0 + b1[k] * d1 + b2[k] * d2;
     }
-    const float a0 = v0.color.w, a1 = v1.color.w, a2 = v2.color.w;
+    // RGB implies alpha (the color lanes are written together).
+    const bool uv = (attrs & kSpanUv) != 0;
     if (attrs & kSpanRgb) {
-        const float r0 = v0.color.x, r1 = v1.color.x, r2 = v2.color.x;
-        const float g0 = v0.color.y, g1 = v1.color.y, g2 = v2.color.y;
-        const float c0 = v0.color.z, c1 = v1.color.z, c2 = v2.color.z;
-        for (int k = 0; k < n; ++k) {
-            const float p0 = b0[k] * i0;
-            const float p1 = b1[k] * i1;
-            const float p2 = b2[k] * i2;
-            const float rw = 1.0f / (p0 + p1 + p2);
-            r[k] = (r0 * p0 + r1 * p1 + r2 * p2) * rw;
-            g[k] = (g0 * p0 + g1 * p1 + g2 * p2) * rw;
-            b[k] = (c0 * p0 + c1 * p1 + c2 * p2) * rw;
-            a[k] = (a0 * p0 + a1 * p1 + a2 * p2) * rw;
-        }
+        if (uv)
+            perspectiveSpan<true, true, true>(v0, v1, v2, n, b0, b1, b2, r,
+                                              g, b, a, u, v);
+        else
+            perspectiveSpan<true, true, false>(v0, v1, v2, n, b0, b1, b2, r,
+                                               g, b, a, u, v);
     } else if (attrs & kSpanAlpha) {
-        for (int k = 0; k < n; ++k) {
-            const float p0 = b0[k] * i0;
-            const float p1 = b1[k] * i1;
-            const float p2 = b2[k] * i2;
-            a[k] = (a0 * p0 + a1 * p1 + a2 * p2) * (1.0f / (p0 + p1 + p2));
-        }
-    }
-    if (attrs & kSpanUv) {
-        const float u0 = v0.uv.x * i0, u1 = v1.uv.x * i1, u2 = v2.uv.x * i2;
-        const float t0 = v0.uv.y * i0, t1 = v1.uv.y * i1, t2 = v2.uv.y * i2;
-        for (int k = 0; k < n; ++k) {
-            const float rw =
-                1.0f / (b0[k] * i0 + b1[k] * i1 + b2[k] * i2);
-            u[k] = (u0 * b0[k] + u1 * b1[k] + u2 * b2[k]) * rw;
-            v[k] = (t0 * b0[k] + t1 * b1[k] + t2 * b2[k]) * rw;
-        }
+        if (uv)
+            perspectiveSpan<false, true, true>(v0, v1, v2, n, b0, b1, b2, r,
+                                               g, b, a, u, v);
+        else
+            perspectiveSpan<false, true, false>(v0, v1, v2, n, b0, b1, b2,
+                                                r, g, b, a, u, v);
+    } else if (uv) {
+        perspectiveSpan<false, false, true>(v0, v1, v2, n, b0, b1, b2, r, g,
+                                            b, a, u, v);
     }
 }
 

@@ -6,9 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/color.hpp"
@@ -203,9 +206,9 @@ TEST(Crc32, SliceBoundariesMatchByteAtATime)
 
 TEST(Crc32, CombineOperatorCacheIsStable)
 {
-    // combine() memoizes the zero operator per block length; repeated
-    // combines at the same length (the Signature Buffer's access
-    // pattern) must keep producing the concatenation CRC.
+    // combine() keeps each thread's recent block lengths as zero-operator
+    // byte tables; repeated combines at the same length (the Signature
+    // Buffer's access pattern) must keep producing the concatenation CRC.
     std::string a = "first block", b = "second block!";
     std::string ab = a + b;
     std::uint32_t want = Crc32::of(ab.data(), ab.size());
@@ -213,6 +216,37 @@ TEST(Crc32, CombineOperatorCacheIsStable)
     std::uint32_t crc_b = Crc32::of(b.data(), b.size());
     for (int i = 0; i < 3; ++i)
         EXPECT_EQ(Crc32::combine(crc_a, crc_b, b.size()), want);
+}
+
+// Concurrent combines, as the tile pool's threads issue them: every
+// thread cycles through more block lengths than its table cache holds
+// (so it keeps evicting and rebuilding), and every result must equal
+// the CRC of the concatenation.
+TEST(Crc32, CombineMatchesConcatenationAcrossThreads)
+{
+    std::vector<unsigned char> data(4096 + 64);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<unsigned char>(i * 131 + 7);
+    const std::size_t lens[] = {1, 8, 40, 128, 129, 4096, 3, 128};
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 400; ++i) {
+                const std::size_t len_a = 1 + (i * 7 + t) % 64;
+                const std::size_t len_b = lens[(i + t) % std::size(lens)];
+                const unsigned char *a = data.data();
+                const unsigned char *b = data.data() + len_a;
+                const std::uint32_t got = Crc32::combine(
+                    Crc32::of(a, len_a), Crc32::of(b, len_b), len_b);
+                if (got != Crc32::of(a, len_a + len_b))
+                    ++mismatches;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 /** Property sweep: combine() == concatenation for random block splits. */

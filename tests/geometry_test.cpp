@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/job_pool.hpp"
 #include "gpu/geometry_pipeline.hpp"
 #include "support.hpp"
 
@@ -131,6 +132,58 @@ TEST_F(GeometryTest, VertexFetchUsesPostTransformCache)
     FrameStats s = runGeometry(gpu, mem, scene, pb);
     EXPECT_EQ(s.vertices_shaded, 4u);
     EXPECT_EQ(s.vertices_fetched, 4u);
+}
+
+// A mesh of many triangles is cut into several chunks, most starting in
+// the middle of a command: each chunk rebuilds the post-transform cache
+// tags from the indices before it. The fetch count must equal a direct
+// replay of the whole index stream through the 32-entry direct-mapped
+// cache (flushed per command), and running the chunks on a pool must
+// bin exactly what the inline run bins.
+TEST_F(GeometryTest, PostTransformCacheIsExactAcrossChunks)
+{
+    scene3d();
+    Mesh terrain = meshes::grid(24, 20, {1, 1, 1, 1}, 0.1f, 7);
+    terrain.buffer_base = mem.addressSpace().allocVertex(
+        terrain.vertices.size() * kVertexBytes);
+    for (int i = 0; i < 2; ++i)
+        scene.submit(&terrain, Mat4::scale({4.0f, 3.0f, 1.0f}),
+                     RenderState{});
+
+    std::uint64_t expected = 0;
+    for (int i = 0; i < 2; ++i) {
+        std::uint32_t tag[32];
+        bool valid[32] = {};
+        for (std::uint32_t idx : terrain.indices) {
+            if (!valid[idx % 32] || tag[idx % 32] != idx) {
+                ++expected;
+                valid[idx % 32] = true;
+                tag[idx % 32] = idx;
+            }
+        }
+    }
+    FrameStats serial = runGeometry(gpu, mem, scene, pb);
+    EXPECT_EQ(serial.vertices_fetched, expected);
+    EXPECT_EQ(serial.prims_submitted, 2 * terrain.triangleCount());
+    EXPECT_GT(serial.prims_binned, serial.prims_submitted / 2);
+
+    MemorySystem mem2(gpu.mem);
+    ParameterBuffer pb2;
+    pb2.beginFrame(gpu.tileCount(), mem2.addressSpace());
+    JobPool pool(4);
+    GeometryPipeline geom(gpu, mem2);
+    geom.setExecution(&pool, 4);
+    FrameStats pooled;
+    geom.run(scene, pb2, {}, pooled);
+    EXPECT_EQ(pooled.vertices_fetched, serial.vertices_fetched);
+    EXPECT_EQ(pooled.prims_binned, serial.prims_binned);
+    EXPECT_EQ(pooled.bin_tile_pairs, serial.bin_tile_pairs);
+    EXPECT_EQ(pooled.geom_mem_latency, serial.geom_mem_latency);
+    ASSERT_EQ(pb2.prims().size(), pb.prims().size());
+    for (std::size_t i = 0; i < pb.prims().size(); ++i)
+        EXPECT_EQ(pb2.prims()[i].attr_crc, pb.prims()[i].attr_crc) << i;
+    for (int tile = 0; tile < gpu.tileCount(); ++tile)
+        EXPECT_EQ(pb2.entryAddrs(tile), pb.entryAddrs(tile)) << tile;
 }
 
 TEST_F(GeometryTest, BackfaceCullingDropsAwayFacingTriangles)

@@ -18,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/job_pool.hpp"
+#include "common/ordered_stream.hpp"
 #include "common/rng.hpp"
 #include "driver/run_result.hpp"
 #include "gpu/raster_pipeline.hpp"
@@ -560,6 +562,61 @@ TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
     EXPECT_EQ(ran.load(), 8);
 }
 
+// The same rethrow contract, on the ordered stream both parallel stages
+// share, with a window far smaller than the stream (geometry's shape)
+// and as large (the tiles'): whichever item throws, in produce or in
+// produce_and_consume, the stream rethrows the lowest-index failure
+// after consuming exactly the items before it, in order, no slot is
+// reused before its item was consumed, and the pool keeps working.
+TEST(TileParallelFailure, OrderedStreamRethrowsLowestFailingItem)
+{
+    JobPool pool(4);
+    const int count = 200;
+    for (int window : {3, count}) {
+        for (int k : {0, 1, 57, count - 1}) {
+            const int later = std::min(k + 7, count - 1);
+            auto fail = [&](int item) {
+                if (item == k || item == later)
+                    throw std::runtime_error("item " + std::to_string(item));
+            };
+            for (int repeat = 0; repeat < 5; ++repeat) {
+                std::vector<int> slots(static_cast<std::size_t>(window), -1);
+                std::vector<int> consumed;
+                OrderedStreamSteps steps;
+                steps.produce = [&](int item) {
+                    fail(item);
+                    slots[static_cast<std::size_t>(item % window)] = item;
+                };
+                steps.consume = [&](int item) {
+                    EXPECT_EQ(slots[static_cast<std::size_t>(item % window)],
+                              item);
+                    consumed.push_back(item);
+                };
+                steps.produce_and_consume = [&](int item) {
+                    fail(item);
+                    consumed.push_back(item);
+                };
+                try {
+                    runOrderedStream(pool, 4, count, window, steps);
+                    ADD_FAILURE() << "item " << k << " did not throw";
+                } catch (const std::runtime_error &e) {
+                    EXPECT_EQ(std::string(e.what()),
+                              "item " + std::to_string(k));
+                }
+                std::vector<int> before(static_cast<std::size_t>(k));
+                for (int i = 0; i < k; ++i)
+                    before[static_cast<std::size_t>(i)] = i;
+                EXPECT_EQ(consumed, before);
+            }
+        }
+    }
+
+    std::atomic<int> ran{0};
+    std::vector<std::function<void()>> jobs(8, [&] { ++ran; });
+    pool.runBatch(std::move(jobs));
+    EXPECT_EQ(ran.load(), 8);
+}
+
 // ---------------------------------------------------------------------------
 // Tile-parallel bit-identity property (DESIGN.md section 12).
 // ---------------------------------------------------------------------------
@@ -567,28 +624,80 @@ TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
 namespace {
 
 /**
- * Simulate one (workload, config) run and return its RunResult, without
- * host-timing fields. With @p tile_jobs > 1 tiles render on @p pool
- * (null: a pool the simulator owns); 1 is the serial leg.
+ * CRCs of a frame's binning output: the Parameter Buffer's primitives,
+ * every tile's render order and display-list entry addresses, and the
+ * tile signatures Rendering Elimination built (rotated to "previous"
+ * at frame end).
  */
-RunResult
+std::string
+binningDigest(const GpuSimulator &sim)
+{
+    const ParameterBuffer &pb = sim.parameterBuffer();
+    Crc32 prims, orders, addrs, sigs;
+    for (const ShadedPrimitive &p : pb.prims()) {
+        prims.update(p.v, sizeof(p.v));
+        prims.updateValue(p.state.texture);
+        prims.updateValue(p.cmd_id);
+        prims.updateValue(p.frame_index);
+        prims.updateValue(p.z_near);
+        prims.updateValue(p.attr_crc);
+        prims.updateValue(p.attr_bytes);
+        prims.updateValue(p.pb_addr);
+    }
+    for (int tile = 0; tile < pb.tileCount(); ++tile) {
+        for (const DisplayListEntry &e : pb.renderOrder(tile)) {
+            orders.updateValue(e.prim);
+            orders.updateValue(e.layer);
+            orders.updateValue(e.predicted_occluded);
+        }
+        for (Addr a : pb.entryAddrs(tile))
+            addrs.updateValue(a);
+        if (const RenderingElimination *re = sim.re()) {
+            const SignatureBuffer &sb = re->signatureBuffer();
+            sigs.updateValue(sb.previous(tile).crc);
+            sigs.updateValue(sb.previous(tile).length);
+        }
+    }
+    return "prims " + std::to_string(pb.prims().size()) + ":" +
+           std::to_string(prims.value()) + " orders " +
+           std::to_string(orders.value()) + " addrs " +
+           std::to_string(addrs.value()) + " sigs " +
+           std::to_string(sigs.value()) + "\n";
+}
+
+/** One identity leg: the RunResult, without host-timing fields, plus
+ *  every frame's binningDigest. */
+struct IdentityLeg {
+    RunResult result;
+    std::string binning;
+};
+
+/**
+ * Simulate one (workload, config) run. With @p tile_jobs > 1 tiles and
+ * geometry chunks run on @p pool (null: a pool the simulator owns); 1
+ * is the serial leg.
+ */
+IdentityLeg
 runIdentityLeg(const std::string &alias, const SimConfig &config,
                JobPool *pool, int tile_jobs)
 {
+    IdentityLeg leg;
     std::unique_ptr<Workload> workload =
         workloads::factory()(alias, 608, 384);
     if (!workload) {
         ADD_FAILURE() << "unknown workload " << alias;
-        return {};
+        return leg;
     }
     GpuSimulator sim(config);
     sim.setTileExecution(pool, tile_jobs);
     workload->setup(sim);
     // Frame 1 predicts and skips from frame 0's FVP and signatures.
-    for (int f = 0; f < 2; ++f)
+    for (int f = 0; f < 2; ++f) {
         sim.renderFrame(workload->frame(f));
+        leg.binning += binningDigest(sim);
+    }
 
-    RunResult r;
+    RunResult &r = leg.result;
     r.workload = alias;
     r.config = config.name;
     r.frames = 2;
@@ -597,14 +706,15 @@ runIdentityLeg(const std::string &alias, const SimConfig &config,
     r.totals = sim.totals();
     r.energy = sim.energyOf(sim.totals());
     r.image_crc = sim.framebuffer().contentCrc();
-    return r;
+    return leg;
 }
 
-/** The RunResult JSON the identity legs compare. */
+/** What the identity legs compare: the RunResult JSON and the
+ *  per-frame binning digests. */
 std::string
-identityJson(const RunResult &r)
+identityJson(const IdentityLeg &leg)
 {
-    return r.toJson(false).dump(2);
+    return leg.result.toJson(false).dump(2) + "\n" + leg.binning;
 }
 
 /** Every SimConfig the simulator offers. */
@@ -630,14 +740,17 @@ identityAliases()
 } // namespace
 
 // Every config of the six 3D workloads and two 2D games must produce a
-// RunResult JSON — pixels, every stat counter, energy, image CRC —
-// byte-identical to serial tiles when rendered with EVRSIM_TILE_JOBS=4
+// RunResult JSON — pixels, every stat counter, energy, image CRC — and
+// per-frame binning output (Parameter Buffer primitives, render orders,
+// entry addresses, tile signatures) byte-identical to the serial path
+// when tiles and geometry chunks run with EVRSIM_TILE_JOBS=4
 // on a pool of its own, and when each config's simulation is a job of
 // an outer batch on a 2-thread pool that its tile batch then shares
 // (the EVRSIM_JOBS shape: tile jobs queue behind whole simulations, so
 // owners render many tiles themselves while others are stolen). This
-// is the determinism contract of the tile-parallel design: tile
-// compute is pure and memory accesses replay in tile order.
+// is the determinism contract of the parallel design: tile and chunk
+// compute is pure, tile memory accesses replay in tile order, and
+// chunks commit in submission order.
 // Every config must also render baseline's image: the techniques only
 // remove work whose result is never seen (on "300", frames 0-1 tie two
 // Z-writers at a pixel's final depth, which the preloaded-depth configs
@@ -662,7 +775,7 @@ TEST(TileParallelIdentity, AllConfigsMatchSerialByteForByte)
         shared.runBatch(std::move(sims));
         std::uint32_t baseline_crc = 0;
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            const RunResult serial =
+            const IdentityLeg serial =
                 runIdentityLeg(alias, configs[i], nullptr, 1);
             const std::string ref = identityJson(serial);
             EXPECT_EQ(ref, identityJson(runIdentityLeg(alias, configs[i],
@@ -671,8 +784,8 @@ TEST(TileParallelIdentity, AllConfigsMatchSerialByteForByte)
             EXPECT_EQ(ref, nested[i])
                 << alias << "/" << configs[i].name << " (shared pool)";
             if (i == 0) // baseline
-                baseline_crc = serial.image_crc;
-            EXPECT_EQ(serial.image_crc, baseline_crc)
+                baseline_crc = serial.result.image_crc;
+            EXPECT_EQ(serial.result.image_crc, baseline_crc)
                 << alias << "/" << configs[i].name << " image vs baseline";
         }
     }

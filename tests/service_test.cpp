@@ -214,16 +214,21 @@ sweepVocabulary()
         Folded f{v.records, v.damaged, v.duplicates, v.in_flight, {}};
         for (const auto &[key, o] : v.outcomes) {
             using Kind = SweepJournal::ReplayedOutcome::Kind;
-            f.outcomes += key + "=";
-            if (o.kind == Kind::Finished)
-                f.outcomes += "finished:" +
-                              std::to_string(o.result.image_crc);
-            else
-                f.outcomes += std::string(o.kind == Kind::Failed
-                                              ? "failed:"
-                                              : "quarantined:") +
-                              errorCodeName(o.status.code());
-            f.outcomes += "@" + std::to_string(o.attempts) + " ";
+            // Plain appends: GCC 12 at -O3 draws a false -Wrestrict
+            // from `"literal" + std::string` here.
+            f.outcomes += key;
+            f.outcomes += '=';
+            if (o.kind == Kind::Finished) {
+                f.outcomes += "finished:";
+                f.outcomes += std::to_string(o.result.image_crc);
+            } else {
+                f.outcomes +=
+                    o.kind == Kind::Failed ? "failed:" : "quarantined:";
+                f.outcomes += errorCodeName(o.status.code());
+            }
+            f.outcomes += '@';
+            f.outcomes += std::to_string(o.attempts);
+            f.outcomes += ' ';
         }
         return f;
     };
