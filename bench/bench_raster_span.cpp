@@ -9,9 +9,11 @@
  *  - the span rasterizer alone, per fragment;
  *  - SetAssocCache access cost for an MRU-line hit, a set hit (the
  *    line is resident but not the last one touched) and a miss;
- *  - TileMemLog replay, ns per replayed access, for one tile's log
- *    with every texel fetch its own entry and with same-line fetches
- *    coalesced.
+ *  - memory-log replay, ns per replayed access and entries per
+ *    access: one tile's log with every texel fetch its own entry, with
+ *    each unit's fetches folded only into its previous line, and with
+ *    the set fold the raster path records; and a folded geometry
+ *    segment.
  *
  * Run: build/bench/bench_raster_span [--benchmark_filter=<regex>]
  */
@@ -196,15 +198,14 @@ BENCHMARK(BM_CacheAccess)->DenseRange(0, 2);
  * with its two parameter reads and a texel fetch per pixel in quad-walk
  * order on the pixel's fragment unit, at 0.5, 1, 1.5 and 2 texels per
  * pixel of a 256x256 RGBA8 texture, then the 16 Color Buffer row
- * flushes. Same-line fetches are coalesced as the raster path logs
- * them.
+ * flushes. Texel fetches fold by the set map of @p record's texture
+ * cache.
  */
 TileMemLog
-syntheticTileLog(MemorySystem &mem)
+syntheticTileLog(const MemorySystemConfig &record)
 {
-    ShaderCore shader(mem.config());
-    TileMemLog log(mem.config().num_texture_caches,
-                   mem.config().texture_cache.line_bytes);
+    ShaderCore shader(record);
+    TileMemLog log(record);
     const int size = 16;
     for (int layer = 0; layer < 4; ++layer) {
         const float scale = 0.5f * static_cast<float>(layer + 1);
@@ -230,33 +231,84 @@ syntheticTileLog(MemorySystem &mem)
 }
 
 /**
- * TileMemLog::replay of one tile's log against a live MemorySystem
- * (warm after the first iteration, as in a frame's steady state):
- *  0 "raw"        every texel fetch its own entry;
- *  1 "coalesced"  same-line fetches of a unit folded into one entry.
+ * A geometry segment of 512 triangles of a strip: each fetches one new
+ * 36-byte vertex, writes its 128-byte attribute block, and appends a
+ * 4-byte entry to the lists of the two tiles it overlaps (8 triangles
+ * per tile column, 38 columns), each list in 256-byte chunks, all
+ * allocated from the Parameter Buffer as the binner does.
+ */
+GeometryMemLog
+syntheticGeometryLog(const MemorySystemConfig &record)
+{
+    constexpr int kTiles = 38;
+    GeometryMemLog log(record);
+    Addr top = AddressSpace::kParameterBase + 64;
+    Addr cursor[kTiles] = {};
+    unsigned left[kTiles] = {};
+    for (int t = 0; t < 512; ++t) {
+        log.vertexFetch(AddressSpace::kVertexBase + 64 +
+                            static_cast<Addr>(t + 2) * kVertexBytes,
+                        kVertexBytes);
+        log.parameterWrite(top, ShadedPrimitive::kAttrBytes);
+        top += ShadedPrimitive::kAttrBytes;
+        for (int k = 0; k < 2; ++k) {
+            const int tile = (t / 8 + k) % kTiles;
+            if (left[tile] < DisplayListEntry::kBaseBytes) {
+                cursor[tile] = top;
+                top += 256;
+                left[tile] = 256;
+            }
+            log.parameterWrite(cursor[tile], DisplayListEntry::kBaseBytes);
+            cursor[tile] += DisplayListEntry::kBaseBytes;
+            left[tile] -= DisplayListEntry::kBaseBytes;
+        }
+    }
+    return log;
+}
+
+/**
+ * Memory-log replay against a live MemorySystem (warm after the first
+ * iteration, as in a frame's steady state):
+ *  0 "raw"        one tile's log, every texel fetch its own entry;
+ *  1 "line-fold"  each unit's fetches folded only into its previous
+ *                 line (the set fold of a one-set texture cache map);
+ *  2 "set-fold"   the set fold, as the raster path records it;
+ *  3 "geometry"   the folded geometry segment above.
  * ns_per_access counts logical accesses (folded repeats included), so
- * the two rows compare directly; entries_per_access is the log's size.
+ * the rows compare directly; entries_per_access is the log's size per
+ * access.
  */
 void
 BM_ReplayLog(benchmark::State &state)
 {
-    const bool coalesced = state.range(0) == 1;
-    state.SetLabel(coalesced ? "coalesced" : "raw");
+    static const char *const kLegs[] = {"raw", "line-fold", "set-fold",
+                                        "geometry"};
+    const auto leg = static_cast<int>(state.range(0));
+    state.SetLabel(kLegs[leg]);
     MemorySystem mem;
-    const TileMemLog tile = syntheticTileLog(mem);
-    const TileMemLog log = coalesced ? tile : tile.uncoalesced();
-    double accesses = 0.0;
-    for (const TileMemAccess &a : log.accesses())
-        accesses += 1.0 + a.repeats;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(log.replay(mem));
-    state.counters["ns_per_access"] = benchmark::Counter(
-        accesses * static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-    state.counters["entries_per_access"] =
-        static_cast<double>(log.accesses().size()) / accesses;
+    auto measure = [&](const auto &log) {
+        const double entries = static_cast<double>(log.accesses().size());
+        const double accesses =
+            static_cast<double>(log.uncoalesced().accesses().size());
+        for (auto _ : state)
+            benchmark::DoNotOptimize(log.replay(mem));
+        state.counters["ns_per_access"] = benchmark::Counter(
+            accesses * static_cast<double>(state.iterations()),
+            benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+        state.counters["entries_per_access"] = entries / accesses;
+    };
+    if (leg == 3) {
+        measure(syntheticGeometryLog(mem.config()));
+        return;
+    }
+    MemorySystemConfig record = mem.config();
+    if (leg == 1)
+        record.texture_cache.size_bytes =
+            record.texture_cache.line_bytes * record.texture_cache.ways;
+    const TileMemLog tile = syntheticTileLog(record);
+    measure(leg == 0 ? tile.uncoalesced() : tile);
 }
-BENCHMARK(BM_ReplayLog)->DenseRange(0, 1);
+BENCHMARK(BM_ReplayLog)->DenseRange(0, 3);
 
 } // namespace
 

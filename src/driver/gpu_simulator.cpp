@@ -18,7 +18,7 @@ GpuSimulator::GpuSimulator(const SimConfig &config,
       shader_(mem_.config()),
       timing_(config_.gpu, timing_params),
       energy_(energy_params),
-      geometry_(config_.gpu, mem_),
+      geometry_(config_.gpu),
       raster_(config_.gpu, mem_, shader_, timing_),
       fb_(config.gpu.screen_width, config.gpu.screen_height)
 {
@@ -92,7 +92,9 @@ GpuSimulator::renderFrameImpl(const Scene &scene, FrameStats stats)
     // The geometry span covers binning too: this is a tile-based
     // renderer whose geometry pipeline bins each chunk of primitives as
     // it commits it (interleaved with the shading of later chunks), so
-    // there is no separate binning phase to delimit.
+    // there is no separate binning phase to delimit. Its memory
+    // accesses are logged and replayed inside the raster span, at the
+    // head of the frame's access stream.
     TraceSpan frame_span(TraceCat::Frame, "frame");
     frame_span.setValue(frames_rendered_);
 
@@ -111,7 +113,6 @@ GpuSimulator::renderFrameImpl(const Scene &scene, FrameStats stats)
         gh.store_layers = config_.evr_predict;
         gh.filter_signature = config_.evr_filter_signature;
         geometry_.run(scene, pb_, gh, stats);
-        stats.geometry_cycles = timing_.geometryCycles(stats);
     }
 
     if (auditor_) {
@@ -131,7 +132,15 @@ GpuSimulator::renderFrameImpl(const Scene &scene, FrameStats stats)
         // rendered tile with the previous frame's pixels still in fb_
         // for the ground-truth "equal tiles" statistic (Figure 9's
         // oracle).
-        raster_.run(scene, pb_, fb_, frames_rendered_ > 0, rh, stats);
+        FrameStats raster;
+        stats.geom_mem_latency +=
+            raster_.run(scene, pb_, geometry_.memLog(), fb_,
+                        frames_rendered_ > 0, rh, raster);
+        // Before the raster counters merge: geometry timing reads only
+        // the geometry pass's (the EVR tracker also counts FVP table
+        // accesses while tiles render).
+        stats.geometry_cycles = timing_.geometryCycles(stats);
+        stats.accumulate(raster);
     }
 
     if (re_) {

@@ -46,8 +46,8 @@ GeometryPipeline::noteOnce(std::vector<Warning> &warnings, const Warning &w)
     warnings.push_back(w);
 }
 
-GeometryPipeline::GeometryPipeline(const GpuConfig &config, MemorySystem &mem)
-    : config_(config), mem_(mem)
+GeometryPipeline::GeometryPipeline(const GpuConfig &config)
+    : config_(config)
 {
 }
 
@@ -372,20 +372,16 @@ GeometryPipeline::commitChunk(const Chunk &chunk, ParameterBuffer &pb,
 {
     std::size_t fetch = 0;
     auto fetch_until = [&](std::size_t end) {
-        for (; fetch < end; ++fetch) {
-            AccessResult r = mem_.vertexFetch(chunk.fetches[fetch],
-                                              kVertexBytes);
-            stats.geom_mem_latency += r.latency;
-        }
+        for (; fetch < end; ++fetch)
+            mem_log_.vertexFetch(chunk.fetches[fetch], kVertexBytes);
     };
 
     std::uint32_t tiles_begin = 0;
     for (const StagedPrim &staged : chunk.prims) {
         fetch_until(staged.fetches_end);
         std::uint32_t index = pb.addPrimitive(staged.prim);
-        AccessResult w = mem_.parameterWrite(pb.prim(index).pb_addr,
-                                             ShadedPrimitive::kAttrBytes);
-        stats.geom_mem_latency += w.latency;
+        mem_log_.parameterWrite(pb.prim(index).pb_addr,
+                                ShadedPrimitive::kAttrBytes);
         stats.param_attr_bytes += ShadedPrimitive::kAttrBytes;
         ++stats.prims_binned;
         if (hooks.signature)
@@ -438,8 +434,7 @@ GeometryPipeline::binPrimitive(std::uint32_t prim_index, const int *tiles,
         entry.predicted_occluded = d.predicted_occluded;
 
         Addr addr = pb.append(tile, entry, d.to_second_list, entry_bytes);
-        AccessResult w = mem_.parameterWrite(addr, entry_bytes);
-        stats.geom_mem_latency += w.latency;
+        mem_log_.parameterWrite(addr, entry_bytes);
         stats.param_list_bytes += DisplayListEntry::kBaseBytes;
         if (hooks.store_layers)
             stats.layer_param_bytes += DisplayListEntry::kLayerBytes;
@@ -475,6 +470,7 @@ GeometryPipeline::run(const Scene &scene, ParameterBuffer &pb,
     in.pixel_proj.m[2][2] = 2.0f;
     in.pixel_proj.m[3][2] = -1.0f;
 
+    mem_log_.reset(config_.mem);
     planChunks(scene);
     const int chunks = static_cast<int>(chunk_ends_.size());
     const int window = pool_ != nullptr ? kChunksInFlightPerJob * jobs_ : 1;

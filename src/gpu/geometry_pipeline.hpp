@@ -19,7 +19,7 @@
 #include "gpu/gpu_config.hpp"
 #include "gpu/parameter_buffer.hpp"
 #include "gpu/pipeline_hooks.hpp"
-#include "mem/memory_system.hpp"
+#include "gpu/tile_mem_log.hpp"
 #include "scene/scene.hpp"
 
 namespace evrsim {
@@ -41,23 +41,33 @@ struct GeometryHooks {
  * culling, viewport and texture checks, the attribute CRC and each
  * primitive's overlapped tiles. It touches no simulator state, so
  * chunks run concurrently on the tile pool. An ordered commit stage
- * then issues each chunk's vertex fetches and Parameter Buffer writes,
+ * then logs each chunk's vertex fetches and Parameter Buffer writes,
  * appends its display-list entries and runs the EVR and RE hooks,
  * chunk by chunk in submission order. Without a pool the same two
  * stages run one chunk at a time, so every result is byte-identical
  * either way.
+ *
+ * The pipeline never touches the memory hierarchy: the commit records
+ * its accesses in the frame's geometry log (memLog()), which
+ * RasterPipeline::run replays at the head of the frame's access
+ * stream. FrameStats::geom_mem_latency is that replay's latency.
  */
 class GeometryPipeline
 {
   public:
-    GeometryPipeline(const GpuConfig &config, MemorySystem &mem);
+    explicit GeometryPipeline(const GpuConfig &config);
 
     /**
-     * Process every draw command of @p scene into @p pb.
+     * Process every draw command of @p scene into @p pb, and log the
+     * frame's geometry memory accesses into memLog().
      * @p pb must already be beginFrame()'d for this frame.
      */
     void run(const Scene &scene, ParameterBuffer &pb,
              const GeometryHooks &hooks, FrameStats &stats);
+
+    /** The last run()'s vertex fetches and Parameter Buffer writes, in
+     *  commit order, not yet issued to any memory hierarchy. */
+    const GeometryMemLog &memLog() const { return mem_log_; }
 
     /**
      * Run the pure stage on @p pool (EVRSIM_TILE_JOBS), @p jobs threads
@@ -147,7 +157,8 @@ class GeometryPipeline
     void stageTriangle(const ClipVertex tri[3], const DrawCommand &cmd,
                        const Scene &scene, Chunk &out) const;
 
-    /** Ordered stage: commit one produced chunk. */
+    /** Ordered stage: commit one produced chunk (its memory accesses
+     *  into mem_log_). */
     void commitChunk(const Chunk &chunk, ParameterBuffer &pb,
                      const GeometryHooks &hooks, FrameStats &stats);
 
@@ -157,7 +168,9 @@ class GeometryPipeline
                       const GeometryHooks &hooks, FrameStats &stats);
 
     const GpuConfig &config_;
-    MemorySystem &mem_;
+    /** This frame's geometry segment; reset per frame, keeping its
+     *  buffer, so it is sized by the previous frame. */
+    GeometryMemLog mem_log_;
     JobPool *pool_ = nullptr;
     int jobs_ = 1;
     /** This frame's pieces, and each chunk's end in them. */

@@ -4,8 +4,6 @@
  */
 #include "gpu/raster_pipeline.hpp"
 
-#include <optional>
-
 #include "common/crash_handler.hpp"
 #include "common/log.hpp"
 #include "common/ordered_stream.hpp"
@@ -655,8 +653,7 @@ RasterPipeline::renderAndReplayTile(int tile, const Scene &scene,
     TraceSpan tile_span(TraceCat::Tile, "tile");
     tile_span.setValue(tile);
     TileMemLog &log = t_scratch.log;
-    log.reset(mem_.config().num_texture_caches,
-              mem_.config().texture_cache.line_bytes);
+    log.reset(mem_.config());
     FrameStats ts;
     renderTile(tile, scene, pb, fb, has_prev_frame, hooks, ts, log);
     ts.raster_mem_latency += log.replay(mem_);
@@ -664,10 +661,11 @@ RasterPipeline::renderAndReplayTile(int tile, const Scene &scene,
     frame.accumulate(ts);
 }
 
-void
+Cycles
 RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
-                    Framebuffer &fb, bool has_prev_frame,
-                    const RasterHooks &hooks, FrameStats &stats)
+                    const GeometryMemLog &geometry, Framebuffer &fb,
+                    bool has_prev_frame, const RasterHooks &hooks,
+                    FrameStats &stats)
 {
     shader_.bindTextures(&scene.textures);
 
@@ -675,13 +673,17 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
     EVRSIM_ASSERT(pb.tileCount() == tiles);
 
     FrameStats frame;
+    Cycles geometry_latency = 0;
     if (tile_pool_ == nullptr) {
-        // Serial path: each tile's log replays as soon as it rendered.
+        // Serial path: the geometry segment heads the stream, then each
+        // tile's log replays as soon as it rendered.
+        geometry_latency = geometry.replay(mem_);
         for (int tile = 0; tile < tiles; ++tile)
             renderAndReplayTile(tile, scene, pb, fb, has_prev_frame, hooks,
                                 frame);
     } else {
-        runStreaming(scene, pb, fb, has_prev_frame, hooks, frame);
+        geometry_latency = runStreaming(scene, pb, geometry, fb,
+                                        has_prev_frame, hooks, frame);
     }
 
     // Per-frame conservation: every tile is rendered or skipped by RE,
@@ -691,55 +693,76 @@ RasterPipeline::run(const Scene &scene, const ParameterBuffer &pb,
     EVRSIM_ASSERT(frame.early_z_kills <= frame.early_z_tests);
     EVRSIM_ASSERT(frame.late_z_kills <= frame.late_z_tests);
     stats.accumulate(frame);
+    return geometry_latency;
 }
 
-void
+Cycles
 RasterPipeline::runStreaming(const Scene &scene, const ParameterBuffer &pb,
-                             Framebuffer &fb, bool has_prev_frame,
-                             const RasterHooks &hooks, FrameStats &frame)
+                             const GeometryMemLog &geometry, Framebuffer &fb,
+                             bool has_prev_frame, const RasterHooks &hooks,
+                             FrameStats &frame)
 {
     // Tiles render concurrently on the ordered stream, each recording
     // its memory accesses in a TileMemLog of its own. The owner replays
-    // each tile's log as soon as that tile and every earlier one have
-    // rendered, while later tiles are still rendering: the MemorySystem
-    // sees the serial renderer's global access stream (same cache
-    // contents, hit rates and latencies), and per-tile stats merge in
-    // tile order (raster_cycles only after the replayed latencies
-    // landed). An unclaimed next tile renders into the owner thread's
-    // log and replays at once, as on the serial path. The window is
-    // the whole frame: a log lives from its render to its replay.
-    struct TileSlot {
-        FrameStats stats;
-        std::optional<TileMemLog> log;
-    };
+    // the geometry segment first (while the helpers already render),
+    // then each tile's log as soon as that tile and every earlier one
+    // have rendered, while later tiles are still rendering: the
+    // MemorySystem sees the serial renderer's global access stream
+    // (same cache contents, hit rates and latencies), and per-tile
+    // stats merge in tile order (raster_cycles only after the replayed
+    // latencies landed). An unclaimed next tile renders into the owner
+    // thread's log and replays at once, as on the serial path. The
+    // window is the whole frame; a log lives from its render to its
+    // replay and then waits in spare_logs_ for a later tile.
     const int tiles = config_.tileCount();
-    const unsigned units = mem_.config().num_texture_caches;
-    const unsigned line_bytes = mem_.config().texture_cache.line_bytes;
-    std::vector<TileSlot> slots(static_cast<std::size_t>(tiles));
+    if (slots_.size() < static_cast<std::size_t>(tiles))
+        slots_.resize(static_cast<std::size_t>(tiles));
+
+    Cycles geometry_latency = 0;
+    auto replay_geometry_before = [&](int tile) {
+        if (tile == 0)
+            geometry_latency = geometry.replay(mem_);
+    };
 
     OrderedStreamSteps steps;
     steps.produce = [&](int tile) {
-        TileSlot &slot = slots[static_cast<std::size_t>(tile)];
+        TileSlot &slot = slots_[static_cast<std::size_t>(tile)];
         CrashTileScope crash_tile(tile);
         TraceSpan tile_span(TraceCat::Tile, "tile");
         tile_span.setValue(tile);
-        slot.log.emplace(units, line_bytes);
+        {
+            std::lock_guard<std::mutex> lock(spare_logs_mu_);
+            if (!spare_logs_.empty()) {
+                slot.log = std::move(spare_logs_.back());
+                spare_logs_.pop_back();
+            }
+        }
+        if (!slot.log)
+            slot.log = std::make_unique<TileMemLog>();
+        slot.log->reset(mem_.config());
+        slot.stats = FrameStats{};
         renderTile(tile, scene, pb, fb, has_prev_frame, hooks, slot.stats,
                    *slot.log);
     };
     steps.consume = [&](int tile) {
-        TileSlot &slot = slots[static_cast<std::size_t>(tile)];
+        replay_geometry_before(tile);
+        TileSlot &slot = slots_[static_cast<std::size_t>(tile)];
         FrameStats &ts = slot.stats;
         ts.raster_mem_latency += slot.log->replay(mem_);
-        slot.log.reset(); // bounds live logs to the rendering window
+        {
+            std::lock_guard<std::mutex> lock(spare_logs_mu_);
+            spare_logs_.push_back(std::move(slot.log));
+        }
         ts.raster_cycles = timing_.tileCycles(ts);
         frame.accumulate(ts);
     };
     steps.produce_and_consume = [&](int tile) {
+        replay_geometry_before(tile);
         renderAndReplayTile(tile, scene, pb, fb, has_prev_frame, hooks,
                             frame);
     };
     runOrderedStream(*tile_pool_, tile_jobs_, tiles, tiles, steps);
+    return geometry_latency;
 }
 
 } // namespace evrsim

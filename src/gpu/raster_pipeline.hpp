@@ -8,6 +8,8 @@
 #ifndef EVRSIM_GPU_RASTER_PIPELINE_HPP
 #define EVRSIM_GPU_RASTER_PIPELINE_HPP
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/job_pool.hpp"
@@ -59,24 +61,32 @@ class RasterPipeline
                    ShaderCore &shader, const TimingModel &timing);
 
     /**
-     * Render the frame described by @p pb into @p fb.
+     * Render the frame described by @p pb into @p fb. The frame's
+     * memory stream is @p geometry, then every tile's log in tile order:
+     * @p geometry replays just before tile 0's log.
      *
+     * @param geometry       the frame's geometry segment, not yet issued
+     *                       (GeometryPipeline::memLog)
      * @param has_prev_frame @p fb holds the previous frame: each tile's
      *                       new pixels are compared with it for the
      *                       ground-truth "equal tiles" oracle statistic
+     * @return the replayed latency of @p geometry (the geometry pass's
+     *         memory stalls; @p stats gets only the raster pass's)
      */
-    void run(const Scene &scene, const ParameterBuffer &pb, Framebuffer &fb,
-             bool has_prev_frame, const RasterHooks &hooks,
-             FrameStats &stats);
+    Cycles run(const Scene &scene, const ParameterBuffer &pb,
+               const GeometryMemLog &geometry, Framebuffer &fb,
+               bool has_prev_frame, const RasterHooks &hooks,
+               FrameStats &stats);
 
     /**
      * Enable tile-parallel rendering (EVRSIM_TILE_JOBS): tiles are
      * claimed in order and rendered concurrently on @p pool via
      * JobPool::runBatch, each into a TileMemLog of its own, while the
-     * batch owner replays every finished prefix of tiles against the
-     * MemorySystem in tile order. Serial tiles record and replay the
-     * same logs one tile at a time, so stats, cache behavior and pixels
-     * are byte-identical either way (see DESIGN.md section 12).
+     * batch owner replays the geometry segment and then every finished
+     * prefix of tiles against the MemorySystem in tile order. Serial
+     * tiles record and replay the same logs one tile at a time, so
+     * stats, cache behavior and pixels are byte-identical either way
+     * (see DESIGN.md section 12).
      *
      * @param pool      shared pool to run tile jobs on (null or
      *                  tile_jobs <= 1 restores the serial path)
@@ -134,13 +144,17 @@ class RasterPipeline
 
     /**
      * The tile-parallel frame: the streaming claim loop that renders
-     * tiles on tile_pool_ and replays their logs in tile order as they
-     * finish, merging stats into @p frame. Rethrows the lowest-index
-     * tile's exception once every tile job has stopped.
+     * tiles on tile_pool_ and replays @p geometry and then the tiles'
+     * logs in tile order as they finish, merging stats into @p frame.
+     * Rethrows the lowest-index tile's exception once every tile job
+     * has stopped.
+     *
+     * @return the replayed latency of @p geometry
      */
-    void runStreaming(const Scene &scene, const ParameterBuffer &pb,
-                      Framebuffer &fb, bool has_prev_frame,
-                      const RasterHooks &hooks, FrameStats &frame);
+    Cycles runStreaming(const Scene &scene, const ParameterBuffer &pb,
+                        const GeometryMemLog &geometry, Framebuffer &fb,
+                        bool has_prev_frame, const RasterHooks &hooks,
+                        FrameStats &frame);
 
     /** Tile pixel rectangle, clipped to the screen for edge tiles. */
     RectI tileRect(int tile) const;
@@ -151,6 +165,18 @@ class RasterPipeline
     const TimingModel &timing_;
     JobPool *tile_pool_ = nullptr;
     int tile_jobs_ = 1;
+
+    /** A pooled tile's stats and log, from its render to its replay. */
+    struct TileSlot {
+        FrameStats stats;
+        std::unique_ptr<TileMemLog> log;
+    };
+    /** runStreaming's per-tile slots, kept across frames. */
+    std::vector<TileSlot> slots_;
+    /** Logs of replayed pooled tiles, for the next tiles to render
+     *  into: never more than the most tiles ever in flight at once. */
+    std::vector<std::unique_ptr<TileMemLog>> spare_logs_;
+    std::mutex spare_logs_mu_;
 };
 
 } // namespace evrsim

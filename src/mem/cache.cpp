@@ -36,18 +36,24 @@ CacheStats::accumulate(const CacheStats &other)
     writebacks += other.writebacks;
 }
 
+CacheSetMap::CacheSetMap(const CacheConfig &config)
+{
+    EVRSIM_ASSERT(isPowerOfTwo(config.line_bytes));
+    EVRSIM_ASSERT(config.ways > 0);
+    EVRSIM_ASSERT(config.size_bytes % (config.line_bytes * config.ways) == 0);
+    sets_ = config.size_bytes / (config.line_bytes * config.ways);
+    EVRSIM_ASSERT(sets_ > 0);
+    line_shift_ = log2Exact(config.line_bytes);
+    sets_pow2_ = isPowerOfTwo(sets_);
+    set_shift_ = sets_pow2_ ? log2Exact(sets_) : 0;
+}
+
 void
 SetAssocCache::initGeometry()
 {
-    EVRSIM_ASSERT(isPowerOfTwo(config_.line_bytes));
-    EVRSIM_ASSERT(config_.ways > 0);
-    EVRSIM_ASSERT(config_.size_bytes % (config_.line_bytes * config_.ways) ==
-                  0);
-    num_sets_ = config_.size_bytes / (config_.line_bytes * config_.ways);
-    line_shift_ = log2Exact(config_.line_bytes);
-    sets_pow2_ = isPowerOfTwo(num_sets_);
-    set_shift_ = sets_pow2_ ? log2Exact(num_sets_) : 0;
-    lines_.assign(static_cast<std::size_t>(num_sets_) * config_.ways, Line{});
+    map_ = CacheSetMap(config_);
+    lines_.assign(static_cast<std::size_t>(map_.sets()) * config_.ways,
+                  Line{});
 }
 
 SetAssocCache::SetAssocCache(const CacheConfig &config, SetAssocCache *next)
@@ -94,7 +100,8 @@ SetAssocCache::missLine(Addr line_addr, Line *set_lines, unsigned set,
 
     if (line.valid && line.dirty) {
         // Write back the victim. Reconstruct its address from tag/set.
-        Addr victim_addr = (line.tag * num_sets_ + set) * config_.line_bytes;
+        Addr victim_addr =
+            (line.tag * map_.sets() + set) * config_.line_bytes;
         forward(victim_addr, true, cls);
         ++stats_.writebacks;
     }
@@ -115,12 +122,13 @@ void
 SetAssocCache::flush(TrafficClass cls)
 {
     mru_line_no_ = kNoLine;
-    for (unsigned set = 0; set < num_sets_; ++set) {
+    for (unsigned set = 0; set < map_.sets(); ++set) {
         for (unsigned w = 0; w < config_.ways; ++w) {
             Line &line = lines_[static_cast<std::size_t>(set) * config_.ways +
                                 w];
             if (line.valid && line.dirty) {
-                Addr addr = (line.tag * num_sets_ + set) * config_.line_bytes;
+                Addr addr =
+                    (line.tag * map_.sets() + set) * config_.line_bytes;
                 forward(addr, true, cls);
                 ++stats_.writebacks;
             }

@@ -57,6 +57,46 @@ struct CacheStats {
 };
 
 /**
+ * Where a cache keeps an address: its line number, and the set and tag
+ * of that line. SetAssocCache indexes through this map, so a log that
+ * folds accesses by set (gpu/tile_mem_log.hpp) sees exactly the
+ * cache's own placement. Every configured geometry is a power of two;
+ * the division fallback covers any that is not.
+ */
+class CacheSetMap
+{
+  public:
+    /** A map that holds nothing (one set, line = address). */
+    CacheSetMap() = default;
+
+    explicit CacheSetMap(const CacheConfig &config);
+
+    unsigned sets() const { return sets_; }
+    unsigned lineShift() const { return line_shift_; }
+
+    std::uint64_t line(Addr addr) const { return addr >> line_shift_; }
+
+    unsigned
+    set(std::uint64_t line_no) const
+    {
+        return sets_pow2_ ? static_cast<unsigned>(line_no) & (sets_ - 1)
+                          : static_cast<unsigned>(line_no % sets_);
+    }
+
+    std::uint64_t
+    tag(std::uint64_t line_no) const
+    {
+        return sets_pow2_ ? line_no >> set_shift_ : line_no / sets_;
+    }
+
+  private:
+    unsigned sets_ = 1;
+    unsigned line_shift_ = 0; ///< log2(line_bytes)
+    unsigned set_shift_ = 0;  ///< log2(sets_) when sets_pow2_
+    bool sets_pow2_ = true;
+};
+
+/**
  * One level of cache. Misses are forwarded either to another cache or to
  * DRAM, whichever was wired in.
  */
@@ -129,10 +169,23 @@ class SetAssocCache
     Cycles
     repeatRead(Addr addr, std::uint64_t n)
     {
-        EVRSIM_ASSERT((addr >> line_shift_) == mru_line_no_);
+        EVRSIM_ASSERT(map_.line(addr) == mru_line_no_);
         stats_.reads += n;
         lru_clock_ += n;
         lines_[mru_index_].lru = lru_clock_;
+        return n * config_.hit_latency;
+    }
+
+    /** repeatRead for writes: @p n write hits on the MRU line, which
+     *  they leave dirty. */
+    Cycles
+    repeatWrite(Addr addr, std::uint64_t n)
+    {
+        EVRSIM_ASSERT(map_.line(addr) == mru_line_no_);
+        stats_.writes += n;
+        lru_clock_ += n;
+        lines_[mru_index_].lru = lru_clock_;
+        lines_[mru_index_].dirty = true;
         return n * config_.hit_latency;
     }
 
@@ -143,7 +196,8 @@ class SetAssocCache
     const CacheStats &stats() const { return stats_; }
     void clearStats() { stats_ = CacheStats{}; }
 
-    unsigned numSets() const { return num_sets_; }
+    unsigned numSets() const { return map_.sets(); }
+    const CacheSetMap &setMap() const { return map_; }
 
   private:
     struct Line {
@@ -153,14 +207,13 @@ class SetAssocCache
         std::uint64_t lru = 0; ///< larger = more recently used
     };
 
-    /** Derive num_sets_ and the shift/mask fast-path index fields. */
+    /** Check the geometry and size lines_. */
     void initGeometry();
 
     /**
      * Access one whole line; returns latency. The hit path — an LRU
      * bump in a 2..8-way set — is the bulk of all calls, so the index
-     * math uses precomputed shifts/masks (every configured geometry is
-     * a power of two; the division fallback covers any that is not).
+     * math uses CacheSetMap's precomputed shifts/masks.
      *
      * A re-access of the line the previous call touched (consecutive
      * texels of one fragment row, a display list read entry by entry)
@@ -173,7 +226,7 @@ class SetAssocCache
     Cycles
     accessLine(Addr line_addr, bool write, TrafficClass cls, bool &hit)
     {
-        std::uint64_t line_no = line_addr >> line_shift_;
+        std::uint64_t line_no = map_.line(line_addr);
         ++lru_clock_;
         if (line_no == mru_line_no_) {
             Line &line = lines_[mru_index_];
@@ -184,15 +237,8 @@ class SetAssocCache
             return config_.hit_latency;
         }
 
-        unsigned set;
-        std::uint64_t tag;
-        if (sets_pow2_) {
-            set = static_cast<unsigned>(line_no) & (num_sets_ - 1);
-            tag = line_no >> set_shift_;
-        } else {
-            set = static_cast<unsigned>(line_no % num_sets_);
-            tag = line_no / num_sets_;
-        }
+        const unsigned set = map_.set(line_no);
+        const std::uint64_t tag = map_.tag(line_no);
         const std::size_t set_base =
             static_cast<std::size_t>(set) * config_.ways;
         Line *set_lines = &lines_[set_base];
@@ -228,14 +274,11 @@ class SetAssocCache
     CacheConfig config_;
     SetAssocCache *next_cache_ = nullptr;
     DramModel *dram_ = nullptr;
-    unsigned num_sets_ = 0;
-    unsigned line_shift_ = 0; ///< log2(line_bytes)
-    unsigned set_shift_ = 0;  ///< log2(num_sets_) when sets_pow2_
-    bool sets_pow2_ = false;
+    CacheSetMap map_;
     std::uint64_t lru_clock_ = 0;
-    std::vector<Line> lines_; ///< num_sets_ * ways, set-major
+    std::vector<Line> lines_; ///< sets * ways, set-major
     /** Line number of the last line accessed (kNoLine: none), and its
-     *  slot in lines_. A line number is addr >> line_shift_, so it can
+     *  slot in lines_. A line number is addr >> lineShift(), so it can
      *  never equal kNoLine. */
     static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
     std::uint64_t mru_line_no_ = kNoLine;

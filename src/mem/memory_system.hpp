@@ -66,12 +66,33 @@ class MemorySystem
                                     TrafficClass::VertexFetch);
     }
 
+    /**
+     * @p n more vertex fetches of the line the vertex cache's previous
+     * access touched (@p addr lies in it): SetAssocCache::repeatRead.
+     */
+    Cycles
+    vertexRepeat(Addr addr, std::uint64_t n)
+    {
+        return vertex_cache_.repeatRead(addr, n);
+    }
+
     /** Parameter Buffer write at binning time. */
     AccessResult
     parameterWrite(Addr addr, unsigned size)
     {
         return tile_cache_.access(addr, size, true,
                                   TrafficClass::ParameterBuffer);
+    }
+
+    /**
+     * @p n more Parameter Buffer writes of the line the tile cache's
+     * previous access touched (@p addr lies in it): the dirty MRU hits
+     * of SetAssocCache::repeatWrite.
+     */
+    Cycles
+    parameterWriteRepeat(Addr addr, std::uint64_t n)
+    {
+        return tile_cache_.repeatWrite(addr, n);
     }
 
     /** Parameter Buffer / Display List read at raster time. */
@@ -97,9 +118,7 @@ class MemorySystem
     /**
      * @p n more texture fetches by @p unit of the line its previous
      * fetch touched (@p addr lies in it): the n MRU hits of
-     * SetAssocCache::repeatRead. Exact in any global order, because a
-     * unit's texture cache is private and read-only, with nothing
-     * below it invalidating its lines.
+     * SetAssocCache::repeatRead.
      */
     Cycles
     textureRepeat(unsigned unit, Addr addr, std::uint64_t n)

@@ -2,11 +2,13 @@
  * @file
  * Unit tests for the Geometry Pipeline: vertex fetch/shade accounting,
  * near-plane clipping, backface culling, viewport rejection, binning
- * into display lists, Parameter Buffer layout and signature CRC inputs.
+ * into display lists, Parameter Buffer layout and signature CRC inputs,
+ * and the frame's geometry memory log.
  */
 #include <gtest/gtest.h>
 
 #include "common/job_pool.hpp"
+#include "driver/run_result.hpp"
 #include "gpu/geometry_pipeline.hpp"
 #include "support.hpp"
 
@@ -15,16 +17,27 @@ using namespace evrsim::test;
 
 namespace {
 
-/** Run the geometry pipeline over a scene; returns the stats. */
+/** Run the geometry pipeline over a scene and replay its memory log
+ *  into @p mem, as a frame does; returns the stats. */
 FrameStats
 runGeometry(const GpuConfig &gpu, MemorySystem &mem, const Scene &scene,
             ParameterBuffer &pb, const GeometryHooks &hooks = {})
 {
     FrameStats stats;
     pb.beginFrame(gpu.tileCount(), mem.addressSpace());
-    GeometryPipeline geom(gpu, mem);
+    GeometryPipeline geom(gpu);
     geom.run(scene, pb, hooks, stats);
+    stats.geom_mem_latency += geom.memLog().replay(mem);
     return stats;
+}
+
+/** A MemorySystem's counters as canonical JSON, for exact comparison. */
+std::string
+memStatsJson(const MemorySystem &mem)
+{
+    FrameStats s;
+    s.mem = mem.stats();
+    return frameStatsToJson(s).dump(2);
 }
 
 /** Fixture owning a small GPU and a quad mesh ready to draw. */
@@ -171,10 +184,11 @@ TEST_F(GeometryTest, PostTransformCacheIsExactAcrossChunks)
     ParameterBuffer pb2;
     pb2.beginFrame(gpu.tileCount(), mem2.addressSpace());
     JobPool pool(4);
-    GeometryPipeline geom(gpu, mem2);
+    GeometryPipeline geom(gpu);
     geom.setExecution(&pool, 4);
     FrameStats pooled;
     geom.run(scene, pb2, {}, pooled);
+    pooled.geom_mem_latency += geom.memLog().replay(mem2);
     EXPECT_EQ(pooled.vertices_fetched, serial.vertices_fetched);
     EXPECT_EQ(pooled.prims_binned, serial.prims_binned);
     EXPECT_EQ(pooled.bin_tile_pairs, serial.bin_tile_pairs);
@@ -278,15 +292,63 @@ TEST_F(GeometryTest, IdenticalFramesProduceIdenticalCrcs)
         EXPECT_EQ(pb.prim(i).attr_crc, crcs[i]);
 }
 
+// The commit only logs its Parameter Buffer writes: they reach the
+// Tile Cache when the frame's geometry log replays.
 TEST_F(GeometryTest, ParameterBufferTrafficAccounted)
 {
     submitRect(scene, &quad, 0, 0, 64, 48, 0.5f, RenderState{});
-    FrameStats s = runGeometry(gpu, mem, scene, pb);
+    FrameStats s;
+    pb.beginFrame(gpu.tileCount(), mem.addressSpace());
+    GeometryPipeline geom(gpu);
+    geom.run(scene, pb, {}, s);
     EXPECT_EQ(s.param_attr_bytes, 2u * ShadedPrimitive::kAttrBytes);
     EXPECT_EQ(s.param_list_bytes,
               s.bin_tile_pairs * DisplayListEntry::kBaseBytes);
     EXPECT_EQ(s.layer_param_bytes, 0u); // no EVR
+    EXPECT_EQ(s.geom_mem_latency, 0u);
+    EXPECT_EQ(mem.stats().tile_cache.writes, 0u);
+    EXPECT_GT(geom.memLog().replay(mem), 0u);
     EXPECT_GT(mem.stats().tile_cache.writes, 0u);
+}
+
+// A multi-chunk 3D frame with EVR's 6-byte list entries (some straddle
+// a line) on caches small enough to evict: the folded geometry log
+// must fold, and replay to the same counters, write-backs and latency
+// as the same log with every access an entry of its own.
+TEST_F(GeometryTest, FoldedGeometryLogReplaysLikeUnfolded)
+{
+    gpu.mem.vertex_cache.size_bytes = 1024;
+    gpu.mem.tile_cache.size_bytes = 4096;
+    gpu.mem.l2_cache.size_bytes = 16 * 1024;
+    scene3d();
+    Mesh terrain = meshes::grid(24, 20, {1, 1, 1, 1}, 0.1f, 7);
+    terrain.buffer_base = mem.addressSpace().allocVertex(
+        terrain.vertices.size() * kVertexBytes);
+    for (int i = 0; i < 2; ++i)
+        scene.submit(&terrain, Mat4::scale({4.0f, 3.0f, 1.0f}),
+                     RenderState{});
+
+    GeometryHooks hooks;
+    hooks.store_layers = true;
+    FrameStats s;
+    pb.beginFrame(gpu.tileCount(), mem.addressSpace());
+    GeometryPipeline geom(gpu);
+    geom.run(scene, pb, hooks, s);
+    ASSERT_GT(s.prims_submitted, 1000u); // several 128-triangle chunks
+    const GeometryMemLog &folded = geom.memLog();
+    const GeometryMemLog unfolded = folded.uncoalesced();
+    EXPECT_LT(folded.accesses().size(), unfolded.accesses().size());
+
+    MemorySystem a(gpu.mem), b(gpu.mem);
+    const Cycles folded_latency = folded.replay(a);
+    EXPECT_EQ(folded_latency, unfolded.replay(b));
+    EXPECT_EQ(memStatsJson(a), memStatsJson(b));
+    EXPECT_GT(a.stats().tile_cache.writebacks, 0u);
+    EXPECT_EQ(a.stats().tile_cache.writebacks,
+              b.stats().tile_cache.writebacks);
+    // A 36-byte vertex touches one or two lines.
+    EXPECT_GE(a.stats().vertex_cache.reads, s.vertices_fetched);
+    EXPECT_LE(a.stats().vertex_cache.reads, 2 * s.vertices_fetched);
 }
 
 TEST_F(GeometryTest, StoreLayersAddsParameterBytes)

@@ -4,9 +4,9 @@
  * facade: clears, depth-test semantics (early and late), painter's
  * algorithm for NWOZ primitives, alpha blending, shader discard, the
  * Figure 8 oracle mode, per-tile flush accounting and ground-truth
- * visibility statistics — plus TileMemLog fetch coalescing, tile-job
- * failure handling and the tile-parallel bit-identity property over
- * every config.
+ * visibility statistics — plus the memory logs' MRU-of-set fold,
+ * tile-job failure handling and the tile-parallel bit-identity property
+ * over every config.
  */
 #include <gtest/gtest.h>
 
@@ -357,7 +357,7 @@ TEST_F(RasterTest, TimingProducesNonZeroCycles)
 }
 
 // ---------------------------------------------------------------------------
-// TileMemLog texel-fetch coalescing (DESIGN.md section 12).
+// The memory logs' MRU-of-set fold (DESIGN.md section 12).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -378,8 +378,7 @@ memStatsJson(const MemorySystem &mem)
 struct LoggedStream {
     MemorySystem direct;
     Cycles direct_latency = 0;
-    TileMemLog log{direct.config().num_texture_caches,
-                   direct.config().texture_cache.line_bytes};
+    TileMemLog log{direct.config()};
 
     void
     fetch(unsigned unit, Addr addr)
@@ -408,33 +407,40 @@ struct LoggedStream {
 
 } // namespace
 
-// A unit's fetch folds into its previous entry across other units'
-// fetches and parameter reads, but not once the same unit touched
-// another line in between; both forms replay to the per-fetch stream.
+// A unit's fetch folds into the entry that last touched its line as
+// long as no other line of that texture-cache set was touched by the
+// unit in between: across other units' fetches, parameter reads and
+// the unit's fetches of other sets, but not across another line of
+// the same set (lines 4 KB apart share a set of the 8 KB 2-way cache).
+// Both forms replay to the per-fetch stream.
 TEST(TileMemLog, CoalescesSameLineFetchesPerUnit)
 {
     const Addr base = AddressSpace::kTextureBase;
+    const Addr same_set = base + 0x1000;
     LoggedStream st;
-    st.fetch(0, base);            // entry 0: unit 0, line 0
+    st.fetch(0, base);            // entry 0: unit 0, line 0 (set 0)
     st.fetch(1, base + 0x1000);   // entry 1: unit 1
     st.fetch(0, base + 4);        // other unit in between: folds into 0
     st.param(AddressSpace::kParameterBase);
     st.fetch(0, base + 60);       // parameter read in between: folds
-    st.fetch(0, base + 64);       // entry 3: unit 0, next line
-    st.fetch(0, base + 8);        // entry 4: line 0 again, must not fold
+    st.fetch(0, base + 64);       // entry 3: unit 0, next line (set 1)
+    st.fetch(0, base + 8);        // line 0 again, set 0 untouched: folds
+    st.fetch(0, same_set);        // entry 4: unit 0, set 0's other line
+    st.fetch(0, base + 12);       // entry 5: line 0, must not fold
     st.fetch(1, base + 0x1010);   // folds into entry 1
-    st.fetch(2, base);            // entry 5: another unit, same line
+    st.fetch(2, base);            // entry 6: another unit, same line
 
     const std::vector<TileMemAccess> &log = st.log.accesses();
-    ASSERT_EQ(log.size(), 6u);
-    EXPECT_EQ(log[0].repeats, 2u);
+    ASSERT_EQ(log.size(), 7u);
+    EXPECT_EQ(log[0].repeats, 3u);
     EXPECT_EQ(log[1].repeats, 1u);
     EXPECT_EQ(log[2].kind, TileMemAccess::Kind::ParamRead);
     EXPECT_EQ(log[3].repeats, 0u);
-    EXPECT_EQ(log[4].repeats, 0u);
-    EXPECT_EQ(log[4].addr, base + 8);
-    EXPECT_EQ(log[5].unit, 2u);
-    EXPECT_EQ(st.log.uncoalesced().accesses().size(), 9u);
+    EXPECT_EQ(log[4].addr, same_set);
+    EXPECT_EQ(log[5].repeats, 0u);
+    EXPECT_EQ(log[5].addr, base + 12);
+    EXPECT_EQ(log[6].unit, 2u);
+    EXPECT_EQ(st.log.uncoalesced().accesses().size(), 11u);
 
     st.expectReplayMatches(st.log);
     st.expectReplayMatches(st.log.uncoalesced());
@@ -472,6 +478,98 @@ TEST(TileMemLog, CoalescedReplayMatchesPerFetchStream)
         EXPECT_LT(st.log.accesses().size(), 3000u);
         st.expectReplayMatches(st.log);
     }
+}
+
+// Property: random frames of forced set collisions. A geometry segment
+// of 36-byte vertex reads (some straddle a line) and Tile Cache writes
+// of 4, 6 and 128 bytes, then tiles whose four units fetch texels, with
+// parameter reads and framebuffer writes in between. Every stream draws
+// from a few adjacent sets with more lines per set than the cache has
+// ways, so folds, conflict misses, dirty write-backs and L2 traffic all
+// occur. The folded logs, replayed geometry first, must match the same
+// accesses issued one at a time: counters and latency sum.
+TEST(MemLogFold, FoldedFrameReplaysLikeDirectStream)
+{
+    const MemorySystemConfig cfg;
+    Rng rng(90001);
+    // An address in one of 3 adjacent sets of @p cache, among @p tags
+    // lines per set (lines size/ways apart share a set), 4-byte aligned;
+    // 60% of the time in the line of @p last instead.
+    auto pick = [&](Addr base, const CacheConfig &cache, unsigned tags,
+                    Addr &last) {
+        const Addr line = cache.line_bytes;
+        if (last != 0 && rng.nextBelow(100) < 60)
+            last = (last & ~(line - 1)) + 4 * rng.nextBelow(line / 4);
+        else
+            last = base + rng.nextBelow(tags) * (cache.size_bytes / cache.ways) +
+                   rng.nextBelow(3) * line + 4 * rng.nextBelow(line / 4);
+        return last;
+    };
+    std::uint64_t entries = 0, accesses = 0;
+    for (int round = 0; round < 20; ++round) {
+        MemorySystem direct(cfg);
+        Cycles direct_latency = 0;
+        GeometryMemLog geometry(cfg);
+        Addr last_vertex = 0, last_param = 0;
+        for (int i = 0; i < 3000; ++i) {
+            if (rng.nextBelow(2) == 0) {
+                const Addr a = pick(AddressSpace::kVertexBase + 64,
+                                    cfg.vertex_cache, 3, last_vertex);
+                geometry.vertexFetch(a, kVertexBytes);
+                direct_latency += direct.vertexFetch(a, kVertexBytes).latency;
+            } else {
+                const unsigned sizes[] = {4, 6, 128};
+                const unsigned bytes = sizes[rng.nextBelow(3)];
+                const Addr a = pick(AddressSpace::kParameterBase,
+                                    cfg.tile_cache, 10, last_param);
+                geometry.parameterWrite(a, bytes);
+                direct_latency += direct.parameterWrite(a, bytes).latency;
+            }
+        }
+        accesses += geometry.uncoalesced().accesses().size();
+        entries += geometry.accesses().size();
+
+        std::vector<TileMemLog> tiles;
+        for (int t = 0; t < 4; ++t) {
+            TileMemLog &log = tiles.emplace_back(cfg);
+            Addr last_texel[4] = {};
+            for (int i = 0; i < 2000; ++i) {
+                const std::uint64_t kind = rng.nextBelow(100);
+                if (kind < 3) {
+                    const Addr a = AddressSpace::kParameterBase +
+                                   8 * rng.nextBelow(4096);
+                    log.paramRead(a, 8);
+                    direct_latency += direct.parameterRead(a, 8).latency;
+                } else if (kind < 5) {
+                    const Addr a = AddressSpace::framebufferAddr(
+                        0, static_cast<int>(rng.nextBelow(64)), 608);
+                    log.framebufferWrite(a, 64);
+                    direct.framebufferWrite(a, 64);
+                } else {
+                    const auto unit = static_cast<unsigned>(rng.nextBelow(4));
+                    const Addr a = pick(AddressSpace::kTextureBase,
+                                        cfg.texture_cache, 3,
+                                        last_texel[unit]);
+                    log.textureFetch(unit, a, 4);
+                    direct_latency += direct.textureFetch(unit, a, 4).latency;
+                }
+            }
+            accesses += log.uncoalesced().accesses().size();
+            entries += log.accesses().size();
+        }
+
+        MemorySystem mem(cfg);
+        Cycles latency = geometry.replay(mem);
+        for (const TileMemLog &log : tiles)
+            latency += log.replay(mem);
+        EXPECT_EQ(latency, direct_latency) << round;
+        EXPECT_EQ(memStatsJson(mem), memStatsJson(direct)) << round;
+        const MemorySystemStats m = direct.stats();
+        EXPECT_GT(m.texture_caches.read_misses, 0u);
+        EXPECT_GT(m.vertex_cache.read_misses, 0u);
+        EXPECT_GT(m.tile_cache.writebacks, 0u);
+    }
+    EXPECT_LT(entries, accesses * 3 / 4); // the folds are real
 }
 
 // ---------------------------------------------------------------------------
@@ -538,8 +636,8 @@ TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
             hooks.tracker = &tracker;
             FrameStats stats;
             try {
-                raster.run(scene, sim.parameterBuffer(), fb, false, hooks,
-                           stats);
+                raster.run(scene, sim.parameterBuffer(), GeometryMemLog{},
+                           fb, false, hooks, stats);
                 ADD_FAILURE() << "tile " << k << " did not throw";
             } catch (const std::runtime_error &e) {
                 EXPECT_EQ(std::string(e.what()),
@@ -552,7 +650,8 @@ TEST(TileParallelFailure, LowestThrowingTileIsRethrownAndPoolSurvives)
     RasterHooks hooks;
     hooks.tracker = &none;
     FrameStats stats;
-    raster.run(scene, sim.parameterBuffer(), fb, true, hooks, stats);
+    raster.run(scene, sim.parameterBuffer(), GeometryMemLog{}, fb, true,
+               hooks, stats);
     EXPECT_EQ(stats.tiles_total, static_cast<std::uint64_t>(tiles));
     EXPECT_EQ(stats.tiles_rendered, static_cast<std::uint64_t>(tiles));
 

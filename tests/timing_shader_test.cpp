@@ -126,8 +126,7 @@ namespace {
 TileMemLog
 tileLogFor(const MemorySystem &mem)
 {
-    return TileMemLog(mem.config().num_texture_caches,
-                      mem.config().texture_cache.line_bytes);
+    return TileMemLog(mem.config());
 }
 
 } // namespace
